@@ -1,0 +1,107 @@
+"""Golden CLI outputs: every captured argv replays to the same bytes and exit code.
+
+``tests/golden/manifest.json`` maps each case name to its argv and exit
+code; ``tests/golden/<name>.out`` holds the exact stdout. ``{golden}`` in an
+argv stands for the golden directory (the measurement fixture lives there).
+
+Regenerate after an intended output change with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import warnings
+from pathlib import Path
+
+import pytest
+
+from attoclock.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFEST = GOLDEN / "manifest.json"
+
+F_A_CLEMENTI = "0.12095388813333334"
+
+# (name, field argv): sub-atomic, atomic and super-atomic fields through
+# every way of setting the field, plus a very weak field.
+FIELDS = (
+    ("sub_field", ["--atom", "He:clementi", "--field", "0.06"]),
+    ("atomic_field", ["--atom", "He:clementi", "--field", F_A_CLEMENTI]),
+    ("super_field", ["--atom", "He:clementi", "--field", "0.15"]),
+    ("weak_field", ["--atom", "He:clementi", "--field", "1e-12"]),
+    ("sub_intensity", ["--atom", "He:kullie", "--field-from-intensity", "2.0e14"]),
+    ("super_intensity", ["--atom", "He:kullie", "--field-from-intensity", "1e15"]),
+    ("sub_ellipticity", ["--atom", "He:clementi", "--f0", "0.1",
+                         "--ellipticity", "0.87", "--wavelength", "735"]),
+    ("super_ellipticity", ["--ip", "0.5", "--z-eff", "1.0", "--name", "H",
+                           "--f0", "0.2", "--ellipticity", "0.3"]),
+)
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for command in ("geometry", "times"):
+        for field_name, field_argv in FIELDS:
+            for fmt in ("csv", "json"):
+                for precision in ("6", "17"):
+                    cases[f"{command}_{field_name}_{fmt}_p{precision}"] = [
+                        command, *field_argv, "--format", fmt,
+                        "--precision", precision]
+    straddle = ["sweep", "--atom", "He:clementi", "--grid", "0.1:0.13:0.005",
+                "--wavelength", "735"]
+    cases["sweep_dump_csv_p6"] = straddle
+    cases["sweep_dump_csv_p17"] = [*straddle, "--precision", "17"]
+    cases["sweep_dump_json"] = [*straddle, "--format", "json"]
+    for figure in ("fig2", "fig3", "fig4"):
+        base = ["sweep", "--atom", "He:kullie", "--grid", "0.02:0.16:0.01",
+                "--figure", figure]
+        cases[f"sweep_{figure}_csv"] = [*base, "--precision", "9"]
+        cases[f"sweep_{figure}_json"] = [*base, "--format", "json"]
+    cases["sweep_fig3_critical_csv"] = [
+        "sweep", "--atom", "He:clementi", "--grid", f"0.06,{F_A_CLEMENTI},0.15",
+        "--figure", "fig3", "--precision", "17"]
+    for estimator in ("tau_d", "tau_sym", "tau_unsy", "tau_t"):
+        cases[f"compare_{estimator}_csv"] = [
+            "compare", "--atom", "He:clementi", "--estimator", estimator,
+            "--residuals", "{golden}/measurements.csv"]
+    cases["compare_tau_d_json"] = [
+        "compare", "--atom", "He:kullie", "--estimator", "tau_d", "--residuals",
+        "--format", "json", "--precision", "17", "{golden}/measurements.csv"]
+    cases["catalog_csv"] = ["catalog"]
+    cases["catalog_json"] = ["catalog", "--format", "json"]
+    return cases
+
+
+def run(argv: list[str]) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([a.replace("{golden}", str(GOLDEN)) for a in argv])
+    return code, out.getvalue().encode("utf-8")
+
+
+def _manifest() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(_manifest()))
+def test_replay_is_byte_identical(name):
+    case = _manifest()[name]
+    code, out = run(case["argv"])
+    assert code == case["exit"]
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def regenerate() -> None:
+    manifest = {}
+    for name, argv in _cases().items():
+        code, out = run(argv)
+        (GOLDEN / f"{name}.out").write_bytes(out)
+        manifest[name] = {"argv": argv, "exit": code}
+    lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in manifest.items()]
+    MANIFEST.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
