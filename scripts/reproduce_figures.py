@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
 """Regenerate the three figure tables for both built-in He models.
 
-Writes fig2/fig3/fig4 CSVs per effective-charge model into --outdir, plus a
-full sweep dump with the adiabaticity parameter for the default 735 nm drive.
-Any plotting tool can consume the CSVs directly.
+Writes fig2/fig3/fig4 CSVs per effective-charge model into --outdir, plus the
+full 21-column sweep dump with the adiabaticity parameter for the default
+735 nm drive. Each file is one ``attoclock sweep`` invocation; any plotting
+tool can consume the CSVs directly.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from attoclock.atom import catalog_lookup
-from attoclock.barrier import RegimeError, atomic_field_strength
-from attoclock.cli import parse_grid
-from attoclock.harness import emit_figure_data, run_sweep
-from attoclock.units import wavelength_to_angular_frequency
+from attoclock.cli import EXIT_OK, EXIT_REGIME, main as attoclock
 
 
 def main(argv=None) -> int:
@@ -23,48 +20,28 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", default="0.02:0.12:0.0025",
                         metavar="MIN:MAX:STEP|F1,F2,...",
                         help="field-strength grid in au")
-    parser.add_argument("--wavelength", type=float, default=735.0, metavar="NM")
-    parser.add_argument("--precision", type=int, default=9)
+    parser.add_argument("--wavelength", default="735", metavar="NM")
+    parser.add_argument("--precision", default="9")
     args = parser.parse_args(argv)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = parse_grid(args.grid)
-    omega = wavelength_to_angular_frequency(args.wavelength)
-
     for spec in ("He:kullie", "He:clementi"):
-        atom = catalog_lookup(spec)
-        tag = atom.source.lower()
-        rows = run_sweep(atom, grid, omega=omega)
-        print(f"{atom.label()}: F_a = {atomic_field_strength(atom):.6f} au, "
-              f"{len(rows)} grid points")
-        for figure in ("fig2", "fig3", "fig4"):
-            path = outdir / f"{figure}_{tag}.csv"
-            try:
-                with open(path, "w", encoding="utf-8") as sink:
-                    emit_figure_data(rows, figure, sink=sink,
-                                     precision=args.precision)
-            except RegimeError as exc:
-                print(f"  {figure}: skipped ({exc})")
-                continue
-            print(f"  wrote {path}")
-        dump = outdir / f"sweep_{tag}.csv"
-        with open(dump, "w", encoding="utf-8") as sink:
-            sink.write("f_au,regime,d_b_au,tau_i_as,tau_d_as,tau_sym_as,"
-                       "tau_unsy_as,tau_t_as,light_as,gamma_k\n")
-            for row in rows:
-                cells = [row.f, row.geometry.regime.value,
-                         row.geometry.barrier_width,
-                         row.times_as["tau_i_as"], row.times_as["tau_d_as"],
-                         row.times_as["tau_sym_as"], row.times_as["tau_unsy_as"],
-                         row.times_as["tau_t_as"], row.light_traversal_as,
-                         row.gamma]
-                sink.write(",".join(
-                    "" if c is None else
-                    (c if isinstance(c, str) else f"{c:.{args.precision}g}")
-                    for c in cells) + "\n")
-        print(f"  wrote {dump}")
-    return 0
+        tag = spec.partition(":")[2]
+        for name, extra in (("fig2", ["--figure", "fig2"]),
+                            ("fig3", ["--figure", "fig3"]),
+                            ("fig4", ["--figure", "fig4"]),
+                            ("sweep", ["--wavelength", args.wavelength])):
+            path = outdir / f"{name}_{tag}.csv"
+            code = attoclock(["sweep", "--atom", spec, "--grid", args.grid, *extra,
+                              "--precision", args.precision, "--out", str(path)])
+            if code == EXIT_REGIME:
+                print(f"skipped {path}")
+            elif code != EXIT_OK:
+                return code
+            else:
+                print(f"wrote {path}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

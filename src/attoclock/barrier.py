@@ -27,16 +27,7 @@ class Regime(enum.Enum):
 
 
 class RegimeError(Exception):
-    """Raised when an operation needs a field regime it was not given.
-
-    For super-atomic requests of the real crossing points the complex pair
-    is attached as ``complex_pair``.
-    """
-
-    def __init__(self, message: str,
-                 complex_pair: tuple[complex, complex] | None = None) -> None:
-        super().__init__(message)
-        self.complex_pair = complex_pair
+    """Raised when an operation needs a field regime it was not given."""
 
 
 @dataclass(frozen=True)
@@ -57,24 +48,12 @@ class BarrierGeometry:
     regime: Regime
 
 
-def effective_potential(x: float, atom: AtomModel, field: LaserField) -> float:
-    """Combined potential -z_eff/x - x*F at position x > 0."""
-    if not x > 0:
-        raise ValueError(f"x must be > 0, got {x!r}")
-    return -atom.z_eff / x - x * field.f_peak
-
-
 def signed_barrier_height(x: float, atom: AtomModel, field: LaserField) -> float:
     """Bound level minus effective potential, -ip - V(x); negative inside the
     barrier, zero at the crossings."""
     if not x > 0:
         raise ValueError(f"x must be > 0, got {x!r}")
     return -atom.ip + atom.z_eff / x + x * field.f_peak
-
-
-def barrier_height(x: float, atom: AtomModel, field: LaserField) -> float:
-    """Magnitude of the gap between the bound level and the potential at x."""
-    return abs(signed_barrier_height(x, atom, field))
 
 
 def barrier_peak_position(atom: AtomModel, field: LaserField) -> float:
@@ -98,58 +77,6 @@ def classify_regime(atom: AtomModel, field: LaserField) -> Regime:
     if abs(field.f_peak - fa) <= ATOMIC_BAND * fa:
         return Regime.ATOMIC
     return Regime.SUB_ATOMIC if field.f_peak < fa else Regime.SUPER_ATOMIC
-
-
-def delta_z(atom: AtomModel, field: LaserField) -> tuple[float, float]:
-    """Discriminant sqrt(ip^2 - 4 z_eff F) as a (real, imag) pair.
-
-    Real and positive below barrier suppression, (0, 0) at it, and purely
-    imaginary above, where the barrier crossings leave the real axis.
-    """
-    regime = classify_regime(atom, field)
-    if regime is Regime.ATOMIC:
-        return (0.0, 0.0)
-    disc = atom.ip * atom.ip - 4.0 * atom.z_eff * field.f_peak
-    if regime is Regime.SUB_ATOMIC:
-        return (math.sqrt(max(disc, 0.0)), 0.0)
-    return (0.0, math.sqrt(max(-disc, 0.0)))
-
-
-def classical_exit(atom: AtomModel, field: LaserField) -> float:
-    """Exit point ip / F obtained when the binding potential is neglected."""
-    return atom.ip / field.f_peak
-
-
-def exit_points(atom: AtomModel, field: LaserField) -> tuple[float, float]:
-    """Inner and outer crossings of the barrier with the bound level,
-    (ip -+ delta_z) / (2F). Raises RegimeError above barrier suppression,
-    carrying the complex pair."""
-    regime = classify_regime(atom, field)
-    if regime is Regime.SUPER_ATOMIC:
-        _, dzi = delta_z(atom, field)
-        two_f = 2.0 * field.f_peak
-        pair = (complex(atom.ip, -dzi) / two_f, complex(atom.ip, dzi) / two_f)
-        raise RegimeError(
-            f"no real barrier crossings at F={field.f_peak!r} above barrier "
-            "suppression", complex_pair=pair)
-    if regime is Regime.ATOMIC:
-        x_a = barrier_peak_position(atom, field)
-        return (x_a, x_a)
-    dz, _ = delta_z(atom, field)
-    two_f = 2.0 * field.f_peak
-    return ((atom.ip - dz) / two_f, (atom.ip + dz) / two_f)
-
-
-def barrier_width(atom: AtomModel, field: LaserField) -> float:
-    """Distance between the crossings, delta_z / F; zero at barrier suppression."""
-    regime = classify_regime(atom, field)
-    if regime is Regime.SUPER_ATOMIC:
-        raise RegimeError(
-            f"barrier width undefined at F={field.f_peak!r} above barrier suppression")
-    if regime is Regime.ATOMIC:
-        return 0.0
-    dz, _ = delta_z(atom, field)
-    return dz / field.f_peak
 
 
 def _bisect(h, lo: float, hi: float, tol: float) -> float:
@@ -176,7 +103,7 @@ def exit_points_oracle(atom: AtomModel, field: LaserField,
                        tol: float = 1e-12) -> tuple[float, float]:
     """Locate both barrier crossings by pure sign-change bisection.
 
-    Verification path for :func:`exit_points`: the roots of the signed
+    Verification path for :func:`solve_geometry`: the roots of the signed
     barrier height are bracketed on either side of the barrier peak and
     bisected to ``tol``; the closed-form solution is never consulted.
     """
@@ -207,26 +134,33 @@ def exit_points_oracle(atom: AtomModel, field: LaserField,
 
 
 def solve_geometry(atom: AtomModel, field: LaserField) -> BarrierGeometry:
-    """Full barrier solution for one (atom, field) pair."""
+    """Full barrier solution for one (atom, field) pair.
+
+    The regime is classified once and the discriminant
+    delta_z = sqrt(ip^2 - 4 z_eff F) is taken once: real and positive below
+    barrier suppression, zero at it, and purely imaginary above, where the
+    crossings leave the real axis and entrance, exit and width are None.
+    """
     regime = classify_regime(atom, field)
     f = field.f_peak
+    ip = atom.ip
     x_peak = barrier_peak_position(atom, field)
-    h_max = abs(-atom.ip + math.sqrt(4.0 * atom.z_eff * f))
-    x_c = classical_exit(atom, field)
-    if regime is Regime.SUPER_ATOMIC:
-        _, dzi = delta_z(atom, field)
-        return BarrierGeometry(f=f, delta_z=0.0, delta_z_imag=dzi,
-                               x_entrance=None, x_exit=None, x_classical=x_c,
-                               x_peak=x_peak, barrier_width=None, h_max=h_max,
-                               regime=regime)
+    h_max = abs(-ip + math.sqrt(4.0 * atom.z_eff * f))
+    x_c = ip / f                      # classical exit, binding potential neglected
     if regime is Regime.ATOMIC:
         return BarrierGeometry(f=f, delta_z=0.0, delta_z_imag=0.0,
                                x_entrance=x_peak, x_exit=x_peak, x_classical=x_c,
                                x_peak=x_peak, barrier_width=0.0, h_max=h_max,
                                regime=regime)
-    dz, _ = delta_z(atom, field)
-    x_minus, x_plus = exit_points(atom, field)
+    disc = ip * ip - 4.0 * atom.z_eff * f
+    if regime is Regime.SUPER_ATOMIC:
+        return BarrierGeometry(f=f, delta_z=0.0, delta_z_imag=math.sqrt(max(-disc, 0.0)),
+                               x_entrance=None, x_exit=None, x_classical=x_c,
+                               x_peak=x_peak, barrier_width=None, h_max=h_max,
+                               regime=regime)
+    dz = math.sqrt(max(disc, 0.0))
+    two_f = 2.0 * f
     return BarrierGeometry(f=f, delta_z=dz, delta_z_imag=0.0,
-                           x_entrance=x_minus, x_exit=x_plus, x_classical=x_c,
-                           x_peak=x_peak, barrier_width=dz / f, h_max=h_max,
-                           regime=regime)
+                           x_entrance=(ip - dz) / two_f, x_exit=(ip + dz) / two_f,
+                           x_classical=x_c, x_peak=x_peak, barrier_width=dz / f,
+                           h_max=h_max, regime=regime)

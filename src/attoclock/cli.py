@@ -17,21 +17,14 @@ from .atom import (AtomConfigError, AtomModel, LaserField, builtin_catalog,
 from .barrier import (Regime, RegimeError, appearance_intensity,
                       atomic_field_strength, solve_geometry)
 from .clocks import compute_clocks, keldysh_gamma
-from .harness import (ESTIMATORS, FIGURES, compare, emit_figure_data,
-                      figure_table, load_measurements, run_sweep)
+from .harness import (DUMP_COLUMNS, ESTIMATORS, FIGURES, compare, dump_table,
+                      emit_figure_data, figure_table, format_value,
+                      load_measurements, run_sweep)
 from .units import au_time_to_attoseconds, wavelength_to_angular_frequency
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_REGIME = 3
-
-
-def _fmt(value: object, precision: int) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.{precision}g}"
-    return str(value)
 
 
 def _write_output(text: str, args: argparse.Namespace) -> None:
@@ -46,7 +39,7 @@ def _render_record(pairs: list[tuple[str, object]], args: argparse.Namespace) ->
     if args.format == "json":
         return json.dumps(dict(pairs), indent=2) + "\n"
     header = ",".join(key for key, _ in pairs)
-    row = ",".join(_fmt(value, args.precision) for _, value in pairs)
+    row = ",".join(format_value(value, args.precision) for _, value in pairs)
     return header + "\n" + row + "\n"
 
 
@@ -55,7 +48,7 @@ def _render_table(columns: Sequence[str], rows: list[list[object]],
     if args.format == "json":
         return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
     lines = [",".join(columns)]
-    lines += [",".join(_fmt(v, args.precision) for v in row) for row in rows]
+    lines += [",".join(format_value(v, args.precision) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -181,14 +174,6 @@ def cmd_times(args: argparse.Namespace) -> int:
     return EXIT_REGIME if geom.regime is Regime.SUPER_ATOMIC else EXIT_OK
 
 
-_DUMP_COLUMNS = (
-    "f_au", "regime", "delta_z_au", "delta_z_imag_au", "x_entrance_au",
-    "x_peak_au", "x_exit_au", "x_classical_au", "barrier_width_au", "h_max_au",
-    "tau_i_as", "tau_d_as", "tau_sym_as", "tau_unsy_as", "tau_c_as", "tau_t_as",
-    "tau_a_as", "light_as", "tau_d_re_au", "tau_d_im_au", "gamma_k",
-)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     atom = _resolve_atom(args)
     grid = parse_grid(args.grid)
@@ -203,23 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _write_output(emit_figure_data(rows, args.figure,
                                            precision=args.precision), args)
         return EXIT_OK
-    table = []
-    for row in rows:
-        geom, clocks = row.geometry, row.clocks
-        complex_d = clocks.complex_parts[0] if clocks.complex_parts else None
-        table.append([
-            row.f, geom.regime.value, geom.delta_z, geom.delta_z_imag,
-            geom.x_entrance, geom.x_peak, geom.x_exit, geom.x_classical,
-            geom.barrier_width, geom.h_max,
-            row.times_as["tau_i_as"], row.times_as["tau_d_as"],
-            row.times_as["tau_sym_as"], row.times_as["tau_unsy_as"],
-            row.times_as["tau_c_as"], row.times_as["tau_t_as"],
-            row.times_as["tau_a_as"], row.light_traversal_as,
-            None if complex_d is None else complex_d.real,
-            None if complex_d is None else complex_d.imag,
-            row.gamma,
-        ])
-    _write_output(_render_table(_DUMP_COLUMNS, table, args), args)
+    _write_output(_render_table(DUMP_COLUMNS, dump_table(rows), args), args)
     return EXIT_OK
 
 
@@ -228,8 +197,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     records = load_measurements(args.data)
     if not records:
         raise ValueError(f"{args.data}: no measurement records")
-    rows = run_sweep(atom, sorted({r.f for r in records}))
-    report = compare(rows, args.estimator, records)
+    report = compare(atom, args.estimator, records)
     pairs: list[tuple[str, object]] = [
         ("model_id", report.model_id),
         ("estimator", report.estimator),

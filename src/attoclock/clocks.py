@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .atom import AtomModel, LaserField
-from .barrier import BarrierGeometry, Regime, RegimeError
+from .barrier import BarrierGeometry, Regime
 
 
 @dataclass(frozen=True)
@@ -35,88 +35,6 @@ class TunnelClocks:
     complex_parts: tuple[complex, complex] | None = None
 
 
-def _require_real_regime(geom: BarrierGeometry, what: str) -> None:
-    if geom.regime is Regime.SUPER_ATOMIC:
-        raise RegimeError(
-            f"{what} is complex above barrier suppression; use complex_times()")
-
-
-def _gap_minus(geom: BarrierGeometry, atom: AtomModel) -> float:
-    # ip - delta_z, rationalized to 4 z F / (ip + delta_z): immune to the
-    # cancellation that otherwise dominates it for weak fields.
-    if geom.delta_z == 0.0:
-        return atom.ip
-    return 4.0 * atom.z_eff * geom.f / (atom.ip + geom.delta_z)
-
-
-def energy_uncertainty_at(x: float, atom: AtomModel) -> float:
-    """Energy uncertainty read off the binding potential, z_eff / x."""
-    if not x > 0:
-        raise ValueError(f"x must be > 0, got {x!r}")
-    return atom.z_eff / x
-
-
-def tau_unsymmetric(geom: BarrierGeometry, atom: AtomModel) -> float:
-    """Single-sided estimate 1 / (ip - delta_z), twice the barrier-crossing time."""
-    _require_real_regime(geom, "tau_unsy")
-    return 1.0 / _gap_minus(geom, atom)
-
-
-def tau_classical_first_order(atom: AtomModel, field: LaserField) -> float:
-    """First-order (weak-field) time at the classical exit point, ip / (2F).
-
-    Kept verbatim as the leading term quoted for the classical exit; note
-    the expansion of :func:`tau_unsymmetric` itself carries an extra
-    effective-charge factor, ip / (2 z_eff F).
-    """
-    return atom.ip / (2.0 * field.f_peak)
-
-
-def tau_delay(geom: BarrierGeometry, atom: AtomModel) -> float:
-    """Time to cross the barrier region, 1 / (2 (ip - delta_z))."""
-    _require_real_regime(geom, "tau_d")
-    return 0.5 / _gap_minus(geom, atom)
-
-
-def tau_initial(geom: BarrierGeometry, atom: AtomModel) -> float:
-    """Time to reach the barrier entrance, 1 / (2 (ip + delta_z))."""
-    _require_real_regime(geom, "tau_i")
-    return 0.5 / (atom.ip + geom.delta_z)
-
-
-def tau_symmetric(geom: BarrierGeometry, atom: AtomModel) -> float:
-    """Total time ip / (4 z_eff F); real in every regime."""
-    return atom.ip / (4.0 * atom.z_eff * geom.f)
-
-
-def tau_total(geom: BarrierGeometry, atom: AtomModel) -> float:
-    """Barrier-crossing time plus the critical-field approach term 1 / (2 ip)."""
-    _require_real_regime(geom, "tau_t")
-    return 0.5 * (1.0 / atom.ip + 1.0 / _gap_minus(geom, atom))
-
-
-def tau_appearance(atom: AtomModel) -> float:
-    """Ionization time at the barrier-suppression field, 1 / ip."""
-    return 1.0 / atom.ip
-
-
-def complex_times(geom: BarrierGeometry, atom: AtomModel) -> tuple[complex, complex]:
-    """Barrier-crossing and approach times above barrier suppression.
-
-    Returns (tau_d, tau_i) = 1 / (2 (ip -+ i delta_z'')) rationalized; the
-    real parts coincide, the imaginary parts are opposite, and the sum is
-    the real total time ip / (4 z_eff F).
-    """
-    if geom.regime is not Regime.SUPER_ATOMIC:
-        raise RegimeError("complex decomposition only applies above barrier "
-                          "suppression; the estimators are real here")
-    dzi = geom.delta_z_imag
-    den = 2.0 * (atom.ip * atom.ip + dzi * dzi)
-    re = atom.ip / den
-    im = dzi / den
-    return (complex(re, im), complex(re, -im))
-
-
 def keldysh_gamma(atom: AtomModel, field: LaserField, omega: float) -> float:
     """Adiabaticity parameter omega * sqrt(2 ip) / F."""
     if not omega > 0:
@@ -125,26 +43,39 @@ def keldysh_gamma(atom: AtomModel, field: LaserField, omega: float) -> float:
 
 
 def compute_clocks(geom: BarrierGeometry, atom: AtomModel) -> TunnelClocks:
-    """Evaluate every estimator for one solved geometry."""
-    field = LaserField.direct(geom.f)
-    tau_sym = tau_symmetric(geom, atom)
-    tau_c = tau_classical_first_order(atom, field)
-    tau_a = tau_appearance(atom)
+    """Evaluate every estimator for one solved geometry.
+
+    Below and at barrier suppression the gap ip - delta_z is formed once,
+    rationalized to 4 z_eff F / (ip + delta_z) so that weak fields do not
+    cancel it away; the estimators and energy uncertainties are closed forms
+    in it. Above, the crossing and approach times are the conjugate pair
+    1 / (2 (ip -+ i delta_z'')) whose sum is the real tau_sym.
+    """
+    ip, f = atom.ip, geom.f
+    tau_sym = ip / (4.0 * atom.z_eff * f)
+    # Verbatim first-order term; the weak-field limit of tau_unsy itself
+    # carries the effective charge, ip / (2 z_eff F).
+    tau_c = ip / (2.0 * f)
+    tau_a = 1.0 / ip
     if geom.regime is Regime.SUPER_ATOMIC:
+        dzi = geom.delta_z_imag
+        den = 2.0 * (ip * ip + dzi * dzi)
+        re, im = ip / den, dzi / den
         return TunnelClocks(tau_i=None, tau_d=None, tau_sym=tau_sym,
                             tau_unsy=None, tau_c=tau_c, tau_t=None, tau_a=tau_a,
                             de_plus=None, de_minus=None,
-                            complex_parts=complex_times(geom, atom))
-    gap = _gap_minus(geom, atom)
+                            complex_parts=(complex(re, im), complex(re, -im)))
+    ip_plus = ip + geom.delta_z
+    gap = ip if geom.delta_z == 0.0 else 4.0 * atom.z_eff * f / ip_plus
     return TunnelClocks(
-        tau_i=tau_initial(geom, atom),
-        tau_d=tau_delay(geom, atom),
+        tau_i=0.5 / ip_plus,
+        tau_d=0.5 / gap,
         tau_sym=tau_sym,
-        tau_unsy=tau_unsymmetric(geom, atom),
+        tau_unsy=1.0 / gap,
         tau_c=tau_c,
-        tau_t=tau_total(geom, atom),
+        tau_t=0.5 * (1.0 / ip + 1.0 / gap),
         tau_a=tau_a,
         de_plus=0.5 * gap,
-        de_minus=0.5 * (atom.ip + geom.delta_z),
+        de_minus=0.5 * ip_plus,
         complex_parts=None,
     )

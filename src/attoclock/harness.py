@@ -16,8 +16,7 @@ from typing import IO, Sequence
 
 from .atom import AtomModel, LaserField
 from .barrier import BarrierGeometry, Regime, RegimeError, solve_geometry
-from .clocks import (TunnelClocks, compute_clocks, keldysh_gamma, tau_delay,
-                     tau_symmetric, tau_total, tau_unsymmetric)
+from .clocks import TunnelClocks, compute_clocks, keldysh_gamma
 from .units import CONSTANTS, au_time_to_attoseconds
 
 ESTIMATORS = ("tau_d", "tau_sym", "tau_unsy", "tau_t")
@@ -32,15 +31,12 @@ _FIGURE_COLUMNS = {
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One field-strength point of a sweep: geometry, clocks, and the
-    attosecond views of every estimator."""
+    """One field-strength point of a sweep: geometry and clocks in au."""
 
     f: float
     atom: AtomModel
     geometry: BarrierGeometry
     clocks: TunnelClocks
-    times_as: dict[str, float | None]
-    light_traversal_as: float | None    # only below barrier suppression
     gamma: float | None = None
 
 
@@ -103,19 +99,25 @@ def light_traversal_time(d: float) -> float:
     return d / CONSTANTS.speed_of_light
 
 
-def _clock_times_as(clocks: TunnelClocks) -> dict[str, float | None]:
-    def conv(value: float | None) -> float | None:
-        return None if value is None else au_time_to_attoseconds(value)
+def format_value(value: object, precision: int) -> str:
+    """One output cell: None is empty, a float gets ``precision``
+    significant digits, anything else its str()."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.{precision}g}"
+    return str(value)
 
-    return {
-        "tau_i_as": conv(clocks.tau_i),
-        "tau_d_as": conv(clocks.tau_d),
-        "tau_sym_as": conv(clocks.tau_sym),
-        "tau_unsy_as": conv(clocks.tau_unsy),
-        "tau_c_as": conv(clocks.tau_c),
-        "tau_t_as": conv(clocks.tau_t),
-        "tau_a_as": conv(clocks.tau_a),
-    }
+
+def _as(t: float | None) -> float | None:
+    return None if t is None else au_time_to_attoseconds(t)
+
+
+def _light_as(geom: BarrierGeometry) -> float | None:
+    """Light-traversal time of the barrier in as; None without a real barrier."""
+    if geom.regime is not Regime.SUB_ATOMIC:
+        return None
+    return au_time_to_attoseconds(light_traversal_time(geom.barrier_width))
 
 
 def run_sweep(atom: AtomModel, f_grid: Sequence[float],
@@ -137,14 +139,9 @@ def run_sweep(atom: AtomModel, f_grid: Sequence[float],
     for f in f_grid:
         field = LaserField.direct(f)
         geom = solve_geometry(atom, field)
-        clocks = compute_clocks(geom, atom)
-        light = None
-        if geom.regime is Regime.SUB_ATOMIC:
-            light = au_time_to_attoseconds(light_traversal_time(geom.barrier_width))
         gamma = keldysh_gamma(atom, field, omega) if omega is not None else None
-        rows.append(SweepRow(f=f, atom=atom, geometry=geom, clocks=clocks,
-                             times_as=_clock_times_as(clocks),
-                             light_traversal_as=light, gamma=gamma))
+        rows.append(SweepRow(f=f, atom=atom, geometry=geom,
+                             clocks=compute_clocks(geom, atom), gamma=gamma))
     return rows
 
 
@@ -208,36 +205,16 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
     return records
 
 
-def _estimator_value_as(atom: AtomModel, f: float, estimator: str) -> float:
-    # Recomputed from closed form at the exact abscissa; never interpolated.
-    geom = solve_geometry(atom, LaserField.direct(f))
-    if estimator == "tau_sym":
-        value = tau_symmetric(geom, atom)
-    elif estimator == "tau_d":
-        value = tau_delay(geom, atom)
-    elif estimator == "tau_unsy":
-        value = tau_unsymmetric(geom, atom)
-    elif estimator == "tau_t":
-        value = tau_total(geom, atom)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
-    return au_time_to_attoseconds(value)
-
-
-def compare(rows: Sequence[SweepRow], estimator: str,
+def compare(atom: AtomModel, estimator: str,
             data: Sequence[MeasurementRecord]) -> ComparisonReport:
-    """Score the sweep's model against measured points.
+    """Score one estimator of the atom's model against measured points.
 
-    The model is re-evaluated exactly at each record's field strength.
-    Records above barrier suppression are skipped with a warning when the
-    estimator has no real value there. A point is within bars when the
-    absolute residual does not exceed the larger of its two bars.
+    The model is evaluated exactly at each record's field strength, never
+    interpolated. Records above barrier suppression are skipped with a
+    warning when the estimator has no real value there. A point is within
+    bars when the absolute residual does not exceed the larger of its two
+    bars.
     """
-    if not rows:
-        raise ValueError("no sweep rows given")
-    atom = rows[0].atom
-    if any(row.atom != atom for row in rows):
-        raise ValueError("sweep rows mix atom models")
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
     if not data:
@@ -245,14 +222,15 @@ def compare(rows: Sequence[SweepRow], estimator: str,
     points = []
     n_skipped = 0
     for record in data:
-        try:
-            model = _estimator_value_as(atom, record.f, estimator)
-        except RegimeError:
+        geom = solve_geometry(atom, LaserField.direct(record.f))
+        value = getattr(compute_clocks(geom, atom), estimator)
+        if value is None:
             n_skipped += 1
             warnings.warn(
                 f"record at F={record.f} is above barrier suppression; "
                 f"{estimator} has no real value there; point skipped", stacklevel=2)
             continue
+        model = au_time_to_attoseconds(value)
         residual = model - record.t
         points.append(ResidualPoint(
             f=record.f, model_as=model, measured_as=record.t, residual_as=residual,
@@ -272,10 +250,6 @@ def compare(rows: Sequence[SweepRow], estimator: str,
         n_records=len(data),
         n_skipped=n_skipped,
     )
-
-
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
 
 
 def figure_table(rows: Sequence[SweepRow], figure: str,
@@ -304,21 +278,49 @@ def figure_table(rows: Sequence[SweepRow], figure: str,
     meta = {
         "atom": atom.name,
         "source": atom.source,
-        "z_eff": _fmt(atom.z_eff, 12),
-        "i_p": _fmt(atom.ip, 12),
-        "grid": ",".join(_fmt(r.f, 12) for r in rows),
+        "z_eff": format_value(atom.z_eff, 12),
+        "i_p": format_value(atom.ip, 12),
+        "grid": ",".join(format_value(r.f, 12) for r in rows),
         "constants": CONSTANTS.version,
     }
-    values = []
-    for row in selected:
-        if figure == "fig2":
-            values.append((row.f, row.times_as["tau_unsy_as"], row.times_as["tau_sym_as"]))
-        elif figure == "fig3":
-            values.append((row.f, row.times_as["tau_d_as"], row.times_as["tau_sym_as"]))
-        else:
-            values.append((row.geometry.barrier_width, row.times_as["tau_d_as"],
-                           row.light_traversal_as))
+    if figure == "fig2":
+        values = [(r.f, _as(r.clocks.tau_unsy), _as(r.clocks.tau_sym)) for r in selected]
+    elif figure == "fig3":
+        values = [(r.f, _as(r.clocks.tau_d), _as(r.clocks.tau_sym)) for r in selected]
+    else:
+        values = [(r.geometry.barrier_width, _as(r.clocks.tau_d), _light_as(r.geometry))
+                  for r in selected]
     return meta, _FIGURE_COLUMNS[figure], values
+
+
+DUMP_COLUMNS = (
+    "f_au", "regime", "delta_z_au", "delta_z_imag_au", "x_entrance_au",
+    "x_peak_au", "x_exit_au", "x_classical_au", "barrier_width_au", "h_max_au",
+    "tau_i_as", "tau_d_as", "tau_sym_as", "tau_unsy_as", "tau_c_as", "tau_t_as",
+    "tau_a_as", "light_as", "tau_d_re_au", "tau_d_im_au", "gamma_k",
+)
+
+
+def dump_table(rows: Sequence[SweepRow]) -> list[list[object]]:
+    """Every quantity of every sweep row, one list per row in
+    :data:`DUMP_COLUMNS` order; cells that do not exist in a row's regime
+    are None."""
+    table = []
+    for row in rows:
+        geom, clocks = row.geometry, row.clocks
+        complex_d = clocks.complex_parts[0] if clocks.complex_parts else None
+        table.append([
+            row.f, geom.regime.value, geom.delta_z, geom.delta_z_imag,
+            geom.x_entrance, geom.x_peak, geom.x_exit, geom.x_classical,
+            geom.barrier_width, geom.h_max,
+            _as(clocks.tau_i), _as(clocks.tau_d), _as(clocks.tau_sym),
+            _as(clocks.tau_unsy), _as(clocks.tau_c), _as(clocks.tau_t),
+            _as(clocks.tau_a), _light_as(geom),
+            None if complex_d is None else complex_d.real,
+            None if complex_d is None else complex_d.imag,
+            row.gamma,
+        ])
+    return table
 
 
 def emit_figure_data(rows: Sequence[SweepRow], figure: str,
@@ -332,7 +334,7 @@ def emit_figure_data(rows: Sequence[SweepRow], figure: str,
     lines = [f"# {key}={value}" for key, value in meta.items()]
     lines.append(",".join(columns))
     for cells in values:
-        lines.append(",".join(_fmt(c, precision) for c in cells))
+        lines.append(",".join(format_value(c, precision) for c in cells))
     text = "\n".join(lines) + "\n"
     if sink is not None:
         sink.write(text)
@@ -342,7 +344,7 @@ def emit_figure_data(rows: Sequence[SweepRow], figure: str,
 def fit_width_relation(rows: Sequence[SweepRow]) -> WidthFit:
     """Least-squares line of the barrier-crossing time (as) vs width (au)
     over the sub-atomic sweep rows."""
-    pts = [(r.geometry.barrier_width, r.times_as["tau_d_as"])
+    pts = [(r.geometry.barrier_width, au_time_to_attoseconds(r.clocks.tau_d))
            for r in rows if r.geometry.regime is Regime.SUB_ATOMIC]
     if len(pts) < 2:
         raise ValueError("need at least two sub-atomic rows for a line fit")

@@ -10,15 +10,12 @@ import time
 import numpy as np
 
 from attoclock.atom import AtomModel, LaserField, catalog_lookup
-from attoclock.barrier import (atomic_field_strength, barrier_height,
-                               classical_exit, exit_points, exit_points_oracle,
-                               solve_geometry)
+from attoclock.barrier import (atomic_field_strength, exit_points_oracle,
+                               signed_barrier_height, solve_geometry)
 from attoclock.cli import main
-from attoclock.clocks import (complex_times, compute_clocks,
-                              tau_classical_first_order, tau_delay,
-                              tau_initial, tau_symmetric, tau_unsymmetric)
+from attoclock.clocks import compute_clocks
 from attoclock.harness import (compare, emit_figure_data, fit_width_relation,
-                               load_measurements, run_sweep)
+                               light_traversal_time, load_measurements, run_sweep)
 from attoclock.units import au_time_to_attoseconds
 from helpers import rel_err
 
@@ -41,6 +38,15 @@ def he_models():
     return catalog_lookup("He:clementi"), catalog_lookup("He:kullie")
 
 
+def evaluate(atom, f):
+    geom = solve_geometry(atom, LaserField.direct(f))
+    return geom, compute_clocks(geom, atom)
+
+
+def tau_d_as(row):
+    return au_time_to_attoseconds(row.clocks.tau_d)
+
+
 def oracle_grid(atom):
     """99 evenly spaced sub-atomic fractions plus the near-critical point."""
     fa = atomic_field_strength(atom)
@@ -52,11 +58,11 @@ def test_criterion_1_critical_field_limits():
     rng = np.random.default_rng(RNG_SEED)
     worst = 0.0
     for atom in random_atoms(rng, 100):
-        geom = solve_geometry(atom, LaserField.direct(atomic_field_strength(atom)))
+        _, clocks = evaluate(atom, atomic_field_strength(atom))
         worst = max(worst,
-                    rel_err(tau_symmetric(geom, atom), 1.0 / atom.ip),
-                    rel_err(tau_delay(geom, atom), 0.5 / atom.ip),
-                    rel_err(tau_initial(geom, atom), 0.5 / atom.ip))
+                    rel_err(clocks.tau_sym, 1.0 / atom.ip),
+                    rel_err(clocks.tau_d, 0.5 / atom.ip),
+                    rel_err(clocks.tau_i, 0.5 / atom.ip))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-13 and elapsed < 1.0
     assert report("C1 critical-field limits", ok,
@@ -69,10 +75,9 @@ def test_criterion_2_decomposition_identity():
     worst_sum = worst_product = 0.0
     for atom in random_atoms(rng, 1000):
         f = rng.uniform(0.01, 0.999) * atomic_field_strength(atom)
-        geom = solve_geometry(atom, LaserField.direct(f))
-        tau_sym = tau_symmetric(geom, atom)
-        worst_sum = max(worst_sum, rel_err(
-            tau_initial(geom, atom) + tau_delay(geom, atom), tau_sym))
+        _, clocks = evaluate(atom, f)
+        tau_sym = clocks.tau_sym
+        worst_sum = max(worst_sum, rel_err(clocks.tau_i + clocks.tau_d, tau_sym))
         worst_product = max(worst_product, rel_err(
             tau_sym * (4.0 * atom.z_eff * f), atom.ip))
     elapsed = time.perf_counter() - start
@@ -87,7 +92,8 @@ def test_criterion_3_geometry_oracle_equivalence():
     for atom in he_models():
         for f in oracle_grid(atom):
             field = LaserField.direct(f)
-            closed = exit_points(atom, field)
+            geom = solve_geometry(atom, field)
+            closed = (geom.x_entrance, geom.x_exit)
             bisected = exit_points_oracle(atom, field, tol=1e-12)
             worst = max(worst, abs(closed[0] - bisected[0]),
                         abs(closed[1] - bisected[1]))
@@ -102,14 +108,15 @@ def test_criterion_4_vieta_and_root_identities():
     for atom in he_models():
         for f in oracle_grid(atom):
             field = LaserField.direct(f)
-            x_minus, x_plus = exit_points(atom, field)
+            geom = solve_geometry(atom, field)
+            x_minus, x_plus = geom.x_entrance, geom.x_exit
             worst_sum = max(worst_sum,
                             rel_err(x_minus + x_plus, atom.ip / f),
-                            rel_err(x_minus + x_plus, classical_exit(atom, field)))
+                            rel_err(x_minus + x_plus, geom.x_classical))
             worst_prod = max(worst_prod, rel_err(x_minus * x_plus, atom.z_eff / f))
             worst_root = max(worst_root,
-                             barrier_height(x_minus, atom, field) / atom.ip,
-                             barrier_height(x_plus, atom, field) / atom.ip)
+                             abs(signed_barrier_height(x_minus, atom, field)) / atom.ip,
+                             abs(signed_barrier_height(x_plus, atom, field)) / atom.ip)
     ok = worst_sum <= 1e-12 and worst_prod <= 1e-12 and worst_root <= 1e-12
     assert report("C4 Vieta/root identities", ok,
                   f"sum {worst_sum:.2e}, prod {worst_prod:.2e}, root {worst_root:.2e}")
@@ -150,12 +157,12 @@ def test_criterion_6_expansion_property():
     for atom in he_models():
         fa = atomic_field_strength(atom)
         for f in np.geomspace(1e-6 * fa, fa / 100, 40):
-            geom = solve_geometry(atom, LaserField.direct(float(f)))
-            ratio = tau_unsymmetric(geom, atom) * (2.0 * atom.z_eff * f / atom.ip)
+            _, clocks = evaluate(atom, float(f))
+            ratio = clocks.tau_unsy * (2.0 * atom.z_eff * f / atom.ip)
             worst_lo, worst_hi = min(worst_lo, ratio), max(worst_hi, ratio)
         # the stated first-order operation stays exactly ip / (2F)
         for f in (fa / 100, fa / 2, 0.06):
-            assert tau_classical_first_order(atom, LaserField.direct(f)) == atom.ip / (2.0 * f)
+            assert evaluate(atom, f)[1].tau_c == atom.ip / (2.0 * f)
     ok = 0.98 <= worst_lo and worst_hi <= 1.02
     assert report("C6 expansion property", ok,
                   f"ratio range [{worst_lo:.5f}, {worst_hi:.5f}]")
@@ -196,7 +203,8 @@ def test_criterion_7c_photon_baseline():
     ok = True
     for atom in he_models():
         for row in run_sweep(atom, FIT_GRID):
-            ok = ok and row.light_traversal_as < row.times_as["tau_d_as"]
+            light = au_time_to_attoseconds(light_traversal_time(row.geometry.barrier_width))
+            ok = ok and light < tau_d_as(row)
     assert report("C7c photon baseline below crossing time", ok)
 
 
@@ -205,13 +213,12 @@ def test_criterion_8_superatomic_complex_decomposition():
     for atom in he_models():
         fa = atomic_field_strength(atom)
         for gap in np.geomspace(1e-9, 1.0, 50):
-            geom = solve_geometry(atom, LaserField.direct(fa * (1.0 + float(gap))))
-            tau_d_c, tau_i_c = complex_times(geom, atom)
+            _, clocks = evaluate(atom, fa * (1.0 + float(gap)))
+            tau_d_c, tau_i_c = clocks.complex_parts
             worst = max(worst,
                         rel_err(tau_d_c.real, tau_i_c.real),
                         rel_err(tau_d_c.imag, -tau_i_c.imag))
-        boundary = solve_geometry(atom, LaserField.direct(fa * (1.0 + 1e-9)))
-        tau_d_c, _ = complex_times(boundary, atom)
+        tau_d_c, _ = evaluate(atom, fa * (1.0 + 1e-9))[1].complex_parts
         worst_limit = max(worst_limit, abs(tau_d_c.real - 0.5 / atom.ip))
     ok = worst <= 1e-13 and worst_limit <= 1e-6
     assert report("C8 super-atomic complex decomposition", ok,
@@ -225,14 +232,13 @@ def test_criterion_9_harness_fixtures(tmp_path):
 
     def write(path, offset, err):
         lines = ["field_au,time_as,err_as"]
-        lines += [f"{row.f!r},{row.times_as['tau_d_as'] + offset!r},{err!r}"
-                  for row in rows]
+        lines += [f"{row.f!r},{tau_d_as(row) + offset!r},{err!r}" for row in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return str(path)
 
-    self_report = compare(rows, "tau_d",
+    self_report = compare(atom, "tau_d",
                           load_measurements(write(tmp_path / "self.csv", 0.0, 0.0)))
-    offset_report = compare(rows, "tau_d",
+    offset_report = compare(atom, "tau_d",
                             load_measurements(write(tmp_path / "off.csv", 1.0, 2.0)))
     identical = all(
         emit_figure_data(run_sweep(atom, grid), fig).encode()
@@ -270,7 +276,7 @@ def test_criterion_10_cli_end_to_end(tmp_path, capsys):
     rows = run_sweep(catalog_lookup("He:clementi"), [0.04, 0.06, 0.08])
     fixture.write_text(
         "field_au,time_as,err_as\n"
-        + "".join(f"{r.f!r},{r.times_as['tau_d_as']!r},1.0\n" for r in rows),
+        + "".join(f"{r.f!r},{tau_d_as(r)!r},1.0\n" for r in rows),
         encoding="utf-8")
     code, out = run("compare", "--atom", "He:clementi", "--estimator", "tau_d",
                     str(fixture))

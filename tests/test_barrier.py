@@ -9,14 +9,22 @@ from hypothesis import given
 from attoclock.atom import AtomModel, LaserField
 from attoclock.barrier import (ATOMIC_BAND, Regime, RegimeError,
                                appearance_intensity, atomic_field_strength,
-                               barrier_height, barrier_peak_position,
-                               barrier_width, classical_exit, classify_regime,
-                               delta_z, effective_potential, exit_points,
+                               barrier_peak_position, classify_regime,
                                exit_points_oracle, signed_barrier_height,
                                solve_geometry)
 from helpers import rel_err, subatomic_cases
 
 F06 = LaserField.direct(0.06)
+
+
+def potential(x, atom, field):
+    """Combined potential -z_eff/x - x*F, read off the signed barrier height."""
+    return -atom.ip - signed_barrier_height(x, atom, field)
+
+
+def crossings(atom, field):
+    geom = solve_geometry(atom, field)
+    return geom.x_entrance, geom.x_exit
 
 # frozen from a 50-digit evaluation of the closed forms (He, ip=0.90357)
 CLEMENTI_F06 = {
@@ -38,38 +46,41 @@ DZI_F015 = 0.44278804760291351
 class TestEffectivePotential:
     def test_direct_substitution(self):
         hydrogen = AtomModel(name="H", ip=0.5, z_eff=1.0)
-        assert effective_potential(1.0, hydrogen, LaserField.direct(0.1)) == -1.1
+        # -ip + z_eff/x + x*F at x = 1
+        assert signed_barrier_height(1.0, hydrogen, LaserField.direct(0.1)) == 0.6
 
     def test_value_at_barrier_peak(self, he_clementi):
         x_m = barrier_peak_position(he_clementi, F06)
-        assert rel_err(effective_potential(x_m, he_clementi, F06),
+        assert rel_err(potential(x_m, he_clementi, F06),
                        CLEMENTI_F06["veff_peak"]) < 1e-12
 
     def test_coulomb_tail_approaches_zero_from_below(self):
         hydrogen = AtomModel(name="H", ip=0.5, z_eff=1.0)
         weak = LaserField.direct(1e-300)
-        values = [effective_potential(x, hydrogen, weak) for x in (1e3, 1e6, 1e9)]
-        assert all(v < 0 for v in values)
-        assert values[0] < values[1] < values[2]
+        # -V(x) = z_eff/x + x*F, the signed height above the bound level
+        values = [signed_barrier_height(x, hydrogen, weak) + hydrogen.ip
+                  for x in (1e3, 1e6, 1e9)]
+        assert all(v > 0 for v in values)
+        assert values[0] > values[1] > values[2]
         assert abs(values[-1]) < 1e-8
 
     def test_domain_error(self, he_clementi):
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
-                effective_potential(bad, he_clementi, F06)
-            with pytest.raises(ValueError):
-                barrier_height(bad, he_clementi, F06)
+                signed_barrier_height(bad, he_clementi, F06)
 
 
 class TestBarrierHeight:
     def test_zero_at_both_crossings(self, he_clementi):
-        x_minus, x_plus = exit_points(he_clementi, F06)
-        assert barrier_height(x_minus, he_clementi, F06) <= 1e-12 * he_clementi.ip
-        assert barrier_height(x_plus, he_clementi, F06) <= 1e-12 * he_clementi.ip
+        x_minus, x_plus = crossings(he_clementi, F06)
+        assert abs(signed_barrier_height(x_minus, he_clementi, F06)) <= 1e-12 * he_clementi.ip
+        assert abs(signed_barrier_height(x_plus, he_clementi, F06)) <= 1e-12 * he_clementi.ip
 
     def test_maximum_value(self, he_clementi):
         x_m = barrier_peak_position(he_clementi, F06)
-        assert rel_err(barrier_height(x_m, he_clementi, F06),
+        assert rel_err(abs(signed_barrier_height(x_m, he_clementi, F06)),
+                       CLEMENTI_F06["h_max"]) < 1e-12
+        assert rel_err(solve_geometry(he_clementi, F06).h_max,
                        CLEMENTI_F06["h_max"]) < 1e-12
 
     def test_peak_is_extremum_of_potential(self, he_clementi):
@@ -83,10 +94,10 @@ class TestBarrierHeight:
             assert signed_barrier_height(x, he_clementi, F06) >= h_peak
 
     def test_h_max_matches_grid_maximum_inside_barrier(self, he_clementi):
-        x_minus, x_plus = exit_points(he_clementi, F06)
+        x_minus, x_plus = crossings(he_clementi, F06)
         n = 10_000
-        grid_max = max(barrier_height(x_minus + (x_plus - x_minus) * i / n,
-                                      he_clementi, F06) for i in range(n + 1))
+        grid_max = max(abs(signed_barrier_height(x_minus + (x_plus - x_minus) * i / n,
+                                                 he_clementi, F06)) for i in range(n + 1))
         geom = solve_geometry(he_clementi, F06)
         assert abs(geom.h_max - grid_max) < 1e-8
 
@@ -94,6 +105,8 @@ class TestBarrierHeight:
 class TestBarrierPeak:
     def test_clementi_f006(self, he_clementi):
         assert rel_err(barrier_peak_position(he_clementi, F06),
+                       CLEMENTI_F06["x_peak"]) < 1e-12
+        assert rel_err(solve_geometry(he_clementi, F06).x_peak,
                        CLEMENTI_F06["x_peak"]) < 1e-12
 
     def test_unit_case(self):
@@ -127,92 +140,91 @@ class TestAtomicFieldStrength:
 class TestDeltaZ:
     def test_zero_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        assert delta_z(he_clementi, LaserField.direct(fa)) == (0.0, 0.0)
+        geom = solve_geometry(he_clementi, LaserField.direct(fa))
+        assert (geom.delta_z, geom.delta_z_imag) == (0.0, 0.0)
 
     def test_subatomic_value(self, he_clementi):
-        real, imag = delta_z(he_clementi, F06)
-        assert rel_err(real, CLEMENTI_F06["delta_z"]) < 1e-12
-        assert imag == 0.0
+        geom = solve_geometry(he_clementi, F06)
+        assert rel_err(geom.delta_z, CLEMENTI_F06["delta_z"]) < 1e-12
+        assert geom.delta_z_imag == 0.0
 
     def test_superatomic_value(self, he_clementi):
-        real, imag = delta_z(he_clementi, LaserField.direct(0.15))
-        assert real == 0.0
-        assert rel_err(imag, DZI_F015) < 1e-12
+        geom = solve_geometry(he_clementi, LaserField.direct(0.15))
+        assert geom.delta_z == 0.0
+        assert rel_err(geom.delta_z_imag, DZI_F015) < 1e-12
 
 
 class TestExitPoints:
     def test_clementi_f006(self, he_clementi):
-        x_minus, x_plus = exit_points(he_clementi, F06)
+        x_minus, x_plus = crossings(he_clementi, F06)
         assert rel_err(x_minus, CLEMENTI_F06["x_minus"]) < 1e-12
         assert rel_err(x_plus, CLEMENTI_F06["x_plus"]) < 1e-12
 
     def test_double_root_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        x_minus, x_plus = exit_points(he_clementi, LaserField.direct(fa))
+        x_minus, x_plus = crossings(he_clementi, LaserField.direct(fa))
         assert x_minus == x_plus
         assert rel_err(x_minus, X_A_CLEMENTI) < 1e-12
 
     def test_sum_is_classical_exit(self, he_clementi):
-        x_minus, x_plus = exit_points(he_clementi, F06)
-        assert rel_err(x_minus + x_plus, classical_exit(he_clementi, F06)) < 1e-12
+        geom = solve_geometry(he_clementi, F06)
+        assert rel_err(geom.x_entrance + geom.x_exit, geom.x_classical) < 1e-12
 
     def test_superatomic_error_carries_complex_pair(self, he_clementi):
-        with pytest.raises(RegimeError) as excinfo:
-            exit_points(he_clementi, LaserField.direct(0.15))
-        pair = excinfo.value.complex_pair
-        assert pair is not None
-        assert pair[0].conjugate() == pair[1]
-        assert rel_err(pair[1].imag, DZI_F015 / 0.3) < 1e-12
+        # no real crossings: (ip -+ i delta_z'') / (2F) is left to the caller
+        geom = solve_geometry(he_clementi, LaserField.direct(0.15))
+        assert geom.x_entrance is None and geom.x_exit is None
+        assert rel_err(geom.delta_z_imag / (2 * geom.f), DZI_F015 / 0.3) < 1e-12
 
     @given(subatomic_cases())
     def test_vieta_identities_and_root_property(self, case):
         atom, field = case
-        x_minus, x_plus = exit_points(atom, field)
+        x_minus, x_plus = crossings(atom, field)
         assert 0 < x_minus <= x_plus
         assert rel_err(x_minus + x_plus, atom.ip / field.f_peak) < 1e-12
         assert rel_err(x_minus * x_plus, atom.z_eff / field.f_peak) < 1e-12
-        assert barrier_height(x_minus, atom, field) <= 1e-12 * atom.ip
-        assert barrier_height(x_plus, atom, field) <= 1e-12 * atom.ip
+        assert abs(signed_barrier_height(x_minus, atom, field)) <= 1e-12 * atom.ip
+        assert abs(signed_barrier_height(x_plus, atom, field)) <= 1e-12 * atom.ip
 
 
 class TestClassicalExit:
     def test_clementi_f006(self, he_clementi):
-        assert rel_err(classical_exit(he_clementi, F06),
+        assert rel_err(solve_geometry(he_clementi, F06).x_classical,
                        CLEMENTI_F06["x_classical"]) < 1e-12
 
     def test_unit_case(self):
         model = AtomModel(name="U", ip=1.0, z_eff=1.0)
-        assert classical_exit(model, LaserField.direct(1.0)) == 1.0
+        assert solve_geometry(model, LaserField.direct(1.0)).x_classical == 1.0
 
 
 class TestBarrierWidth:
     def test_clementi_f006(self, he_clementi):
-        assert rel_err(barrier_width(he_clementi, F06), CLEMENTI_F06["d_b"]) < 1e-12
+        assert rel_err(solve_geometry(he_clementi, F06).barrier_width,
+                       CLEMENTI_F06["d_b"]) < 1e-12
 
     def test_vanishes_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        assert barrier_width(he_clementi, LaserField.direct(fa)) == 0.0
+        assert solve_geometry(he_clementi, LaserField.direct(fa)).barrier_width == 0.0
 
     def test_equals_exit_point_separation(self, he_clementi):
-        x_minus, x_plus = exit_points(he_clementi, F06)
-        assert rel_err(barrier_width(he_clementi, F06), x_plus - x_minus) < 1e-12
+        geom = solve_geometry(he_clementi, F06)
+        assert rel_err(geom.barrier_width, geom.x_exit - geom.x_entrance) < 1e-12
 
     def test_strictly_decreasing_in_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        widths = [barrier_width(he_clementi, LaserField.direct(frac * fa))
+        widths = [solve_geometry(he_clementi, LaserField.direct(frac * fa)).barrier_width
                   for frac in [k / 200 for k in range(1, 200)]]
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
     def test_superatomic_error(self, he_clementi):
-        with pytest.raises(RegimeError):
-            barrier_width(he_clementi, LaserField.direct(0.15))
+        assert solve_geometry(he_clementi, LaserField.direct(0.15)).barrier_width is None
 
 
 class TestExitPointsOracle:
     @pytest.mark.parametrize("frac", [0.1, 0.4960, 0.9, 1 - 1e-6])
     def test_matches_closed_form(self, he_clementi, frac):
         field = LaserField.direct(frac * atomic_field_strength(he_clementi))
-        closed = exit_points(he_clementi, field)
+        closed = crossings(he_clementi, field)
         bisected = exit_points_oracle(he_clementi, field, tol=1e-12)
         assert abs(closed[0] - bisected[0]) <= 1e-10
         assert abs(closed[1] - bisected[1]) <= 1e-10
@@ -220,7 +232,7 @@ class TestExitPointsOracle:
     def test_roots_inside_classical_exit(self, he_clementi):
         field = LaserField.direct(0.9 * atomic_field_strength(he_clementi))
         x_minus, x_plus = exit_points_oracle(he_clementi, field)
-        assert 0 < x_minus < x_plus < classical_exit(he_clementi, field)
+        assert 0 < x_minus < x_plus < he_clementi.ip / field.f_peak
 
     def test_near_degenerate_roots_straddle_peak(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
@@ -228,7 +240,8 @@ class TestExitPointsOracle:
         x_minus, x_plus = exit_points_oracle(he_clementi, field, tol=1e-13)
         x_m = barrier_peak_position(he_clementi, field)
         assert x_minus < x_m < x_plus
-        assert rel_err(x_plus - x_minus, barrier_width(he_clementi, field)) < 1e-4
+        assert rel_err(x_plus - x_minus,
+                       solve_geometry(he_clementi, field).barrier_width) < 1e-4
 
     def test_bad_tolerance(self, he_clementi):
         with pytest.raises(ValueError):

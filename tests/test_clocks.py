@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given
 
 from attoclock.atom import AtomModel, LaserField
-from attoclock.barrier import (RegimeError, atomic_field_strength,
-                               barrier_peak_position, solve_geometry)
-from attoclock.clocks import (complex_times, compute_clocks,
-                              energy_uncertainty_at, keldysh_gamma,
-                              tau_appearance, tau_classical_first_order,
-                              tau_delay, tau_initial, tau_symmetric, tau_total,
-                              tau_unsymmetric)
+from attoclock.barrier import atomic_field_strength, solve_geometry
+from attoclock.clocks import compute_clocks, keldysh_gamma
 from attoclock.units import au_time_to_attoseconds, wavelength_to_angular_frequency
 from helpers import rel_err, subatomic_cases
 
@@ -58,81 +53,87 @@ class TestFrozenValues:
                        CLEMENTI_F06["tau_sym_as"]) < 1e-13
 
     def test_tau_delay_weak_and_strong_fields(self, he_clementi):
-        geom_weak, _ = clocks_at(he_clementi, 0.03)
-        assert rel_err(tau_delay(geom_weak, he_clementi), TAU_D_F003) < 1e-13
-        assert rel_err(au_time_to_attoseconds(tau_delay(geom_weak, he_clementi)),
-                       100.76369931555205) < 1e-13
-        geom_strong, _ = clocks_at(he_clementi, 0.11)
-        assert rel_err(tau_delay(geom_strong, he_clementi), TAU_D_F011) < 1e-13
+        _, weak = clocks_at(he_clementi, 0.03)
+        assert rel_err(weak.tau_d, TAU_D_F003) < 1e-13
+        assert rel_err(au_time_to_attoseconds(weak.tau_d), 100.76369931555205) < 1e-13
+        _, strong = clocks_at(he_clementi, 0.11)
+        assert rel_err(strong.tau_d, TAU_D_F011) < 1e-13
 
     def test_appearance_time(self, he_clementi):
-        assert rel_err(tau_appearance(he_clementi), CLEMENTI_F06["tau_a"]) < 1e-13
-        assert tau_appearance(AtomModel(name="X", ip=0.5, z_eff=1.0)) == 2.0
-        assert abs(au_time_to_attoseconds(tau_appearance(he_clementi)) - 26.77) < 5e-3
+        _, clocks = clocks_at(he_clementi, 0.06)
+        assert rel_err(clocks.tau_a, CLEMENTI_F06["tau_a"]) < 1e-13
+        _, hydrogen = clocks_at(AtomModel(name="X", ip=0.5, z_eff=1.0), 0.01)
+        assert hydrogen.tau_a == 2.0
+        assert abs(au_time_to_attoseconds(clocks.tau_a) - 26.77) < 5e-3
 
 
 class TestEnergyUncertainty:
     def test_at_exit_point(self, he_clementi):
-        geom, _ = clocks_at(he_clementi, 0.06)
-        value = energy_uncertainty_at(geom.x_exit, he_clementi)
-        assert rel_err(value, CLEMENTI_F06["de_plus"]) < 1e-12
+        geom, clocks = clocks_at(he_clementi, 0.06)
+        assert rel_err(clocks.de_plus, CLEMENTI_F06["de_plus"]) < 1e-12
+        # the binding potential z_eff / x read at both crossings
+        assert rel_err(clocks.de_plus, he_clementi.z_eff / geom.x_exit) < 1e-12
+        assert rel_err(clocks.de_minus, he_clementi.z_eff / geom.x_entrance) < 1e-12
         # same number from both printed forms of the identity
-        assert rel_err(value, (he_clementi.ip - geom.delta_z) / 2) < 1e-12
+        assert rel_err(clocks.de_plus, (he_clementi.ip - geom.delta_z) / 2) < 1e-12
 
     def test_at_critical_exit_is_half_ip(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        x_a = barrier_peak_position(he_clementi, LaserField.direct(fa))
-        assert rel_err(energy_uncertainty_at(x_a, he_clementi),
-                       he_clementi.ip / 2) < 1e-12
+        _, clocks = clocks_at(he_clementi, fa)
+        assert rel_err(clocks.de_plus, he_clementi.ip / 2) < 1e-12
+        assert rel_err(clocks.de_minus, he_clementi.ip / 2) < 1e-12
 
     def test_unit_case(self):
-        assert energy_uncertainty_at(1.0, AtomModel(name="U", ip=1.0, z_eff=1.0)) == 1.0
+        # ip = z_eff = 1 at F = 3/16: delta_z = 1/2 and the crossings are
+        # 4/3 and 4, all exact in binary
+        _, clocks = clocks_at(AtomModel(name="U", ip=1.0, z_eff=1.0), 0.1875)
+        assert clocks.de_plus == 0.25
+        assert clocks.de_minus == 0.75
 
     def test_domain_error(self, he_clementi):
-        with pytest.raises(ValueError):
-            energy_uncertainty_at(0.0, he_clementi)
+        # no real crossing to read the binding potential at above F_a
+        _, clocks = clocks_at(he_clementi, 0.15)
+        assert clocks.de_plus is None and clocks.de_minus is None
 
 
 class TestCriticalFieldLimits:
     def test_all_estimators(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        geom, _ = clocks_at(he_clementi, fa)
+        _, clocks = clocks_at(he_clementi, fa)
         ip = he_clementi.ip
-        assert rel_err(tau_delay(geom, he_clementi), 1 / (2 * ip)) < 1e-13
-        assert rel_err(tau_initial(geom, he_clementi), 1 / (2 * ip)) < 1e-13
-        assert rel_err(tau_symmetric(geom, he_clementi), 1 / ip) < 1e-13
-        assert rel_err(tau_unsymmetric(geom, he_clementi), 1 / ip) < 1e-13
-        assert rel_err(tau_total(geom, he_clementi), 1 / ip) < 1e-13
-        assert rel_err(tau_symmetric(geom, he_clementi),
-                       tau_appearance(he_clementi)) < 1e-13
+        assert rel_err(clocks.tau_d, 1 / (2 * ip)) < 1e-13
+        assert rel_err(clocks.tau_i, 1 / (2 * ip)) < 1e-13
+        assert rel_err(clocks.tau_sym, 1 / ip) < 1e-13
+        assert rel_err(clocks.tau_unsy, 1 / ip) < 1e-13
+        assert rel_err(clocks.tau_t, 1 / ip) < 1e-13
+        assert rel_err(clocks.tau_sym, clocks.tau_a) < 1e-13
 
 
 class TestIdentities:
     @given(subatomic_cases())
     def test_symmetric_decomposition(self, case):
         atom, field = case
-        geom = solve_geometry(atom, field)
-        total = tau_initial(geom, atom) + tau_delay(geom, atom)
-        assert rel_err(total, tau_symmetric(geom, atom)) < 1e-13
+        clocks = compute_clocks(solve_geometry(atom, field), atom)
+        assert rel_err(clocks.tau_i + clocks.tau_d, clocks.tau_sym) < 1e-13
 
     @given(subatomic_cases())
     def test_hyperbola_law(self, case):
         atom, field = case
-        geom = solve_geometry(atom, field)
-        product = tau_symmetric(geom, atom) * (4.0 * atom.z_eff * field.f_peak)
+        clocks = compute_clocks(solve_geometry(atom, field), atom)
+        product = clocks.tau_sym * (4.0 * atom.z_eff * field.f_peak)
         assert rel_err(product, atom.ip) < 1e-13
 
     @given(subatomic_cases())
     def test_unsymmetric_is_twice_delay(self, case):
         atom, field = case
-        geom = solve_geometry(atom, field)
-        assert tau_unsymmetric(geom, atom) == 2.0 * tau_delay(geom, atom)
+        clocks = compute_clocks(solve_geometry(atom, field), atom)
+        assert clocks.tau_unsy == 2.0 * clocks.tau_d
 
     @given(subatomic_cases())
     def test_energy_uncertainty_double_identity(self, case):
         atom, field = case
-        clocks = compute_clocks(solve_geometry(atom, field), atom)
         geom = solve_geometry(atom, field)
+        clocks = compute_clocks(geom, atom)
         assert rel_err(clocks.de_plus * (atom.ip + geom.delta_z),
                        2.0 * atom.z_eff * field.f_peak) < 1e-13
         assert rel_err(clocks.de_plus, (atom.ip - geom.delta_z) / 2.0) < 1e-13
@@ -140,9 +141,9 @@ class TestIdentities:
     @given(subatomic_cases())
     def test_orderings(self, case):
         atom, field = case
-        geom = solve_geometry(atom, field)
-        assert tau_initial(geom, atom) <= tau_delay(geom, atom)
-        assert tau_total(geom, atom) >= tau_symmetric(geom, atom)
+        clocks = compute_clocks(solve_geometry(atom, field), atom)
+        assert clocks.tau_i <= clocks.tau_d
+        assert clocks.tau_t >= clocks.tau_sym
 
     def test_sum_identity_at_f006(self, he_clementi):
         geom, clocks = clocks_at(he_clementi, 0.06)
@@ -155,20 +156,21 @@ class TestMonotonicity:
         fractions = [k / 100 for k in range(1, 101)]
         delays, initials = [], []
         for frac in fractions:
-            geom, _ = clocks_at(he_clementi, frac * fa)
-            delays.append(tau_delay(geom, he_clementi))
-            initials.append(tau_initial(geom, he_clementi))
+            _, clocks = clocks_at(he_clementi, frac * fa)
+            delays.append(clocks.tau_d)
+            initials.append(clocks.tau_i)
         assert all(a > b for a, b in zip(delays, delays[1:]))
         assert all(a < b for a, b in zip(initials, initials[1:]))
 
 
 class TestClassicalFirstOrder:
     def test_verbatim_form(self, he_clementi):
-        assert tau_classical_first_order(he_clementi, F06) == he_clementi.ip / (2 * 0.06)
+        _, clocks = clocks_at(he_clementi, 0.06)
+        assert clocks.tau_c == he_clementi.ip / (2 * 0.06)
 
     def test_unit_case(self):
-        model = AtomModel(name="U", ip=1.0, z_eff=1.0)
-        assert tau_classical_first_order(model, LaserField.direct(0.5)) == 1.0
+        _, clocks = clocks_at(AtomModel(name="U", ip=1.0, z_eff=1.0), 0.5)
+        assert clocks.tau_c == 1.0
 
     @pytest.mark.parametrize("fixture", ["he_clementi", "he_kullie"])
     def test_expansion_carries_effective_charge(self, fixture, request):
@@ -179,43 +181,43 @@ class TestClassicalFirstOrder:
         fa = atomic_field_strength(atom)
         for exponent in range(0, 9):
             f = fa / 100 * 10 ** (-exponent / 2)
-            geom = solve_geometry(atom, LaserField.direct(f))
-            ratio = tau_unsymmetric(geom, atom) * (2 * atom.z_eff * f / atom.ip)
+            _, clocks = clocks_at(atom, f)
+            ratio = clocks.tau_unsy * (2 * atom.z_eff * f / atom.ip)
             assert 0.98 <= ratio <= 1.02
 
 
 class TestComplexRegime:
     def test_frozen_values_f015(self, he_clementi):
-        geom, _ = clocks_at(he_clementi, 0.15)
-        tau_d_c, tau_i_c = complex_times(geom, he_clementi)
+        _, clocks = clocks_at(he_clementi, 0.15)
+        tau_d_c, tau_i_c = clocks.complex_parts
         assert rel_err(tau_d_c.real, COMPLEX_F015["re"]) < 1e-13
         assert rel_err(tau_d_c.imag, COMPLEX_F015["im"]) < 1e-13
         assert tau_i_c == tau_d_c.conjugate()
 
     def test_sum_is_real_symmetric_time(self, he_clementi):
-        geom, _ = clocks_at(he_clementi, 0.15)
-        tau_d_c, tau_i_c = complex_times(geom, he_clementi)
+        _, clocks = clocks_at(he_clementi, 0.15)
+        tau_d_c, tau_i_c = clocks.complex_parts
         total = tau_d_c + tau_i_c
         assert total.imag == 0.0
-        assert rel_err(total.real, tau_symmetric(geom, he_clementi)) < 1e-13
+        assert rel_err(total.real, clocks.tau_sym) < 1e-13
 
     def test_continuity_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        geom, _ = clocks_at(he_clementi, fa * (1 + 1e-9))
-        tau_d_c, _ = complex_times(geom, he_clementi)
+        _, clocks = clocks_at(he_clementi, fa * (1 + 1e-9))
+        tau_d_c, _ = clocks.complex_parts
         assert abs(tau_d_c.real - 1 / (2 * he_clementi.ip)) <= 1e-6
         assert 0 < tau_d_c.imag < 1e-4
 
     def test_real_estimators_refuse_superatomic(self, he_clementi):
-        geom, _ = clocks_at(he_clementi, 0.15)
-        for op in (tau_delay, tau_initial, tau_unsymmetric, tau_total):
-            with pytest.raises(RegimeError):
-                op(geom, he_clementi)
+        _, clocks = clocks_at(he_clementi, 0.15)
+        for name in ("tau_d", "tau_i", "tau_unsy", "tau_t"):
+            assert getattr(clocks, name) is None, name
 
     def test_complex_times_refuses_subatomic(self, he_clementi):
-        geom, _ = clocks_at(he_clementi, 0.06)
-        with pytest.raises(RegimeError):
-            complex_times(geom, he_clementi)
+        fa = atomic_field_strength(he_clementi)
+        for f in (0.06, fa):
+            _, clocks = clocks_at(he_clementi, f)
+            assert clocks.complex_parts is None
 
     def test_compute_clocks_superatomic_payload(self, he_clementi):
         _, clocks = clocks_at(he_clementi, 0.15)

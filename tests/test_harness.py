@@ -5,14 +5,23 @@ import io
 import pytest
 
 from attoclock.barrier import Regime, RegimeError, atomic_field_strength
-from attoclock.harness import (MeasurementFormatError, MeasurementRecord,
-                               compare, emit_figure_data, figure_table,
+from attoclock.harness import (DUMP_COLUMNS, MeasurementFormatError,
+                               MeasurementRecord, compare, dump_table,
+                               emit_figure_data, figure_table,
                                fit_width_relation, light_traversal_time,
                                load_measurements, run_sweep)
 from attoclock.units import au_time_to_attoseconds, wavelength_to_angular_frequency
 from helpers import rel_err
 
 GRID_9 = [0.03 + 0.01 * k for k in range(9)]   # 0.03 .. 0.11
+
+
+def tau_d_as(row):
+    return au_time_to_attoseconds(row.clocks.tau_d)
+
+
+def light_as(row):
+    return au_time_to_attoseconds(light_traversal_time(row.geometry.barrier_width))
 
 
 @pytest.fixture
@@ -33,13 +42,12 @@ class TestRunSweep:
         assert all(r.geometry.regime is Regime.SUB_ATOMIC for r in rows9)
 
     def test_delay_endpoints(self, rows9):
-        assert rel_err(rows9[0].times_as["tau_d_as"], 100.76369931555205) < 1e-12
-        assert rel_err(rows9[-1].times_as["tau_d_as"], 19.147249772337054) < 1e-12
+        assert rel_err(tau_d_as(rows9[0]), 100.76369931555205) < 1e-12
+        assert rel_err(tau_d_as(rows9[-1]), 19.147249772337054) < 1e-12
 
     def test_light_baseline_below_delay_everywhere(self, rows9):
         for row in rows9:
-            assert row.light_traversal_as is not None
-            assert row.light_traversal_as < row.times_as["tau_d_as"]
+            assert light_as(row) < tau_d_as(row)
 
     def test_single_critical_field_row(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
@@ -47,13 +55,14 @@ class TestRunSweep:
         assert row.geometry.regime is Regime.ATOMIC
         assert row.geometry.barrier_width == 0.0
         assert rel_err(row.clocks.tau_sym, 1 / he_clementi.ip) < 1e-13
-        assert row.light_traversal_as is None
+        (dump,) = dump_table([row])
+        assert dump[DUMP_COLUMNS.index("light_as")] is None
 
     def test_superatomic_row_carries_complex_parts(self, he_clementi):
         (row,) = run_sweep(he_clementi, [0.15])
         assert row.geometry.regime is Regime.SUPER_ATOMIC
         assert row.clocks.complex_parts is not None
-        assert row.times_as["tau_d_as"] is None
+        assert row.clocks.tau_d is None
         assert row.geometry.x_exit is None
 
     def test_gamma_column(self, he_clementi):
@@ -154,71 +163,71 @@ class TestLoadMeasurements:
 
 
 class TestCompare:
-    def test_self_comparison_is_exact(self, rows9, tmp_path):
-        data = [(r.f, r.times_as["tau_d_as"], 0.0, 0.0) for r in rows9]
+    def test_self_comparison_is_exact(self, he_clementi, rows9, tmp_path):
+        data = [(r.f, tau_d_as(r), 0.0, 0.0) for r in rows9]
         path = write_measurement_csv(tmp_path / "self.csv", data)
-        report = compare(rows9, "tau_d", load_measurements(path))
+        report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.rms == 0.0
         assert report.max_abs == 0.0
         assert report.fraction_within_bars == 1.0
         assert report.n_skipped == 0
 
-    def test_unit_offset_gives_unit_rms(self, rows9, tmp_path):
-        data = [(r.f, r.times_as["tau_d_as"] + 1.0, 2.0, 2.0) for r in rows9]
+    def test_unit_offset_gives_unit_rms(self, he_clementi, rows9, tmp_path):
+        data = [(r.f, tau_d_as(r) + 1.0, 2.0, 2.0) for r in rows9]
         path = write_measurement_csv(tmp_path / "off.csv", data)
-        report = compare(rows9, "tau_d", load_measurements(path))
+        report = compare(he_clementi, "tau_d", load_measurements(path))
         assert abs(report.rms - 1.0) < 1e-9
         assert report.fraction_within_bars == 1.0
         # residual is model - measurement, so the offset shows up negative
         assert all(abs(p.residual_as + 1.0) < 1e-9 for p in report.points)
 
-    def test_offset_beyond_bars(self, rows9, tmp_path):
-        data = [(r.f, r.times_as["tau_d_as"] + 5.0, 2.0, 2.0) for r in rows9]
+    def test_offset_beyond_bars(self, he_clementi, rows9, tmp_path):
+        data = [(r.f, tau_d_as(r) + 5.0, 2.0, 2.0) for r in rows9]
         path = write_measurement_csv(tmp_path / "far.csv", data)
-        report = compare(rows9, "tau_d", load_measurements(path))
+        report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.fraction_within_bars == 0.0
 
-    def test_asymmetric_bars_use_larger(self, rows9, tmp_path):
-        data = [(rows9[0].f, rows9[0].times_as["tau_d_as"] + 3.0, 1.0, 4.0)]
+    def test_asymmetric_bars_use_larger(self, he_clementi, rows9, tmp_path):
+        data = [(rows9[0].f, tau_d_as(rows9[0]) + 3.0, 1.0, 4.0)]
         path = write_measurement_csv(tmp_path / "asym.csv", data)
-        report = compare(rows9, "tau_d", load_measurements(path))
+        report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.fraction_within_bars == 1.0
 
-    def test_superatomic_record_skipped_with_warning(self, rows9, tmp_path):
-        data = [(rows9[0].f, rows9[0].times_as["tau_d_as"], 1.0, 1.0),
+    def test_superatomic_record_skipped_with_warning(self, he_clementi, rows9, tmp_path):
+        data = [(rows9[0].f, tau_d_as(rows9[0]), 1.0, 1.0),
                 (0.15, 10.0, 1.0, 1.0)]
         path = write_measurement_csv(tmp_path / "mix.csv", data)
         with pytest.warns(UserWarning, match="skipped"):
-            report = compare(rows9, "tau_d", load_measurements(path))
+            report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.n_skipped == 1
         assert report.n_records == 2
         assert len(report.points) == 1
 
-    def test_symmetric_estimator_covers_superatomic_records(self, rows9, tmp_path):
+    def test_symmetric_estimator_covers_superatomic_records(self, he_clementi, tmp_path):
         geom_f = 0.15
         data = [(geom_f, 20.0, 2.0, 2.0)]
         path = write_measurement_csv(tmp_path / "sym.csv", data)
-        report = compare(rows9, "tau_sym", load_measurements(path))
+        report = compare(he_clementi, "tau_sym", load_measurements(path))
         assert report.n_skipped == 0 and len(report.points) == 1
 
-    def test_all_records_superatomic_raises_regime_error(self, rows9, tmp_path):
+    def test_all_records_superatomic_raises_regime_error(self, he_clementi, tmp_path):
         path = write_measurement_csv(tmp_path / "sup.csv", [(0.15, 10.0, 1.0, 1.0)])
         records = load_measurements(path)
         with pytest.raises(RegimeError), pytest.warns(UserWarning):
-            compare(rows9, "tau_d", records)
+            compare(he_clementi, "tau_d", records)
 
-    def test_unknown_estimator(self, rows9, tmp_path):
+    def test_unknown_estimator(self, he_clementi, tmp_path):
         path = write_measurement_csv(tmp_path / "m.csv", [(0.06, 45.0, 1.0, 1.0)])
         with pytest.raises(ValueError, match="estimator"):
-            compare(rows9, "tau_x", load_measurements(path))
+            compare(he_clementi, "tau_x", load_measurements(path))
 
-    def test_empty_data_rejected(self, rows9):
+    def test_empty_data_rejected(self, he_clementi):
         with pytest.raises(ValueError):
-            compare(rows9, "tau_d", [])
+            compare(he_clementi, "tau_d", [])
 
-    def test_model_id_labels_atom_and_estimator(self, rows9, tmp_path):
+    def test_model_id_labels_atom_and_estimator(self, he_clementi, tmp_path):
         path = write_measurement_csv(tmp_path / "m.csv", [(0.06, 45.0, 1.0, 1.0)])
-        report = compare(rows9, "tau_d", load_measurements(path))
+        report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.model_id == "He:Clementi/tau_d"
 
 
