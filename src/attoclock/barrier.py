@@ -159,8 +159,11 @@ def solve_geometry(atom: AtomModel, field: LaserField) -> BarrierGeometry:
                                x_peak=x_peak, barrier_width=None, h_max=h_max,
                                regime=regime)
     dz = math.sqrt(max(disc, 0.0))
-    two_f = 2.0 * f
+    ip_plus = ip + dz
+    # The entrance (ip - dz) / (2F), rationalized to 2 z_eff / (ip + dz):
+    # the difference form cancels catastrophically at weak fields.
     return BarrierGeometry(f=f, delta_z=dz, delta_z_imag=0.0,
-                           x_entrance=(ip - dz) / two_f, x_exit=(ip + dz) / two_f,
-                           x_classical=x_c, x_peak=x_peak, barrier_width=dz / f,
-                           h_max=h_max, regime=regime)
+                           x_entrance=2.0 * atom.z_eff / ip_plus,
+                           x_exit=ip_plus / (2.0 * f), x_classical=x_c,
+                           x_peak=x_peak, barrier_width=dz / f, h_max=h_max,
+                           regime=regime)

@@ -2,6 +2,7 @@
 algebraic root identities, regime classification."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
@@ -175,6 +176,18 @@ class TestExitPoints:
         geom = solve_geometry(he_clementi, LaserField.direct(0.15))
         assert geom.x_entrance is None and geom.x_exit is None
         assert rel_err(geom.delta_z_imag / (2 * geom.f), DZI_F015 / 0.3) < 1e-12
+
+    @pytest.mark.parametrize("f", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14])
+    def test_weak_field_entrance_against_decimal(self, he_clementi, f):
+        # (ip - delta_z) / (2F) in 60 digits from the exact binary inputs;
+        # the double-precision difference form loses up to 1e-3 here.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ip, z, big_f = Decimal(he_clementi.ip), Decimal(he_clementi.z_eff), Decimal(f)
+            dz = (ip * ip - 4 * z * big_f).sqrt()
+            reference = (ip - dz) / (2 * big_f)
+        x_minus = solve_geometry(he_clementi, LaserField.direct(f)).x_entrance
+        assert abs(Decimal(x_minus) - reference) / reference <= Decimal("1e-15")
 
     @given(subatomic_cases())
     def test_vieta_identities_and_root_property(self, case):
