@@ -81,21 +81,30 @@ def _resolve_field(args: argparse.Namespace) -> LaserField:
                                           wavelength=args.wavelength)
 
 
+# Largest MIN:MAX:STEP grid accepted; checked before the grid is built.
+MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(spec: str) -> list[float]:
     """Parse ``MIN:MAX:STEP`` (inclusive endpoints) or ``F1,F2,...`` into a
-    sorted, deduplicated field grid."""
+    sorted, deduplicated field grid. A range may hold at most
+    :data:`MAX_GRID_POINTS` points."""
     try:
         if ":" in spec:
             parts = spec.split(":")
             if len(parts) != 3:
                 raise ValueError("grid range must be MIN:MAX:STEP")
             lo, hi, step = (float(p) for p in parts)
+            if not all(math.isfinite(v) for v in (lo, hi, step)):
+                raise ValueError("grid MIN, MAX and STEP must be finite")
             if not step > 0:
                 raise ValueError("grid step must be > 0")
             if hi < lo:
                 raise ValueError("grid max must be >= min")
-            n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            values = [lo + k * step for k in range(n)]
+            steps = (hi - lo) / step + 1e-9      # may overflow to inf
+            if not steps < MAX_GRID_POINTS:
+                raise ValueError(f"grid range holds more than {MAX_GRID_POINTS} points")
+            values = [lo + k * step for k in range(int(steps) + 1)]
         else:
             values = sorted({float(p) for p in spec.split(",") if p.strip()})
     except ValueError as exc:
@@ -230,8 +239,9 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
-    parser.add_argument("--precision", type=int, default=6, metavar="N",
-                        help="significant digits for printed numbers (default 6)")
+    parser.add_argument("--precision", type=int, choices=range(1, 18), default=6,
+                        metavar="N",
+                        help="significant digits for printed numbers, 1..17 (default 6)")
 
 
 def _add_atom_flags(parser: argparse.ArgumentParser) -> None:

@@ -55,8 +55,8 @@ class MeasurementRecord:
             raise ValueError(f"field must be finite and > 0, got {self.f!r}")
         if not (math.isfinite(self.t)):
             raise ValueError(f"time must be finite, got {self.t!r}")
-        if not (self.err_lo >= 0 and self.err_hi >= 0):
-            raise ValueError("error bars must be >= 0")
+        if not all(math.isfinite(e) and e >= 0 for e in (self.err_lo, self.err_hi)):
+            raise ValueError("error bars must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,12 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
     """Read measurement records from CSV, sorted by field strength.
 
     Accepted headers: ``field_au,time_as,err_lo_as,err_hi_as[,source]`` or
-    the symmetric-bar form ``field_au,time_as,err_as[,source]``. A file that
-    is empty after the header yields an empty list. Rows out of field order
+    the symmetric-bar form ``field_au,time_as,err_as[,source]``. A leading
+    UTF-8 byte-order mark is ignored. A file that is empty after the header
+    yields an empty list. Rows out of field order
     are accepted with a warning.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [c.strip() for c in next(reader)]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from attoclock.cli import main
+from attoclock.cli import MAX_GRID_POINTS, main
 from attoclock.barrier import atomic_field_strength
 from attoclock.atom import catalog_lookup
 
@@ -192,11 +192,19 @@ class TestSweepCommand:
         assert abs(payload["rows"][0]["d_b_au"] - 10.690581848056729) < 1e-9
 
     @pytest.mark.parametrize("grid", ["0.11:0.03:0.01", "0.03:0.11:-0.01",
-                                      "0,0.06", "abc", "0.03:0.11", ""])
+                                      "0,0.06", "abc", "0.03:0.11", "",
+                                      "nan:0.1:0.01", "0.01:1e308:1e-300"])
     def test_bad_grids_exit_2(self, capsys, grid):
         code, _, _ = run_cli(capsys, "sweep", "--atom", "He:clementi",
                              "--grid", grid)
         assert code == 2
+
+    def test_grid_point_cap_checked_before_allocation(self, capsys):
+        over = f"1:{MAX_GRID_POINTS + 1}:1"          # one point over the cap
+        code, out, err = run_cli(capsys, "sweep", "--atom", "He:clementi",
+                                 "--grid", over)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(MAX_GRID_POINTS) in err
 
 
 class TestCompareCommand:
@@ -271,6 +279,11 @@ class TestArgparseBehavior:
         assert main(["--help"]) == 0
         for sub in ("geometry", "times", "sweep", "compare", "catalog"):
             assert main([sub, "--help"]) == 0
+
+    @pytest.mark.parametrize("precision,code", [("0", 2), ("-1", 2), ("18", 2),
+                                                ("1", 0), ("17", 0)])
+    def test_precision_range(self, capsys, precision, code):
+        assert main(["catalog", "--precision", precision]) == code
 
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2

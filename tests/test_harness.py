@@ -154,6 +154,20 @@ class TestLoadMeasurements:
         with pytest.raises(MeasurementFormatError, match="line 2"):
             load_measurements(str(path))
 
+    def test_infinite_error_bar_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("field_au,time_as,err_lo_as,err_hi_as\n0.06,45.0,1.0,inf\n",
+                        encoding="utf-8")
+        with pytest.raises(MeasurementFormatError, match="line 2"):
+            load_measurements(str(path))
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\ufefffield_au,time_as,err_as\n0.06,45.0,8.0\n",
+                        encoding="utf-8")
+        (record,) = load_measurements(str(path))
+        assert record == MeasurementRecord(f=0.06, t=45.0, err_lo=8.0, err_hi=8.0)
+
     def test_non_monotonic_warns_and_sorts(self, tmp_path):
         path = write_measurement_csv(tmp_path / "m.csv",
                                      [(0.080, 31.0, 6.0, 6.0), (0.060, 45.0, 8.0, 8.0)])
