@@ -159,8 +159,8 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
     Accepted headers: ``field_au,time_as,err_lo_as,err_hi_as[,source]`` or
     the symmetric-bar form ``field_au,time_as,err_as[,source]``. A leading
     UTF-8 byte-order mark is ignored. A file that is empty after the header
-    yields an empty list. Rows out of field order
-    are accepted with a warning.
+    yields an empty list. Rows out of field order are accepted with a
+    warning.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
