@@ -5,7 +5,7 @@ Library layout: ``units`` (conversions), ``atom`` (inputs), ``barrier``
 comparison, figure tables), ``cli`` (command line).
 """
 
-from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup, load_atom
+from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import (BarrierGeometry, Regime, RegimeError, atomic_field_strength,
                       solve_geometry)
 from .clocks import TunnelClocks, compute_clocks, keldysh_gamma
@@ -16,7 +16,7 @@ from .units import CONSTANTS, PhysicalConstants
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomModel", "LaserField", "builtin_catalog", "catalog_lookup", "load_atom",
+    "AtomModel", "LaserField", "builtin_catalog", "catalog_lookup",
     "BarrierGeometry", "Regime", "RegimeError", "atomic_field_strength",
     "solve_geometry", "TunnelClocks", "compute_clocks", "keldysh_gamma",
     "ComparisonReport", "MeasurementRecord", "SweepRow", "compare",

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .units import elliptical_peak_field, intensity_to_field
 
 # Default He ionization potential in au (24.587 eV over the Hartree energy).
-# Overridable in every constructor and via key=value config.
+# Overridable in every constructor and with the CLI's --ip.
 HE_IP_AU = 0.90357
 
 
@@ -116,35 +116,3 @@ def catalog_lookup(spec: str) -> AtomModel:
         options = ", ".join(a.label() for a in matches)
         raise AtomConfigError(f"ambiguous atom {spec!r}; qualify as one of: {options}")
     return matches[0]
-
-
-_CONFIG_KEYS = ("name", "ip", "z_eff", "source")
-
-
-def load_atom(config_text: str) -> AtomModel:
-    """Parse ``key=value`` atom config text into a validated AtomModel.
-
-    Pairs may be separated by whitespace or newlines. Keys: name, ip,
-    z_eff, source. Unknown keys are rejected.
-    """
-    fields: dict[str, str] = {}
-    for token in config_text.split():
-        key, sep, value = token.partition("=")
-        if not sep or not key:
-            raise AtomConfigError(f"expected key=value, got {token!r}")
-        if key not in _CONFIG_KEYS:
-            raise AtomConfigError(f"unknown key {key!r}; allowed: {', '.join(_CONFIG_KEYS)}")
-        if key in fields:
-            raise AtomConfigError(f"duplicate key {key!r}")
-        fields[key] = value
-    for required in ("name", "ip", "z_eff"):
-        if required not in fields:
-            raise AtomConfigError(f"missing key {required!r}")
-    numeric: dict[str, float] = {}
-    for key in ("ip", "z_eff"):
-        try:
-            numeric[key] = float(fields[key])
-        except ValueError:
-            raise AtomConfigError(f"key {key!r} is not a number: {fields[key]!r}") from None
-    return AtomModel(name=fields["name"], ip=numeric["ip"], z_eff=numeric["z_eff"],
-                     source=fields.get("source", ""))

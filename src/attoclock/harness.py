@@ -12,7 +12,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 from .atom import AtomModel, LaserField
 from .barrier import BarrierGeometry, Regime, RegimeError, solve_geometry
@@ -92,13 +92,6 @@ class WidthFit:
     n_points: int
 
 
-def light_traversal_time(d: float) -> float:
-    """Time in au for light to traverse a distance d in au."""
-    if not d >= 0:
-        raise ValueError(f"distance must be >= 0, got {d!r}")
-    return d / CONSTANTS.speed_of_light
-
-
 def format_value(value: object, precision: int) -> str:
     """One output cell: None is empty, a float gets ``precision``
     significant digits, anything else its str()."""
@@ -117,7 +110,7 @@ def _light_as(geom: BarrierGeometry) -> float | None:
     """Light-traversal time of the barrier in as; None without a real barrier."""
     if geom.regime is not Regime.SUB_ATOMIC:
         return None
-    return au_time_to_attoseconds(light_traversal_time(geom.barrier_width))
+    return au_time_to_attoseconds(geom.barrier_width / CONSTANTS.speed_of_light)
 
 
 def run_sweep(atom: AtomModel, f_grid: Sequence[float],
@@ -325,8 +318,8 @@ def dump_table(rows: Sequence[SweepRow]) -> list[list[object]]:
 
 
 def emit_figure_data(rows: Sequence[SweepRow], figure: str,
-                     sink: IO[str] | None = None, precision: int = 12) -> str:
-    """Render one figure table as CSV text, optionally writing it to sink.
+                     precision: int = 12) -> str:
+    """Render one figure table as CSV text.
 
     Columns are fixed per figure; metadata lines prefixed with ``#`` record
     the atom, grid and constants-table version.
@@ -336,10 +329,7 @@ def emit_figure_data(rows: Sequence[SweepRow], figure: str,
     lines.append(",".join(columns))
     for cells in values:
         lines.append(",".join(format_value(c, precision) for c in cells))
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def fit_width_relation(rows: Sequence[SweepRow]) -> WidthFit:

@@ -18,14 +18,12 @@ class PhysicalConstants:
     au_time_in_attoseconds: float
     speed_of_light: float            # in au (inverse fine-structure constant)
     intensity_au_in_w_per_cm2: float
-    hartree_in_ev: float
     bohr_radius_nm: float
     version: str = "codata2018"
 
     def __post_init__(self) -> None:
         for name in ("au_time_in_attoseconds", "speed_of_light",
-                     "intensity_au_in_w_per_cm2", "hartree_in_ev",
-                     "bohr_radius_nm"):
+                     "intensity_au_in_w_per_cm2", "bohr_radius_nm"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"constant {name} must be finite and positive")
@@ -35,15 +33,12 @@ class PhysicalConstants:
             raise ValueError("speed_of_light outside [137.0, 137.1] au")
 
 
-CODATA2018 = PhysicalConstants(
+CONSTANTS = PhysicalConstants(
     au_time_in_attoseconds=24.188843265857,       # hbar / E_h, in as
     speed_of_light=137.035999084,                 # 1 / alpha
     intensity_au_in_w_per_cm2=3.50944552059e16,   # eps0 c E_au^2 / 2
-    hartree_in_ev=27.211386245988,
     bohr_radius_nm=0.0529177210903,
 )
-
-CONSTANTS = CODATA2018
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -66,14 +61,6 @@ def intensity_to_field(intensity_w_cm2: float) -> float:
     return math.sqrt(intensity_w_cm2 / CONSTANTS.intensity_au_in_w_per_cm2)
 
 
-def field_to_intensity(field_au: float) -> float:
-    """Inverse of :func:`intensity_to_field`."""
-    field_au = _require_finite("field", field_au)
-    if field_au < 0:
-        raise ValueError(f"field must be >= 0, got {field_au!r}")
-    return field_au * field_au * CONSTANTS.intensity_au_in_w_per_cm2
-
-
 def elliptical_peak_field(f0: float, ellipticity: float) -> float:
     """Field strength at maximum of an elliptically polarized pulse,
     F0 / sqrt(1 + eps^2)."""
@@ -91,4 +78,7 @@ def wavelength_to_angular_frequency(wavelength_nm: float) -> float:
     wavelength_nm = _require_finite("wavelength", wavelength_nm)
     if wavelength_nm <= 0:
         raise ValueError(f"wavelength must be > 0, got {wavelength_nm!r}")
-    return 2.0 * math.pi * CONSTANTS.speed_of_light * CONSTANTS.bohr_radius_nm / wavelength_nm
+    omega = 2.0 * math.pi * CONSTANTS.speed_of_light * CONSTANTS.bohr_radius_nm / wavelength_nm
+    if not math.isfinite(omega):
+        raise ValueError(f"wavelength {wavelength_nm!r} nm overflows the angular frequency")
+    return omega

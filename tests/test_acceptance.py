@@ -14,8 +14,8 @@ from attoclock.barrier import (atomic_field_strength, exit_points_oracle,
                                signed_barrier_height, solve_geometry)
 from attoclock.cli import main
 from attoclock.clocks import compute_clocks
-from attoclock.harness import (compare, emit_figure_data, fit_width_relation,
-                               light_traversal_time, load_measurements, run_sweep)
+from attoclock.harness import (compare, emit_figure_data, figure_table,
+                               fit_width_relation, load_measurements, run_sweep)
 from attoclock.units import au_time_to_attoseconds
 from helpers import rel_err
 
@@ -255,9 +255,10 @@ def test_criterion_7b_width_fit_intercept():
 def test_criterion_7c_photon_baseline():
     ok = True
     for atom in he_models():
-        for row in run_sweep(atom, FIT_GRID):
-            light = au_time_to_attoseconds(light_traversal_time(row.geometry.barrier_width))
-            ok = ok and light < tau_d_as(row)
+        _, _, values = figure_table(run_sweep(atom, FIT_GRID), "fig4")
+        ok = ok and len(values) == len(FIT_GRID)
+        for _, tau_d, light in values:
+            ok = ok and light < tau_d
     assert report("C7c photon baseline below crossing time", ok)
 
 

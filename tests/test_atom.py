@@ -1,11 +1,11 @@
-"""Atom/laser input models: catalog contents, config parsing, validation."""
+"""Atom/laser input models: catalog contents and validation."""
 
 import math
 
 import pytest
 
 from attoclock.atom import (AtomConfigError, AtomModel, FieldOrigin, HE_IP_AU,
-                            LaserField, builtin_catalog, catalog_lookup, load_atom)
+                            LaserField, builtin_catalog, catalog_lookup)
 from attoclock.barrier import atomic_field_strength
 from helpers import rel_err
 
@@ -44,44 +44,6 @@ class TestCatalog:
     def test_unknown_atom(self):
         with pytest.raises(AtomConfigError, match="unknown"):
             catalog_lookup("Xe")
-
-
-class TestLoadAtom:
-    def test_valid_single_line(self):
-        model = load_atom("name=He ip=0.90357 z_eff=1.6875")
-        assert model == AtomModel(name="He", ip=0.90357, z_eff=1.6875)
-
-    def test_hydrogen_ground_state(self):
-        model = load_atom("name=H ip=0.5 z_eff=1.0")
-        assert model.ip == 0.5 and model.z_eff == 1.0
-
-    def test_multiline_form(self):
-        model = load_atom("name=He\nip=0.90357\nz_eff=1.375\nsource=Kullie\n")
-        assert model.source == "Kullie" and model.z_eff == 1.375
-
-    def test_negative_ip_rejected(self):
-        with pytest.raises(AtomConfigError, match="ip"):
-            load_atom("name=X ip=-1 z_eff=1.0")
-
-    def test_unknown_key_named(self):
-        with pytest.raises(AtomConfigError, match="charge"):
-            load_atom("name=X ip=0.5 z_eff=1.0 charge=2")
-
-    def test_missing_key_named(self):
-        with pytest.raises(AtomConfigError, match="z_eff"):
-            load_atom("name=X ip=0.5")
-
-    def test_non_numeric_value_named(self):
-        with pytest.raises(AtomConfigError, match="ip"):
-            load_atom("name=X ip=abc z_eff=1.0")
-
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(AtomConfigError, match="duplicate"):
-            load_atom("name=X ip=0.5 ip=0.6 z_eff=1.0")
-
-    def test_bare_token_rejected(self):
-        with pytest.raises(AtomConfigError):
-            load_atom("name=X ip 0.5 z_eff=1.0")
 
 
 class TestAtomModelValidation:

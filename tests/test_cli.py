@@ -99,6 +99,12 @@ class TestTimesCommand:
         assert code == 0
         assert abs(float(record["gamma_k"]) - 1.3889) < 5e-5
 
+    def test_overflowing_wavelength_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "times", "--atom", "He:clementi",
+                                 "--field", "0.06", "--wavelength", "1e-320")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "wavelength 1e-320" in err
+
     def test_superatomic_prints_complex_parts_and_exits_3(self, capsys):
         code, out, _ = run_cli(capsys, "times", "--atom", "He:clementi",
                                "--field", "0.15")

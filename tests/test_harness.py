@@ -1,15 +1,12 @@
 """Sweeps, CSV ingestion, comparison statistics and figure emission."""
 
-import io
-
 import pytest
 
 from attoclock.barrier import Regime, RegimeError, atomic_field_strength
 from attoclock.harness import (DUMP_COLUMNS, MeasurementFormatError,
                                MeasurementRecord, compare, dump_table,
                                emit_figure_data, figure_table,
-                               fit_width_relation, light_traversal_time,
-                               load_measurements, run_sweep)
+                               fit_width_relation, load_measurements, run_sweep)
 from attoclock.units import au_time_to_attoseconds, wavelength_to_angular_frequency
 from helpers import rel_err
 
@@ -21,7 +18,8 @@ def tau_d_as(row):
 
 
 def light_as(row):
-    return au_time_to_attoseconds(light_traversal_time(row.geometry.barrier_width))
+    _, _, ((_, _, light),) = figure_table([row], "fig4")
+    return light
 
 
 @pytest.fixture
@@ -79,20 +77,9 @@ class TestRunSweep:
 
 class TestLightTraversal:
     def test_f006_barrier(self, rows9):
-        width = rows9[3].geometry.barrier_width     # F = 0.06
-        t_au = light_traversal_time(width)
-        assert rel_err(t_au, 0.078012944916055528) < 1e-12
-        assert rel_err(au_time_to_attoseconds(t_au), 1.8870428972824028) < 1e-12
-
-    def test_zero(self):
-        assert light_traversal_time(0.0) == 0.0
-
-    def test_definitional_distance(self):
-        assert rel_err(light_traversal_time(137.036), 1.0) < 1e-6
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            light_traversal_time(-1.0)
+        _, _, values = figure_table(rows9, "fig4")
+        light = values[3][2]                        # F = 0.06
+        assert rel_err(light, 1.8870428972824028) < 1e-12
 
 
 class TestLoadMeasurements:
@@ -287,11 +274,6 @@ class TestEmitFigureData:
         first = emit_figure_data(run_sweep(he_clementi, GRID_9), "fig4")
         second = emit_figure_data(run_sweep(he_clementi, GRID_9), "fig4")
         assert first.encode() == second.encode()
-
-    def test_sink_receives_same_text(self, rows9):
-        sink = io.StringIO()
-        text = emit_figure_data(rows9, "fig2", sink=sink)
-        assert sink.getvalue() == text
 
     def test_fig4_excludes_non_subatomic_rows(self, he_clementi):
         fa = atomic_field_strength(he_clementi)

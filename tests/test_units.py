@@ -36,13 +36,11 @@ class TestConstantsTable:
         with pytest.raises(ValueError):
             units.PhysicalConstants(
                 au_time_in_attoseconds=25.0, speed_of_light=137.036,
-                intensity_au_in_w_per_cm2=3.5e16, hartree_in_ev=27.2,
-                bohr_radius_nm=0.0529)
+                intensity_au_in_w_per_cm2=3.5e16, bohr_radius_nm=0.0529)
         with pytest.raises(ValueError):
             units.PhysicalConstants(
                 au_time_in_attoseconds=24.19, speed_of_light=-137.0,
-                intensity_au_in_w_per_cm2=3.5e16, hartree_in_ev=27.2,
-                bohr_radius_nm=0.0529)
+                intensity_au_in_w_per_cm2=3.5e16, bohr_radius_nm=0.0529)
 
 
 class TestAuTimeToAttoseconds:
@@ -82,17 +80,10 @@ class TestIntensityField:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             units.intensity_to_field(-1.0)
-        with pytest.raises(ValueError):
-            units.field_to_intensity(-1.0)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             units.intensity_to_field(float("nan"))
-
-    @given(st.floats(min_value=1e10, max_value=1e18))
-    def test_round_trip(self, intensity):
-        back = units.field_to_intensity(units.intensity_to_field(intensity))
-        assert rel_err(back, intensity) < 1e-12
 
     @given(st.floats(min_value=1e10, max_value=1e18),
            st.floats(min_value=1e10, max_value=1e18))
@@ -145,7 +136,7 @@ class TestWavelengthToAngularFrequency:
         assert rel_err(units.wavelength_to_angular_frequency(1470.0),
                        units.wavelength_to_angular_frequency(735.0) / 2.0) < 1e-14
 
-    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan"), 1e-320])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
             units.wavelength_to_angular_frequency(bad)
