@@ -50,7 +50,6 @@ class LaserField:
     """Peak field strength of the drive, with provenance of how it was set."""
 
     f_peak: float                        # field strength at pulse maximum, au
-    wavelength: float | None = None      # nm
     ellipticity: float | None = None
     f0: float | None = None              # major-axis amplitude when elliptical
     origin: FieldOrigin = FieldOrigin.DIRECT
@@ -58,8 +57,6 @@ class LaserField:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.f_peak) and self.f_peak > 0):
             raise ValueError(f"f_peak must be finite and > 0, got {self.f_peak!r}")
-        if self.wavelength is not None and not self.wavelength > 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength!r}")
         if self.ellipticity is not None and not 0.0 <= self.ellipticity <= 1.0:
             raise ValueError(f"ellipticity must be in [0, 1], got {self.ellipticity!r}")
         if self.origin is FieldOrigin.FROM_F0_ELLIPTICITY:
@@ -70,21 +67,18 @@ class LaserField:
                 raise ValueError("f_peak inconsistent with f0 / sqrt(1 + eps^2)")
 
     @classmethod
-    def direct(cls, f_peak: float, wavelength: float | None = None) -> "LaserField":
-        return cls(f_peak=f_peak, wavelength=wavelength, origin=FieldOrigin.DIRECT)
+    def direct(cls, f_peak: float) -> "LaserField":
+        return cls(f_peak=f_peak, origin=FieldOrigin.DIRECT)
 
     @classmethod
-    def from_intensity(cls, intensity_w_cm2: float,
-                       wavelength: float | None = None) -> "LaserField":
+    def from_intensity(cls, intensity_w_cm2: float) -> "LaserField":
         return cls(f_peak=intensity_to_field(intensity_w_cm2),
-                   wavelength=wavelength, origin=FieldOrigin.FROM_INTENSITY)
+                   origin=FieldOrigin.FROM_INTENSITY)
 
     @classmethod
-    def from_f0_ellipticity(cls, f0: float, ellipticity: float,
-                            wavelength: float | None = None) -> "LaserField":
-        return cls(f_peak=elliptical_peak_field(f0, ellipticity),
-                   wavelength=wavelength, ellipticity=ellipticity, f0=f0,
-                   origin=FieldOrigin.FROM_F0_ELLIPTICITY)
+    def from_f0_ellipticity(cls, f0: float, ellipticity: float) -> "LaserField":
+        return cls(f_peak=elliptical_peak_field(f0, ellipticity), ellipticity=ellipticity,
+                   f0=f0, origin=FieldOrigin.FROM_F0_ELLIPTICITY)
 
 
 def builtin_catalog() -> tuple[AtomModel, ...]:

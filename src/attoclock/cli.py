@@ -17,10 +17,10 @@ from .atom import (AtomConfigError, AtomModel, LaserField, builtin_catalog,
 from .barrier import (Regime, RegimeError, appearance_intensity,
                       atomic_field_strength, solve_geometry)
 from .clocks import compute_clocks, keldysh_gamma
-from .harness import (DUMP_COLUMNS, ESTIMATORS, FIGURES, compare, dump_table,
-                      emit_figure_data, figure_table, format_value,
-                      load_measurements, run_sweep)
-from .units import au_time_to_attoseconds, wavelength_to_angular_frequency
+from .harness import (DUMP_COLUMNS, ESTIMATORS, FIGURES, _as, compare,
+                      dump_table, emit_figure_data, load_measurements, render,
+                      run_sweep)
+from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,20 +36,9 @@ def _write_output(text: str, args: argparse.Namespace) -> None:
 
 
 def _render_record(pairs: list[tuple[str, object]], args: argparse.Namespace) -> str:
-    if args.format == "json":
-        return json.dumps(dict(pairs), indent=2) + "\n"
-    header = ",".join(key for key, _ in pairs)
-    row = ",".join(format_value(value, args.precision) for _, value in pairs)
-    return header + "\n" + row + "\n"
-
-
-def _render_table(columns: Sequence[str], rows: list[list[object]],
-                  args: argparse.Namespace) -> str:
-    if args.format == "json":
-        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
-    lines = [",".join(columns)]
-    lines += [",".join(format_value(v, args.precision) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    columns, values = zip(*pairs)
+    text = render(None, columns, [values], "csv", args.precision)  # refuses inf, nan
+    return json.dumps(dict(pairs), indent=2) + "\n" if args.format == "json" else text
 
 
 def _resolve_atom(args: argparse.Namespace) -> AtomModel:
@@ -71,14 +60,12 @@ def _resolve_field(args: argparse.Namespace) -> LaserField:
         raise ValueError("choose exactly one of --field, --field-from-intensity, "
                          "--f0 (with --ellipticity)")
     if args.field is not None:
-        return LaserField.direct(args.field, wavelength=args.wavelength)
+        return LaserField.direct(args.field)
     if args.field_from_intensity is not None:
-        return LaserField.from_intensity(args.field_from_intensity,
-                                         wavelength=args.wavelength)
+        return LaserField.from_intensity(args.field_from_intensity)
     if args.ellipticity is None:
         raise ValueError("--f0 requires --ellipticity")
-    return LaserField.from_f0_ellipticity(args.f0, args.ellipticity,
-                                          wavelength=args.wavelength)
+    return LaserField.from_f0_ellipticity(args.f0, args.ellipticity)
 
 
 # Largest MIN:MAX:STEP grid accepted; checked before the grid is built.
@@ -122,9 +109,10 @@ def _omega(args: argparse.Namespace) -> float | None:
     return wavelength_to_angular_frequency(args.wavelength)
 
 
-def cmd_geometry(args: argparse.Namespace) -> int:
+def cmd_geometry(args: argparse.Namespace) -> tuple[str, int]:
     atom = _resolve_atom(args)
     field = _resolve_field(args)
+    _omega(args)                 # rejects a bad --wavelength, which geometry ignores
     geom = solve_geometry(atom, field)
     pairs: list[tuple[str, object]] = [
         ("atom", atom.name),
@@ -144,11 +132,11 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         ("barrier_width_au", geom.barrier_width),
         ("h_max_au", geom.h_max),
     ]
-    _write_output(_render_record(pairs, args), args)
-    return EXIT_REGIME if geom.regime is Regime.SUPER_ATOMIC else EXIT_OK
+    return (_render_record(pairs, args),
+            EXIT_REGIME if geom.regime is Regime.SUPER_ATOMIC else EXIT_OK)
 
 
-def cmd_times(args: argparse.Namespace) -> int:
+def cmd_times(args: argparse.Namespace) -> tuple[str, int]:
     atom = _resolve_atom(args)
     field = _resolve_field(args)
     geom = solve_geometry(atom, field)
@@ -164,8 +152,7 @@ def cmd_times(args: argparse.Namespace) -> int:
     for name in ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c", "tau_t", "tau_a"):
         value = getattr(clocks, name)
         pairs.append((f"{name}_au", value))
-        pairs.append((f"{name}_as",
-                      None if value is None else au_time_to_attoseconds(value)))
+        pairs.append((f"{name}_as", _as(value)))
     pairs.append(("de_plus_au", clocks.de_plus))
     pairs.append(("de_minus_au", clocks.de_minus))
     if clocks.complex_parts is not None:
@@ -179,29 +166,21 @@ def cmd_times(args: argparse.Namespace) -> int:
     if omega is not None:
         pairs.append(("omega_au", omega))
         pairs.append(("gamma_k", keldysh_gamma(atom, field, omega)))
-    _write_output(_render_record(pairs, args), args)
-    return EXIT_REGIME if geom.regime is Regime.SUPER_ATOMIC else EXIT_OK
+    return (_render_record(pairs, args),
+            EXIT_REGIME if geom.regime is Regime.SUPER_ATOMIC else EXIT_OK)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     atom = _resolve_atom(args)
     grid = parse_grid(args.grid)
     rows = run_sweep(atom, grid, omega=_omega(args))
     if args.figure:
-        if args.format == "json":
-            meta, columns, values = figure_table(rows, args.figure)
-            payload = {"meta": meta,
-                       "rows": [dict(zip(columns, v)) for v in values]}
-            _write_output(json.dumps(payload, indent=2) + "\n", args)
-        else:
-            _write_output(emit_figure_data(rows, args.figure,
-                                           precision=args.precision), args)
-        return EXIT_OK
-    _write_output(_render_table(DUMP_COLUMNS, dump_table(rows), args), args)
-    return EXIT_OK
+        return emit_figure_data(rows, args.figure, args.precision, args.format), EXIT_OK
+    return render(None, DUMP_COLUMNS, dump_table(rows), args.format,
+                  args.precision), EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     atom = _resolve_atom(args)
     records = load_measurements(args.data)
     if not records:
@@ -222,17 +201,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         columns = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
         table = [[p.f, p.model_as, p.measured_as, p.residual_as,
                   int(p.within_bars)] for p in report.points]
-        text += _render_table(columns, table, args)
-    _write_output(text, args)
-    return EXIT_OK
+        text += render(None, columns, table, args.format, args.precision)
+    return text, EXIT_OK
 
 
-def cmd_catalog(args: argparse.Namespace) -> int:
+def cmd_catalog(args: argparse.Namespace) -> tuple[str, int]:
     columns = ("name", "source", "i_p_au", "z_eff", "f_a_au", "i_a_au")
     table = [[a.name, a.source, a.ip, a.z_eff, atomic_field_strength(a),
               appearance_intensity(a)] for a in builtin_catalog()]
-    _write_output(_render_table(columns, table, args), args)
-    return EXIT_OK
+    return render(None, columns, table, args.format, args.precision), EXIT_OK
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -319,7 +296,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:   # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text, code = args.func(args)     # evaluate, then render
+        _write_output(text, args)
+        return code
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME

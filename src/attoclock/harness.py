@@ -3,12 +3,13 @@
 The harness turns the closed-form estimators into the three standard views:
 times vs field strength (with and without the single-sided estimate), and
 the barrier-crossing time vs barrier width with a light-traversal baseline.
-It also scores model curves against measured points.
+It also scores model curves against measured points and renders every table.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -102,15 +103,41 @@ def format_value(value: object, precision: int) -> str:
     return str(value)
 
 
+def render(meta: dict[str, str] | None, columns: Sequence[str],
+           rows: Sequence[Sequence[object]], fmt: str, precision: int) -> str:
+    """One table as CSV (``# key=value`` metadata lines, header, rows) or
+    JSON (a list of row objects, or ``{"meta": ..., "rows": [...]}`` with
+    metadata). A float cell that is not finite is an error naming its column."""
+    if fmt == "json":
+        records = [dict(zip(columns, row)) for row in rows]
+        text = json.dumps({"meta": meta, "rows": records} if meta else records, indent=2)
+        words = ("Infinity", "NaN")
+    else:
+        lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
+        lines.append(",".join(columns))
+        lines += [",".join([format_value(v, precision) for v in row]) for row in rows]
+        text = "\n".join(lines)
+        words = ("inf", "nan")
+    # How a non-finite float prints. Searching the text is cheaper than testing
+    # every cell, which is done only on a hit (a text cell can hold the word).
+    if any(word in text for word in words):
+        for row in rows:
+            for column, value in zip(columns, row):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{column} is {value!r}, not a finite number")
+    return text + "\n"
+
+
 def _as(t: float | None) -> float | None:
-    return None if t is None else au_time_to_attoseconds(t)
+    """``t`` (au) in as; an overflowed ``t`` stays as it is, for render to refuse."""
+    return t if t is None or not math.isfinite(t) else au_time_to_attoseconds(t)
 
 
 def _light_as(geom: BarrierGeometry) -> float | None:
     """Light-traversal time of the barrier in as; None without a real barrier."""
     if geom.regime is not Regime.SUB_ATOMIC:
         return None
-    return au_time_to_attoseconds(geom.barrier_width / CONSTANTS.speed_of_light)
+    return _as(geom.barrier_width / CONSTANTS.speed_of_light)
 
 
 def run_sweep(atom: AtomModel, f_grid: Sequence[float],
@@ -318,18 +345,10 @@ def dump_table(rows: Sequence[SweepRow]) -> list[list[object]]:
 
 
 def emit_figure_data(rows: Sequence[SweepRow], figure: str,
-                     precision: int = 12) -> str:
-    """Render one figure table as CSV text.
-
-    Columns are fixed per figure; metadata lines prefixed with ``#`` record
-    the atom, grid and constants-table version.
-    """
-    meta, columns, values = figure_table(rows, figure)
-    lines = [f"# {key}={value}" for key, value in meta.items()]
-    lines.append(",".join(columns))
-    for cells in values:
-        lines.append(",".join(format_value(c, precision) for c in cells))
-    return "\n".join(lines) + "\n"
+                     precision: int = 12, fmt: str = "csv") -> str:
+    """One figure table as :func:`render` text. Columns are fixed per figure;
+    the metadata records the atom, grid and constants-table version."""
+    return render(*figure_table(rows, figure), fmt, precision)
 
 
 def fit_width_relation(rows: Sequence[SweepRow]) -> WidthFit:

@@ -70,10 +70,9 @@ class TestLaserField:
         assert field.origin is FieldOrigin.FROM_INTENSITY
 
     def test_from_f0_ellipticity(self):
-        field = LaserField.from_f0_ellipticity(0.1, 0.87, wavelength=735.0)
+        field = LaserField.from_f0_ellipticity(0.1, 0.87)
         assert rel_err(field.f_peak, 0.07544430785777147) < 1e-12
         assert field.f0 == 0.1 and field.ellipticity == 0.87
-        assert field.wavelength == 735.0
 
     def test_elliptical_consistency_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):
@@ -83,7 +82,3 @@ class TestLaserField:
     def test_ellipticity_range(self):
         with pytest.raises(ValueError):
             LaserField.from_f0_ellipticity(0.1, 1.5)
-
-    def test_wavelength_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LaserField.direct(0.06, wavelength=-735.0)

@@ -63,6 +63,12 @@ class TestGeometryCommand:
         assert payload["z_eff"] == 1.375
         assert abs(payload["x_classical_au"] - 15.0595) < 1e-3
 
+    def test_wavelength_must_be_positive(self, capsys):
+        code, out, err = run_cli(capsys, "geometry", "--atom", "He:clementi",
+                                 "--field", "0.06", "--wavelength", "-735")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "wavelength" in err
+
 
 class TestTimesCommand:
     def test_delay_value(self, capsys):
@@ -91,6 +97,12 @@ class TestTimesCommand:
         code, _, err = run_cli(capsys, "times", "--atom", "He:clementi",
                                "--f0", "0.1")
         assert code == 2 and "ellipticity" in err
+
+    def test_negative_f0_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "times", "--atom", "He:clementi",
+                                 "--f0", "-1", "--ellipticity", "0.5")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "f0" in err
 
     def test_gamma_with_wavelength(self, capsys):
         code, out, _ = run_cli(capsys, "times", "--atom", "He:clementi",
@@ -172,6 +184,12 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--atom", "He:clementi",
                                "--grid", "0.15", "--figure", "fig4")
         assert code == 3 and "barrier" in err
+
+    def test_fig2_all_superatomic_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--atom", "He:clementi",
+                                 "--grid", "0.15,0.2", "--figure", "fig2")
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "above barrier suppression" in err
 
     def test_full_dump(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--atom", "He:clementi",
@@ -260,6 +278,19 @@ class TestCompareCommand:
                                "--estimator", "tau_d", str(tmp_path / "nope.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("body,named", [
+        ("", "no measurement records"),           # header only
+        ("nan,45.0,8.0\n", "line 2"),
+        ("0.06,inf,8.0\n", "line 2"),
+    ])
+    def test_unusable_file_exits_2(self, capsys, tmp_path, body, named):
+        path = tmp_path / "m.csv"
+        path.write_text("field_au,time_as,err_as\n" + body, encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--atom", "He:clementi",
+                                 "--estimator", "tau_d", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(path) in err and named in err
+
     def test_all_superatomic_exits_3(self, capsys, tmp_path):
         path = tmp_path / "sup.csv"
         path.write_text("field_au,time_as,err_as\n0.15,10.0,1.0\n", encoding="utf-8")
@@ -300,6 +331,26 @@ class TestArgparseBehavior:
                      "--figure", "fig3", "--out", str(out_path)])
         assert code == 0
         assert out_path.read_text().startswith("# atom=He")
+
+
+@pytest.mark.parametrize("argv,column", [
+    ("times --atom He:clementi --field 1e-300 --wavelength 1e-20", "gamma_k"),
+    ("geometry --atom He:clementi --field 1e-320", "x_peak_au"),
+    ("geometry --atom He:clementi --field 1e-320 --format json", "x_peak_au"),
+    ("times --atom He:clementi --field 1e-308", "tau_d_as"),
+    ("times --atom He:clementi --f0 1e308 --ellipticity 1", "tau_d_im_au"),
+    ("times --atom He:clementi --field 1e-310", "tau_d_au"),
+    ("sweep --atom He:clementi --grid 1e-320,0.05", "x_peak_au"),
+    ("sweep --atom He:clementi --grid 1e-320,0.05 --format json", "x_peak_au"),
+    ("sweep --atom He:clementi --grid 1e-320,0.05 --figure fig4", "d_b_au"),
+    ("sweep --atom He:clementi --grid 1e-310,0.05 --figure fig3 --format json",
+     "tau_d_as"),
+])
+def test_non_finite_output_exits_2(capsys, tmp_path, argv, column):
+    out_path = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv.split(), "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.count("\n") == 1 and column in err and "finite" in err
 
 
 def test_module_entry_point():

@@ -1,4 +1,7 @@
-"""Sweeps, CSV ingestion, comparison statistics and figure emission."""
+"""Sweeps, CSV ingestion, comparison statistics, figure emission and the
+table renderer."""
+
+import json
 
 import pytest
 
@@ -6,7 +9,8 @@ from attoclock.barrier import Regime, RegimeError, atomic_field_strength
 from attoclock.harness import (DUMP_COLUMNS, MeasurementFormatError,
                                MeasurementRecord, compare, dump_table,
                                emit_figure_data, figure_table,
-                               fit_width_relation, load_measurements, run_sweep)
+                               fit_width_relation, load_measurements, render,
+                               run_sweep)
 from attoclock.units import au_time_to_attoseconds, wavelength_to_angular_frequency
 from helpers import rel_err
 
@@ -109,6 +113,13 @@ class TestLoadMeasurements:
         path = tmp_path / "m.csv"
         path.write_text("field_au,time_as,err_as\n", encoding="utf-8")
         assert load_measurements(str(path)) == []
+
+    def test_blank_and_all_empty_rows_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("field_au,time_as,err_as\n\n0.06,45.0,8.0\n,,\n , ,\n",
+                        encoding="utf-8")
+        (record,) = load_measurements(str(path))
+        assert record == MeasurementRecord(f=0.06, t=45.0, err_lo=8.0, err_hi=8.0)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -293,6 +304,40 @@ class TestEmitFigureData:
     def test_unknown_figure_rejected(self, rows9):
         with pytest.raises(ValueError, match="fig1"):
             emit_figure_data(rows9, "fig1")
+
+    def test_json_is_meta_and_rows(self, rows9):
+        meta, columns, values = figure_table(rows9, "fig3")
+        payload = json.loads(emit_figure_data(rows9, "fig3", fmt="json"))
+        assert payload == {"meta": meta,
+                           "rows": [dict(zip(columns, v)) for v in values]}
+
+
+class TestRender:
+    COLUMNS = ("name", "x")
+    ROWS = [("a", 0.5), ("b", None)]
+
+    def test_csv_table(self):
+        assert render(None, self.COLUMNS, self.ROWS, "csv", 6) == "name,x\na,0.5\nb,\n"
+        assert render({"k": "v"}, self.COLUMNS, self.ROWS, "csv", 6) == (
+            "# k=v\nname,x\na,0.5\nb,\n")
+
+    def test_json_table(self):
+        rows = [{"name": "a", "x": 0.5}, {"name": "b", "x": None}]
+        assert json.loads(render(None, self.COLUMNS, self.ROWS, "json", 6)) == rows
+        assert json.loads(render({"k": "v"}, self.COLUMNS, self.ROWS, "json", 6)) == {
+            "meta": {"k": "v"}, "rows": rows}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_cell_names_its_column(self, fmt, bad):
+        with pytest.raises(ValueError, match="^x is .*finite"):
+            render(None, self.COLUMNS, [("a", 0.5), ("b", bad)], fmt, 6)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_words_in_text_cells_are_not_errors(self, fmt):
+        rows = [(word, 1.0) for word in ("nano", "inf", "Infinity", "NaN")]
+        text = render({"atom": "nan"}, self.COLUMNS, rows, fmt, 6)
+        assert "Infinity" in text and "nano" in text
 
 
 class TestWidthFit:
