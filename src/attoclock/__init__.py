@@ -9,7 +9,7 @@ from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import (BarrierGeometry, Regime, RegimeError, atomic_field_strength,
                       solve_geometry)
 from .clocks import TunnelClocks, compute_clocks, keldysh_gamma
-from .harness import (ComparisonReport, MeasurementRecord, SweepRow, compare,
+from .harness import (ComparisonReport, MeasurementRecord, compare,
                       emit_figure_data, load_measurements, run_sweep)
 from .units import CONSTANTS, PhysicalConstants
 
@@ -19,7 +19,7 @@ __all__ = [
     "AtomModel", "LaserField", "builtin_catalog", "catalog_lookup",
     "BarrierGeometry", "Regime", "RegimeError", "atomic_field_strength",
     "solve_geometry", "TunnelClocks", "compute_clocks", "keldysh_gamma",
-    "ComparisonReport", "MeasurementRecord", "SweepRow", "compare",
+    "ComparisonReport", "MeasurementRecord", "compare",
     "emit_figure_data", "load_measurements", "run_sweep",
     "CONSTANTS", "PhysicalConstants", "__version__",
 ]

@@ -17,9 +17,9 @@ from .atom import (AtomConfigError, AtomModel, LaserField, builtin_catalog,
 from .barrier import (Regime, RegimeError, appearance_intensity,
                       atomic_field_strength, solve_geometry)
 from .clocks import compute_clocks, keldysh_gamma
-from .harness import (DUMP_COLUMNS, ESTIMATORS, FIGURES, _as, compare,
-                      dump_table, emit_figure_data, load_measurements, render,
-                      run_sweep)
+from .harness import (DUMP_COLUMNS, ESTIMATORS, FIGURES, RESIDUAL_COLUMNS, _as,
+                      compare, dump_table, emit_figure_data, load_measurements,
+                      render, run_sweep)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -175,7 +175,8 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     grid = parse_grid(args.grid)
     rows = run_sweep(atom, grid, omega=_omega(args))
     if args.figure:
-        return emit_figure_data(rows, args.figure, args.precision, args.format), EXIT_OK
+        return (emit_figure_data(atom, rows, args.figure, args.precision, args.format),
+                EXIT_OK)
     return render(None, DUMP_COLUMNS, dump_table(rows), args.format,
                   args.precision), EXIT_OK
 
@@ -190,7 +191,7 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
         ("model_id", report.model_id),
         ("estimator", report.estimator),
         ("n_records", report.n_records),
-        ("n_used", len(report.points)),
+        ("n_used", len(report.residuals)),
         ("n_skipped", report.n_skipped),
         ("rms_as", report.rms),
         ("max_abs_as", report.max_abs),
@@ -198,10 +199,8 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     ]
     text = _render_record(pairs, args)
     if args.residuals:
-        columns = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
-        table = [[p.f, p.model_as, p.measured_as, p.residual_as,
-                  int(p.within_bars)] for p in report.points]
-        text += render(None, columns, table, args.format, args.precision)
+        text += render(None, RESIDUAL_COLUMNS, report.residuals, args.format,
+                       args.precision)
     return text, EXIT_OK
 
 

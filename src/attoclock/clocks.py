@@ -67,6 +67,9 @@ def compute_clocks(geom: BarrierGeometry, atom: AtomModel) -> TunnelClocks:
                             complex_parts=(complex(re, im), complex(re, -im)))
     ip_plus = ip + geom.delta_z
     gap = ip if geom.delta_z == 0.0 else 4.0 * atom.z_eff * f / ip_plus
+    if gap == 0.0:
+        raise ValueError(f"at F={f!r} au the gap 4 z_eff F / (ip + delta_z) "
+                         "underflows to 0, so tau_d is not finite")
     return TunnelClocks(
         tau_i=0.5 / ip_plus,
         tau_d=0.5 / gap,

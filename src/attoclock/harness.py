@@ -31,17 +31,6 @@ _FIGURE_COLUMNS = {
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One field-strength point of a sweep: geometry and clocks in au."""
-
-    f: float
-    atom: AtomModel
-    geometry: BarrierGeometry
-    clocks: TunnelClocks
-    gamma: float | None = None
-
-
-@dataclass(frozen=True)
 class MeasurementRecord:
     """One ingested reference data point with asymmetric error bars."""
 
@@ -61,21 +50,13 @@ class MeasurementRecord:
 
 
 @dataclass(frozen=True)
-class ResidualPoint:
-    f: float
-    model_as: float
-    measured_as: float
-    residual_as: float     # model - measurement
-    within_bars: bool
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
-    """Residual statistics of a model curve against measured points."""
+    """Residual statistics of a model curve against measured points, with
+    one residual row per used record in :data:`RESIDUAL_COLUMNS` order."""
 
     model_id: str
     estimator: str
-    points: tuple[ResidualPoint, ...]
+    residuals: tuple[tuple[float, float, float, float, int], ...]
     rms: float
     max_abs: float
     fraction_within_bars: float
@@ -141,12 +122,15 @@ def _light_as(geom: BarrierGeometry) -> float | None:
 
 
 def run_sweep(atom: AtomModel, f_grid: Sequence[float],
-              omega: float | None = None) -> list[SweepRow]:
+              omega: float | None = None,
+              ) -> list[tuple[BarrierGeometry, TunnelClocks, float | None]]:
     """Evaluate geometry and every estimator over a field-strength grid.
 
-    The grid must be strictly ascending and positive. Rows above barrier
-    suppression carry the complex decomposition and no real crossing data.
-    With ``omega`` given, each row also reports the adiabaticity parameter.
+    Returns one ``(geometry, clocks, gamma)`` row per field, in au; a row's
+    field strength is ``geometry.f``. The grid must be strictly ascending
+    and positive. Rows above barrier suppression carry the complex
+    decomposition and no real crossing data. ``gamma`` is the adiabaticity
+    parameter when ``omega`` is given, else None.
     """
     if len(f_grid) == 0:
         raise ValueError("field grid is empty")
@@ -160,8 +144,7 @@ def run_sweep(atom: AtomModel, f_grid: Sequence[float],
         field = LaserField.direct(f)
         geom = solve_geometry(atom, field)
         gamma = keldysh_gamma(atom, field, omega) if omega is not None else None
-        rows.append(SweepRow(f=f, atom=atom, geometry=geom,
-                             clocks=compute_clocks(geom, atom), gamma=gamma))
+        rows.append((geom, compute_clocks(geom, atom), gamma))
     return rows
 
 
@@ -233,49 +216,50 @@ def compare(atom: AtomModel, estimator: str,
     The model is evaluated exactly at each record's field strength, never
     interpolated. Records above barrier suppression are skipped with a
     warning when the estimator has no real value there. A point is within
-    bars when the absolute residual does not exceed the larger of its two
-    bars.
+    bars when the absolute residual (model - measurement) does not exceed
+    the larger of its two bars.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
     if not data:
         raise ValueError("no measurement records given")
-    points = []
-    n_skipped = 0
+    residuals = []
     for record in data:
         geom = solve_geometry(atom, LaserField.direct(record.f))
         value = getattr(compute_clocks(geom, atom), estimator)
         if value is None:
-            n_skipped += 1
             warnings.warn(
                 f"record at F={record.f} is above barrier suppression; "
                 f"{estimator} has no real value there; point skipped", stacklevel=2)
             continue
-        model = au_time_to_attoseconds(value)
+        model = _as(value)
+        if not math.isfinite(model):
+            raise ValueError(f"record at F={record.f!r}: {estimator} is "
+                             f"{model!r} as, not a finite number")
         residual = model - record.t
-        points.append(ResidualPoint(
-            f=record.f, model_as=model, measured_as=record.t, residual_as=residual,
-            within_bars=abs(residual) <= max(record.err_lo, record.err_hi)))
-    if not points:
+        residuals.append((record.f, model, record.t, residual,
+                          int(abs(residual) <= max(record.err_lo, record.err_hi))))
+    if not residuals:
         raise RegimeError(
             f"every record lies above barrier suppression; {estimator} "
             "cannot be compared")
-    rms = math.sqrt(math.fsum(p.residual_as ** 2 for p in points) / len(points))
+    n = len(residuals)
     return ComparisonReport(
         model_id=f"{atom.label()}/{estimator}",
         estimator=estimator,
-        points=tuple(points),
-        rms=rms,
-        max_abs=max(abs(p.residual_as) for p in points),
-        fraction_within_bars=sum(p.within_bars for p in points) / len(points),
+        residuals=tuple(residuals),
+        rms=math.sqrt(math.fsum(r * r for _, _, _, r, _ in residuals) / n),
+        max_abs=max(abs(r) for _, _, _, r, _ in residuals),
+        fraction_within_bars=sum(w for _, _, _, _, w in residuals) / n,
         n_records=len(data),
-        n_skipped=n_skipped,
+        n_skipped=len(data) - n,
     )
 
 
-def figure_table(rows: Sequence[SweepRow], figure: str,
+def figure_table(atom: AtomModel, rows: Sequence[tuple], figure: str,
                  ) -> tuple[dict[str, str], tuple[str, ...], list[tuple[float, ...]]]:
-    """Select and order the data behind one figure.
+    """Select and order the data behind one figure from ``atom``'s
+    :func:`run_sweep` rows.
 
     Returns (metadata, column names, value rows). The width-vs-time table
     (fig4) admits only rows below barrier suppression; the time-vs-field
@@ -286,31 +270,29 @@ def figure_table(rows: Sequence[SweepRow], figure: str,
     if not rows:
         raise ValueError("no sweep rows given")
     if figure == "fig4":
-        selected = [r for r in rows if r.geometry.regime is Regime.SUB_ATOMIC]
+        selected = [r for r in rows if r[0].regime is Regime.SUB_ATOMIC]
         if not selected:
             raise RegimeError("no real barrier in any sweep row; the width "
                               "table needs fields below barrier suppression")
     else:
-        selected = [r for r in rows if r.geometry.regime is not Regime.SUPER_ATOMIC]
+        selected = [r for r in rows if r[0].regime is not Regime.SUPER_ATOMIC]
         if not selected:
             raise RegimeError("all sweep rows lie above barrier suppression; "
                               "the single-sided and crossing times are complex there")
-    atom = rows[0].atom
     meta = {
         "atom": atom.name,
         "source": atom.source,
         "z_eff": format_value(atom.z_eff, 12),
         "i_p": format_value(atom.ip, 12),
-        "grid": ",".join(format_value(r.f, 12) for r in rows),
+        "grid": ",".join(format_value(g.f, 12) for g, _, _ in rows),
         "constants": CONSTANTS.version,
     }
     if figure == "fig2":
-        values = [(r.f, _as(r.clocks.tau_unsy), _as(r.clocks.tau_sym)) for r in selected]
+        values = [(g.f, _as(c.tau_unsy), _as(c.tau_sym)) for g, c, _ in selected]
     elif figure == "fig3":
-        values = [(r.f, _as(r.clocks.tau_d), _as(r.clocks.tau_sym)) for r in selected]
+        values = [(g.f, _as(c.tau_d), _as(c.tau_sym)) for g, c, _ in selected]
     else:
-        values = [(r.geometry.barrier_width, _as(r.clocks.tau_d), _light_as(r.geometry))
-                  for r in selected]
+        values = [(g.barrier_width, _as(c.tau_d), _light_as(g)) for g, c, _ in selected]
     return meta, _FIGURE_COLUMNS[figure], values
 
 
@@ -320,18 +302,18 @@ DUMP_COLUMNS = (
     "tau_i_as", "tau_d_as", "tau_sym_as", "tau_unsy_as", "tau_c_as", "tau_t_as",
     "tau_a_as", "light_as", "tau_d_re_au", "tau_d_im_au", "gamma_k",
 )
+RESIDUAL_COLUMNS = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
 
 
-def dump_table(rows: Sequence[SweepRow]) -> list[list[object]]:
+def dump_table(rows: Sequence[tuple]) -> list[list[object]]:
     """Every quantity of every sweep row, one list per row in
     :data:`DUMP_COLUMNS` order; cells that do not exist in a row's regime
     are None."""
     table = []
-    for row in rows:
-        geom, clocks = row.geometry, row.clocks
+    for geom, clocks, gamma in rows:
         complex_d = clocks.complex_parts[0] if clocks.complex_parts else None
         table.append([
-            row.f, geom.regime.value, geom.delta_z, geom.delta_z_imag,
+            geom.f, geom.regime.value, geom.delta_z, geom.delta_z_imag,
             geom.x_entrance, geom.x_peak, geom.x_exit, geom.x_classical,
             geom.barrier_width, geom.h_max,
             _as(clocks.tau_i), _as(clocks.tau_d), _as(clocks.tau_sym),
@@ -339,19 +321,19 @@ def dump_table(rows: Sequence[SweepRow]) -> list[list[object]]:
             _as(clocks.tau_a), _light_as(geom),
             None if complex_d is None else complex_d.real,
             None if complex_d is None else complex_d.imag,
-            row.gamma,
+            gamma,
         ])
     return table
 
 
-def emit_figure_data(rows: Sequence[SweepRow], figure: str,
+def emit_figure_data(atom: AtomModel, rows: Sequence[tuple], figure: str,
                      precision: int = 12, fmt: str = "csv") -> str:
     """One figure table as :func:`render` text. Columns are fixed per figure;
     the metadata records the atom, grid and constants-table version."""
-    return render(*figure_table(rows, figure), fmt, precision)
+    return render(*figure_table(atom, rows, figure), fmt, precision)
 
 
-def fit_width_relation(rows: Sequence[SweepRow]) -> WidthFit:
+def fit_width_relation(rows: Sequence[tuple]) -> WidthFit:
     """Least-squares line of the barrier-crossing time (as) vs width (au)
     over the sub-atomic sweep rows.
 
@@ -360,8 +342,8 @@ def fit_width_relation(rows: Sequence[SweepRow]) -> WidthFit:
     1 / (2 ip) for any window of rows, and approaches it linearly in
     1 - F/F_a as the window shrinks toward F_a.
     """
-    pts = [(r.geometry.barrier_width, au_time_to_attoseconds(r.clocks.tau_d))
-           for r in rows if r.geometry.regime is Regime.SUB_ATOMIC]
+    pts = [(g.barrier_width, au_time_to_attoseconds(c.tau_d))
+           for g, c, _ in rows if g.regime is Regime.SUB_ATOMIC]
     if len(pts) < 2:
         raise ValueError("need at least two sub-atomic rows for a line fit")
     n = len(pts)

@@ -44,7 +44,8 @@ def evaluate(atom, f):
 
 
 def tau_d_as(row):
-    return au_time_to_attoseconds(row.clocks.tau_d)
+    _, clocks, _ = row
+    return au_time_to_attoseconds(clocks.tau_d)
 
 
 def oracle_grid(atom):
@@ -255,7 +256,7 @@ def test_criterion_7b_width_fit_intercept():
 def test_criterion_7c_photon_baseline():
     ok = True
     for atom in he_models():
-        _, _, values = figure_table(run_sweep(atom, FIT_GRID), "fig4")
+        _, _, values = figure_table(atom, run_sweep(atom, FIT_GRID), "fig4")
         ok = ok and len(values) == len(FIT_GRID)
         for _, tau_d, light in values:
             ok = ok and light < tau_d
@@ -286,7 +287,7 @@ def test_criterion_9_harness_fixtures(tmp_path):
 
     def write(path, offset, err):
         lines = ["field_au,time_as,err_as"]
-        lines += [f"{row.f!r},{tau_d_as(row) + offset!r},{err!r}" for row in rows]
+        lines += [f"{row[0].f!r},{tau_d_as(row) + offset!r},{err!r}" for row in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return str(path)
 
@@ -295,8 +296,8 @@ def test_criterion_9_harness_fixtures(tmp_path):
     offset_report = compare(atom, "tau_d",
                             load_measurements(write(tmp_path / "off.csv", 1.0, 2.0)))
     identical = all(
-        emit_figure_data(run_sweep(atom, grid), fig).encode()
-        == emit_figure_data(run_sweep(atom, grid), fig).encode()
+        emit_figure_data(atom, run_sweep(atom, grid), fig).encode()
+        == emit_figure_data(atom, run_sweep(atom, grid), fig).encode()
         for fig in ("fig2", "fig3", "fig4"))
     ok = (self_report.rms == 0.0 and self_report.fraction_within_bars == 1.0
           and abs(offset_report.rms - 1.0) <= 1e-9 and identical)
@@ -330,7 +331,7 @@ def test_criterion_10_cli_end_to_end(tmp_path, capsys):
     rows = run_sweep(catalog_lookup("He:clementi"), [0.04, 0.06, 0.08])
     fixture.write_text(
         "field_au,time_as,err_as\n"
-        + "".join(f"{r.f!r},{tau_d_as(r)!r},1.0\n" for r in rows),
+        + "".join(f"{r[0].f!r},{tau_d_as(r)!r},1.0\n" for r in rows),
         encoding="utf-8")
     code, out = run("compare", "--atom", "He:clementi", "--estimator", "tau_d",
                     str(fixture))

@@ -291,6 +291,20 @@ class TestCompareCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and str(path) in err and named in err
 
+    @pytest.mark.parametrize("record,estimator,named", [
+        ("1e-310,45.0,8.0", "tau_d", ("1e-310", "tau_d")),     # model time overflows
+        ("1e-310,45.0,8.0", "tau_sym", ("1e-310", "tau_sym")),
+        ("1e-300,1e300,8.0", "tau_d", ("rms_as",)),            # residual squared overflows
+    ])
+    def test_non_finite_result_exits_2(self, capsys, tmp_path, record, estimator, named):
+        path = tmp_path / "m.csv"
+        path.write_text(f"field_au,time_as,err_as\n{record}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--atom", "He:clementi",
+                                 "--estimator", estimator, "--residuals", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert all(word in err for word in named) and "finite" in err
+
     def test_all_superatomic_exits_3(self, capsys, tmp_path):
         path = tmp_path / "sup.csv"
         path.write_text("field_au,time_as,err_as\n0.15,10.0,1.0\n", encoding="utf-8")
@@ -333,7 +347,7 @@ class TestArgparseBehavior:
         assert out_path.read_text().startswith("# atom=He")
 
 
-@pytest.mark.parametrize("argv,column", [
+@pytest.mark.parametrize("argv,named", [
     ("times --atom He:clementi --field 1e-300 --wavelength 1e-20", "gamma_k"),
     ("geometry --atom He:clementi --field 1e-320", "x_peak_au"),
     ("geometry --atom He:clementi --field 1e-320 --format json", "x_peak_au"),
@@ -345,12 +359,15 @@ class TestArgparseBehavior:
     ("sweep --atom He:clementi --grid 1e-320,0.05 --figure fig4", "d_b_au"),
     ("sweep --atom He:clementi --grid 1e-310,0.05 --figure fig3 --format json",
      "tau_d_as"),
+    # the gap 4 z_eff F / (ip + delta_z) underflows to 0
+    ("times --ip 1e150 --z-eff 1e-5 --field 1e-300", "F=1e-300"),
+    ("sweep --ip 1e150 --z-eff 1e-5 --grid 1e-300,1e-200", "F=1e-300"),
 ])
-def test_non_finite_output_exits_2(capsys, tmp_path, argv, column):
+def test_non_finite_output_exits_2(capsys, tmp_path, argv, named):
     out_path = tmp_path / "out.txt"
     code, out, err = run_cli(capsys, *argv.split(), "--out", str(out_path))
     assert code == 2 and out == "" and not out_path.exists()
-    assert err.count("\n") == 1 and column in err and "finite" in err
+    assert err.count("\n") == 1 and named in err and "finite" in err
 
 
 def test_module_entry_point():

@@ -18,11 +18,12 @@ GRID_9 = [0.03 + 0.01 * k for k in range(9)]   # 0.03 .. 0.11
 
 
 def tau_d_as(row):
-    return au_time_to_attoseconds(row.clocks.tau_d)
+    _, clocks, _ = row
+    return au_time_to_attoseconds(clocks.tau_d)
 
 
-def light_as(row):
-    _, _, ((_, _, light),) = figure_table([row], "fig4")
+def light_as(atom, row):
+    _, _, ((_, _, light),) = figure_table(atom, [row], "fig4")
     return light
 
 
@@ -40,37 +41,39 @@ def write_measurement_csv(path, rows, header="field_au,time_as,err_lo_as,err_hi_
 class TestRunSweep:
     def test_nine_rows_sorted_subatomic(self, rows9):
         assert len(rows9) == 9
-        assert all(a.f < b.f for a, b in zip(rows9, rows9[1:]))
-        assert all(r.geometry.regime is Regime.SUB_ATOMIC for r in rows9)
+        geoms = [geom for geom, _, _ in rows9]
+        assert all(a.f < b.f for a, b in zip(geoms, geoms[1:]))
+        assert all(geom.regime is Regime.SUB_ATOMIC for geom in geoms)
 
     def test_delay_endpoints(self, rows9):
         assert rel_err(tau_d_as(rows9[0]), 100.76369931555205) < 1e-12
         assert rel_err(tau_d_as(rows9[-1]), 19.147249772337054) < 1e-12
 
-    def test_light_baseline_below_delay_everywhere(self, rows9):
+    def test_light_baseline_below_delay_everywhere(self, he_clementi, rows9):
         for row in rows9:
-            assert light_as(row) < tau_d_as(row)
+            assert light_as(he_clementi, row) < tau_d_as(row)
 
     def test_single_critical_field_row(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
         (row,) = run_sweep(he_clementi, [fa])
-        assert row.geometry.regime is Regime.ATOMIC
-        assert row.geometry.barrier_width == 0.0
-        assert rel_err(row.clocks.tau_sym, 1 / he_clementi.ip) < 1e-13
+        geom, clocks, _ = row
+        assert geom.regime is Regime.ATOMIC
+        assert geom.barrier_width == 0.0
+        assert rel_err(clocks.tau_sym, 1 / he_clementi.ip) < 1e-13
         (dump,) = dump_table([row])
         assert dump[DUMP_COLUMNS.index("light_as")] is None
 
     def test_superatomic_row_carries_complex_parts(self, he_clementi):
-        (row,) = run_sweep(he_clementi, [0.15])
-        assert row.geometry.regime is Regime.SUPER_ATOMIC
-        assert row.clocks.complex_parts is not None
-        assert row.clocks.tau_d is None
-        assert row.geometry.x_exit is None
+        ((geom, clocks, _),) = run_sweep(he_clementi, [0.15])
+        assert geom.regime is Regime.SUPER_ATOMIC
+        assert clocks.complex_parts is not None
+        assert clocks.tau_d is None
+        assert geom.x_exit is None
 
     def test_gamma_column(self, he_clementi):
         omega = wavelength_to_angular_frequency(735.0)
-        (row,) = run_sweep(he_clementi, [0.06], omega=omega)
-        assert rel_err(row.gamma, 1.3889064083278631) < 1e-12
+        ((_, _, gamma),) = run_sweep(he_clementi, [0.06], omega=omega)
+        assert rel_err(gamma, 1.3889064083278631) < 1e-12
 
     @pytest.mark.parametrize("bad_grid", [[], [0.06, 0.05], [0.05, 0.05],
                                           [-0.01], [0.0], [float("nan")]])
@@ -80,8 +83,8 @@ class TestRunSweep:
 
 
 class TestLightTraversal:
-    def test_f006_barrier(self, rows9):
-        _, _, values = figure_table(rows9, "fig4")
+    def test_f006_barrier(self, he_clementi, rows9):
+        _, _, values = figure_table(he_clementi, rows9, "fig4")
         light = values[3][2]                        # F = 0.06
         assert rel_err(light, 1.8870428972824028) < 1e-12
 
@@ -176,7 +179,7 @@ class TestLoadMeasurements:
 
 class TestCompare:
     def test_self_comparison_is_exact(self, he_clementi, rows9, tmp_path):
-        data = [(r.f, tau_d_as(r), 0.0, 0.0) for r in rows9]
+        data = [(r[0].f, tau_d_as(r), 0.0, 0.0) for r in rows9]
         path = write_measurement_csv(tmp_path / "self.csv", data)
         report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.rms == 0.0
@@ -185,42 +188,42 @@ class TestCompare:
         assert report.n_skipped == 0
 
     def test_unit_offset_gives_unit_rms(self, he_clementi, rows9, tmp_path):
-        data = [(r.f, tau_d_as(r) + 1.0, 2.0, 2.0) for r in rows9]
+        data = [(r[0].f, tau_d_as(r) + 1.0, 2.0, 2.0) for r in rows9]
         path = write_measurement_csv(tmp_path / "off.csv", data)
         report = compare(he_clementi, "tau_d", load_measurements(path))
         assert abs(report.rms - 1.0) < 1e-9
         assert report.fraction_within_bars == 1.0
         # residual is model - measurement, so the offset shows up negative
-        assert all(abs(p.residual_as + 1.0) < 1e-9 for p in report.points)
+        assert all(abs(r + 1.0) < 1e-9 for _, _, _, r, _ in report.residuals)
 
     def test_offset_beyond_bars(self, he_clementi, rows9, tmp_path):
-        data = [(r.f, tau_d_as(r) + 5.0, 2.0, 2.0) for r in rows9]
+        data = [(r[0].f, tau_d_as(r) + 5.0, 2.0, 2.0) for r in rows9]
         path = write_measurement_csv(tmp_path / "far.csv", data)
         report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.fraction_within_bars == 0.0
 
     def test_asymmetric_bars_use_larger(self, he_clementi, rows9, tmp_path):
-        data = [(rows9[0].f, tau_d_as(rows9[0]) + 3.0, 1.0, 4.0)]
+        data = [(rows9[0][0].f, tau_d_as(rows9[0]) + 3.0, 1.0, 4.0)]
         path = write_measurement_csv(tmp_path / "asym.csv", data)
         report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.fraction_within_bars == 1.0
 
     def test_superatomic_record_skipped_with_warning(self, he_clementi, rows9, tmp_path):
-        data = [(rows9[0].f, tau_d_as(rows9[0]), 1.0, 1.0),
+        data = [(rows9[0][0].f, tau_d_as(rows9[0]), 1.0, 1.0),
                 (0.15, 10.0, 1.0, 1.0)]
         path = write_measurement_csv(tmp_path / "mix.csv", data)
         with pytest.warns(UserWarning, match="skipped"):
             report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.n_skipped == 1
         assert report.n_records == 2
-        assert len(report.points) == 1
+        assert len(report.residuals) == 1
 
     def test_symmetric_estimator_covers_superatomic_records(self, he_clementi, tmp_path):
         geom_f = 0.15
         data = [(geom_f, 20.0, 2.0, 2.0)]
         path = write_measurement_csv(tmp_path / "sym.csv", data)
         report = compare(he_clementi, "tau_sym", load_measurements(path))
-        assert report.n_skipped == 0 and len(report.points) == 1
+        assert report.n_skipped == 0 and len(report.residuals) == 1
 
     def test_all_records_superatomic_raises_regime_error(self, he_clementi, tmp_path):
         path = write_measurement_csv(tmp_path / "sup.csv", [(0.15, 10.0, 1.0, 1.0)])
@@ -244,8 +247,8 @@ class TestCompare:
 
 
 class TestEmitFigureData:
-    def test_fig3_columns_and_rows(self, rows9):
-        text = emit_figure_data(rows9, "fig3")
+    def test_fig3_columns_and_rows(self, he_clementi, rows9):
+        text = emit_figure_data(he_clementi, rows9, "fig3")
         lines = text.splitlines()
         meta = [l for l in lines if l.startswith("#")]
         body = [l for l in lines if not l.startswith("#")]
@@ -257,8 +260,8 @@ class TestEmitFigureData:
         assert any(l.startswith("# constants=codata2018") for l in meta)
         assert any(l.startswith("# grid=0.03,") for l in meta)
 
-    def test_fig4_row_at_f006(self, rows9):
-        text = emit_figure_data(rows9, "fig4", precision=6)
+    def test_fig4_row_at_f006(self, he_clementi, rows9):
+        text = emit_figure_data(he_clementi, rows9, "fig4", precision=6)
         row = text.splitlines()[7 + 3]          # 6 meta lines + header, F=0.06 is 4th
         d_b, tau_d, light = (float(c) for c in row.split(","))
         assert abs(d_b - 10.6906) < 5e-4
@@ -268,46 +271,48 @@ class TestEmitFigureData:
     def test_fig3_critical_field_row(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
         rows = run_sweep(he_clementi, [fa])
-        text = emit_figure_data(rows, "fig3", precision=6)
+        text = emit_figure_data(he_clementi, rows, "fig3", precision=6)
         row = text.splitlines()[-1].split(",")
         assert abs(float(row[1]) - 13.3852) < 5e-4
         assert abs(float(row[2]) - 26.7703) < 5e-4
 
-    def test_fig2_and_fig3_share_symmetric_column(self, rows9):
-        fig2 = [l.split(",") for l in emit_figure_data(rows9, "fig2").splitlines()
+    def test_fig2_and_fig3_share_symmetric_column(self, he_clementi, rows9):
+        fig2 = [l.split(",") for l in
+                emit_figure_data(he_clementi, rows9, "fig2").splitlines()
                 if not l.startswith("#")][1:]
-        fig3 = [l.split(",") for l in emit_figure_data(rows9, "fig3").splitlines()
+        fig3 = [l.split(",") for l in
+                emit_figure_data(he_clementi, rows9, "fig3").splitlines()
                 if not l.startswith("#")][1:]
         assert [r[0] for r in fig2] == [r[0] for r in fig3]
         assert [r[2] for r in fig2] == [r[2] for r in fig3]
 
     def test_emission_is_deterministic(self, he_clementi):
-        first = emit_figure_data(run_sweep(he_clementi, GRID_9), "fig4")
-        second = emit_figure_data(run_sweep(he_clementi, GRID_9), "fig4")
+        first = emit_figure_data(he_clementi, run_sweep(he_clementi, GRID_9), "fig4")
+        second = emit_figure_data(he_clementi, run_sweep(he_clementi, GRID_9), "fig4")
         assert first.encode() == second.encode()
 
     def test_fig4_excludes_non_subatomic_rows(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
         rows = run_sweep(he_clementi, [0.06, fa])
-        _, _, values = figure_table(rows, "fig4")
+        _, _, values = figure_table(he_clementi, rows, "fig4")
         assert len(values) == 1
 
     def test_fig4_with_no_real_barrier_is_regime_error(self, he_clementi):
         rows = run_sweep(he_clementi, [0.15])
         with pytest.raises(RegimeError):
-            emit_figure_data(rows, "fig4")
+            emit_figure_data(he_clementi, rows, "fig4")
 
-    def test_empty_rows_rejected(self):
+    def test_empty_rows_rejected(self, he_clementi):
         with pytest.raises(ValueError):
-            emit_figure_data([], "fig2")
+            emit_figure_data(he_clementi, [], "fig2")
 
-    def test_unknown_figure_rejected(self, rows9):
+    def test_unknown_figure_rejected(self, he_clementi, rows9):
         with pytest.raises(ValueError, match="fig1"):
-            emit_figure_data(rows9, "fig1")
+            emit_figure_data(he_clementi, rows9, "fig1")
 
-    def test_json_is_meta_and_rows(self, rows9):
-        meta, columns, values = figure_table(rows9, "fig3")
-        payload = json.loads(emit_figure_data(rows9, "fig3", fmt="json"))
+    def test_json_is_meta_and_rows(self, he_clementi, rows9):
+        meta, columns, values = figure_table(he_clementi, rows9, "fig3")
+        payload = json.loads(emit_figure_data(he_clementi, rows9, "fig3", fmt="json"))
         assert payload == {"meta": meta,
                            "rows": [dict(zip(columns, v)) for v in values]}
 
