@@ -40,6 +40,8 @@ class AtomModel:
             raise AtomConfigError(f"z_eff must be finite and > 0, got {self.z_eff!r}")
         if not math.isfinite(self.ip * self.ip / (4.0 * self.z_eff)):
             raise AtomConfigError("ip^2 / (4 z_eff) overflows; model rejected")
+        if any(ch in self.name + self.source for ch in ',"\r\n'):   # they are CSV cells
+            raise AtomConfigError(f"comma, quote or line break in atom {self.label()!r}")
 
     def label(self) -> str:
         return f"{self.name}:{self.source}" if self.source else self.name

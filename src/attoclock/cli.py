@@ -14,12 +14,12 @@ from typing import Sequence
 
 from .atom import (AtomConfigError, AtomModel, LaserField, builtin_catalog,
                    catalog_lookup)
-from .barrier import (Regime, RegimeError, appearance_intensity,
-                      atomic_field_strength, solve_geometry)
+from .barrier import Regime, RegimeError, solve_geometry
 from .clocks import compute_clocks, keldysh_gamma
-from .harness import (DUMP_COLUMNS, ESTIMATORS, FIGURES, RESIDUAL_COLUMNS, _as,
-                      compare, dump_table, emit_figure_data, load_measurements,
-                      render, run_sweep)
+from .harness import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, ESTIMATORS,
+                      FIGURES, GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS,
+                      compare, emit_figure_data, load_measurements, render,
+                      run_sweep, table)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -35,10 +35,11 @@ def _write_output(text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _render_record(pairs: list[tuple[str, object]], args: argparse.Namespace) -> str:
-    columns, values = zip(*pairs)
+def _render_record(columns: Sequence[str], values: list, args: argparse.Namespace) -> str:
     text = render(None, columns, [values], "csv", args.precision)  # refuses inf, nan
-    return json.dumps(dict(pairs), indent=2) + "\n" if args.format == "json" else text
+    if args.format == "json":
+        return json.dumps(dict(zip(columns, values)), indent=2) + "\n"
+    return text
 
 
 def _resolve_atom(args: argparse.Namespace) -> AtomModel:
@@ -114,25 +115,8 @@ def cmd_geometry(args: argparse.Namespace) -> tuple[str, int]:
     field = _resolve_field(args)
     _omega(args)                 # rejects a bad --wavelength, which geometry ignores
     geom = solve_geometry(atom, field)
-    pairs: list[tuple[str, object]] = [
-        ("atom", atom.name),
-        ("source", atom.source),
-        ("i_p_au", atom.ip),
-        ("z_eff", atom.z_eff),
-        ("f_au", geom.f),
-        ("f_a_au", atomic_field_strength(atom)),
-        ("i_a_au", appearance_intensity(atom)),
-        ("regime", geom.regime.value),
-        ("delta_z_au", geom.delta_z),
-        ("delta_z_imag_au", geom.delta_z_imag),
-        ("x_entrance_au", geom.x_entrance),
-        ("x_peak_au", geom.x_peak),
-        ("x_exit_au", geom.x_exit),
-        ("x_classical_au", geom.x_classical),
-        ("barrier_width_au", geom.barrier_width),
-        ("h_max_au", geom.h_max),
-    ]
-    return (_render_record(pairs, args),
+    (values,) = table(GEOMETRY_COLUMNS, atom, [(geom, None, None)])
+    return (_render_record(GEOMETRY_COLUMNS, values, args),
             EXIT_REGIME if geom.regime is Regime.SUPER_ATOMIC else EXIT_OK)
 
 
@@ -141,32 +125,11 @@ def cmd_times(args: argparse.Namespace) -> tuple[str, int]:
     field = _resolve_field(args)
     geom = solve_geometry(atom, field)
     clocks = compute_clocks(geom, atom)
-    pairs: list[tuple[str, object]] = [
-        ("atom", atom.name),
-        ("source", atom.source),
-        ("i_p_au", atom.ip),
-        ("z_eff", atom.z_eff),
-        ("f_au", geom.f),
-        ("regime", geom.regime.value),
-    ]
-    for name in ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c", "tau_t", "tau_a"):
-        value = getattr(clocks, name)
-        pairs.append((f"{name}_au", value))
-        pairs.append((f"{name}_as", _as(value)))
-    pairs.append(("de_plus_au", clocks.de_plus))
-    pairs.append(("de_minus_au", clocks.de_minus))
-    if clocks.complex_parts is not None:
-        tau_d_c, tau_i_c = clocks.complex_parts
-        pairs += [("tau_d_re_au", tau_d_c.real), ("tau_d_im_au", tau_d_c.imag),
-                  ("tau_i_re_au", tau_i_c.real), ("tau_i_im_au", tau_i_c.imag)]
-    else:
-        pairs += [("tau_d_re_au", None), ("tau_d_im_au", None),
-                  ("tau_i_re_au", None), ("tau_i_im_au", None)]
     omega = _omega(args)
-    if omega is not None:
-        pairs.append(("omega_au", omega))
-        pairs.append(("gamma_k", keldysh_gamma(atom, field, omega)))
-    return (_render_record(pairs, args),
+    gamma = None if omega is None else keldysh_gamma(atom, field, omega)
+    columns = TIMES_COLUMNS if omega is None else TIMES_COLUMNS + DRIVE_COLUMNS
+    (values,) = table(columns, atom, [(geom, clocks, gamma)], omega)
+    return (_render_record(columns, values, args),
             EXIT_REGIME if geom.regime is Regime.SUPER_ATOMIC else EXIT_OK)
 
 
@@ -177,7 +140,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     if args.figure:
         return (emit_figure_data(atom, rows, args.figure, args.precision, args.format),
                 EXIT_OK)
-    return render(None, DUMP_COLUMNS, dump_table(rows), args.format,
+    return render(None, DUMP_COLUMNS, table(DUMP_COLUMNS, atom, rows), args.format,
                   args.precision), EXIT_OK
 
 
@@ -187,17 +150,11 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     if not records:
         raise ValueError(f"{args.data}: no measurement records")
     report = compare(atom, args.estimator, records)
-    pairs: list[tuple[str, object]] = [
-        ("model_id", report.model_id),
-        ("estimator", report.estimator),
-        ("n_records", report.n_records),
-        ("n_used", len(report.residuals)),
-        ("n_skipped", report.n_skipped),
-        ("rms_as", report.rms),
-        ("max_abs_as", report.max_abs),
-        ("fraction_within_bars", report.fraction_within_bars),
-    ]
-    text = _render_record(pairs, args)
+    columns = ("model_id", "estimator", "n_records", "n_used", "n_skipped", "rms_as",
+               "max_abs_as", "fraction_within_bars")
+    values = [report.model_id, report.estimator, report.n_records, len(report.residuals),
+              report.n_skipped, report.rms, report.max_abs, report.fraction_within_bars]
+    text = _render_record(columns, values, args)
     if args.residuals:
         text += render(None, RESIDUAL_COLUMNS, report.residuals, args.format,
                        args.precision)
@@ -205,10 +162,8 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_catalog(args: argparse.Namespace) -> tuple[str, int]:
-    columns = ("name", "source", "i_p_au", "z_eff", "f_a_au", "i_a_au")
-    table = [[a.name, a.source, a.ip, a.z_eff, atomic_field_strength(a),
-              appearance_intensity(a)] for a in builtin_catalog()]
-    return render(None, columns, table, args.format, args.precision), EXIT_OK
+    rows = [table(CATALOG_COLUMNS, a, [(None, None, None)])[0] for a in builtin_catalog()]
+    return render(None, CATALOG_COLUMNS, rows, args.format, args.precision), EXIT_OK
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:

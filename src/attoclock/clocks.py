@@ -52,7 +52,10 @@ def compute_clocks(geom: BarrierGeometry, atom: AtomModel) -> TunnelClocks:
     1 / (2 (ip -+ i delta_z'')) whose sum is the real tau_sym.
     """
     ip, f = atom.ip, geom.f
-    tau_sym = ip / (4.0 * atom.z_eff * f)
+    z4f = 4.0 * atom.z_eff * f
+    if z4f == 0.0:
+        raise ValueError(f"at F={f!r} au 4 z_eff F underflows to 0, so tau_sym is not finite")
+    tau_sym = ip / z4f
     # Verbatim first-order term; the weak-field limit of tau_unsy itself
     # carries the effective charge, ip / (2 z_eff F).
     tau_c = ip / (2.0 * f)
@@ -66,7 +69,7 @@ def compute_clocks(geom: BarrierGeometry, atom: AtomModel) -> TunnelClocks:
                             de_plus=None, de_minus=None,
                             complex_parts=(complex(re, im), complex(re, -im)))
     ip_plus = ip + geom.delta_z
-    gap = ip if geom.delta_z == 0.0 else 4.0 * atom.z_eff * f / ip_plus
+    gap = ip if geom.delta_z == 0.0 else z4f / ip_plus
     if gap == 0.0:
         raise ValueError(f"at F={f!r} au the gap 4 z_eff F / (ip + delta_z) "
                          "underflows to 0, so tau_d is not finite")

@@ -16,18 +16,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .atom import AtomModel, LaserField
-from .barrier import BarrierGeometry, Regime, RegimeError, solve_geometry
+from .barrier import (BarrierGeometry, Regime, RegimeError, appearance_intensity,
+                      atomic_field_strength, solve_geometry)
 from .clocks import TunnelClocks, compute_clocks, keldysh_gamma
 from .units import CONSTANTS, au_time_to_attoseconds
 
 ESTIMATORS = ("tau_d", "tau_sym", "tau_unsy", "tau_t")
 
 FIGURES = ("fig2", "fig3", "fig4")
-_FIGURE_COLUMNS = {
-    "fig2": ("f_au", "tau_unsy_as", "tau_sym_as"),
-    "fig3": ("f_au", "tau_d_as", "tau_sym_as"),
-    "fig4": ("d_b_au", "tau_d_as", "light_as"),
-}
 
 
 @dataclass(frozen=True)
@@ -74,16 +70,6 @@ class WidthFit:
     n_points: int
 
 
-def format_value(value: object, precision: int) -> str:
-    """One output cell: None is empty, a float gets ``precision``
-    significant digits, anything else its str()."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.{precision}g}"
-    return str(value)
-
-
 def render(meta: dict[str, str] | None, columns: Sequence[str],
            rows: Sequence[Sequence[object]], fmt: str, precision: int) -> str:
     """One table as CSV (``# key=value`` metadata lines, header, rows) or
@@ -94,9 +80,11 @@ def render(meta: dict[str, str] | None, columns: Sequence[str],
         text = json.dumps({"meta": meta, "rows": records} if meta else records, indent=2)
         words = ("Infinity", "NaN")
     else:
+        spec = f".{precision}g"
         lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
         lines.append(",".join(columns))
-        lines += [",".join([format_value(v, precision) for v in row]) for row in rows]
+        lines += [",".join(["" if v is None else format(v, spec) if isinstance(v, float)
+                            else str(v) for v in row]) for row in rows]
         text = "\n".join(lines)
         words = ("inf", "nan")
     # How a non-finite float prints. Searching the text is cheaper than testing
@@ -110,15 +98,91 @@ def render(meta: dict[str, str] | None, columns: Sequence[str],
 
 
 def _as(t: float | None) -> float | None:
-    """``t`` (au) in as; an overflowed ``t`` stays as it is, for render to refuse."""
-    return t if t is None or not math.isfinite(t) else au_time_to_attoseconds(t)
+    """``t`` (au) in as; a non-finite ``t`` stays non-finite, for render to refuse."""
+    return None if t is None else t * CONSTANTS.au_time_in_attoseconds
 
 
-def _light_as(geom: BarrierGeometry) -> float | None:
-    """Light-traversal time of the barrier in as; None without a real barrier."""
-    if geom.regime is not Regime.SUB_ATOMIC:
-        return None
-    return _as(geom.barrier_width / CONSTANTS.speed_of_light)
+# Every output column, once: its value at one point from the atom, the point's
+# (geometry, clocks, gamma) row and the drive's omega. The suffix is the unit: _au
+# as computed, _as converted, none for text and counts. None: not in this regime.
+COLUMNS = {
+    "atom": lambda a, g, c, k, w: a.name,
+    "name": lambda a, g, c, k, w: a.name,
+    "source": lambda a, g, c, k, w: a.source,
+    "i_p_au": lambda a, g, c, k, w: a.ip,
+    "z_eff": lambda a, g, c, k, w: a.z_eff,
+    "f_a_au": lambda a, g, c, k, w: atomic_field_strength(a),
+    "i_a_au": lambda a, g, c, k, w: appearance_intensity(a),
+    "f_au": lambda a, g, c, k, w: g.f,
+    "regime": lambda a, g, c, k, w: g.regime.value,
+    "delta_z_au": lambda a, g, c, k, w: g.delta_z,
+    "delta_z_imag_au": lambda a, g, c, k, w: g.delta_z_imag,
+    "x_entrance_au": lambda a, g, c, k, w: g.x_entrance,
+    "x_peak_au": lambda a, g, c, k, w: g.x_peak,
+    "x_exit_au": lambda a, g, c, k, w: g.x_exit,
+    "x_classical_au": lambda a, g, c, k, w: g.x_classical,
+    "barrier_width_au": lambda a, g, c, k, w: g.barrier_width,
+    "d_b_au": lambda a, g, c, k, w: g.barrier_width,
+    "h_max_au": lambda a, g, c, k, w: g.h_max,
+    "tau_i_au": lambda a, g, c, k, w: c.tau_i,
+    "tau_i_as": lambda a, g, c, k, w: _as(c.tau_i),
+    "tau_d_au": lambda a, g, c, k, w: c.tau_d,
+    "tau_d_as": lambda a, g, c, k, w: _as(c.tau_d),
+    "tau_sym_au": lambda a, g, c, k, w: c.tau_sym,
+    "tau_sym_as": lambda a, g, c, k, w: _as(c.tau_sym),
+    "tau_unsy_au": lambda a, g, c, k, w: c.tau_unsy,
+    "tau_unsy_as": lambda a, g, c, k, w: _as(c.tau_unsy),
+    "tau_c_au": lambda a, g, c, k, w: c.tau_c,
+    "tau_c_as": lambda a, g, c, k, w: _as(c.tau_c),
+    "tau_t_au": lambda a, g, c, k, w: c.tau_t,
+    "tau_t_as": lambda a, g, c, k, w: _as(c.tau_t),
+    "tau_a_au": lambda a, g, c, k, w: c.tau_a,
+    "tau_a_as": lambda a, g, c, k, w: _as(c.tau_a),
+    "de_plus_au": lambda a, g, c, k, w: c.de_plus,
+    "de_minus_au": lambda a, g, c, k, w: c.de_minus,
+    # Light-traversal time of the barrier; None without a real barrier.
+    "light_as": lambda a, g, c, k, w: (_as(g.barrier_width / CONSTANTS.speed_of_light)
+                                       if g.regime is Regime.SUB_ATOMIC else None),
+    "tau_d_re_au": lambda a, g, c, k, w: c.complex_parts and c.complex_parts[0].real,
+    "tau_d_im_au": lambda a, g, c, k, w: c.complex_parts and c.complex_parts[0].imag,
+    "tau_i_re_au": lambda a, g, c, k, w: c.complex_parts and c.complex_parts[1].real,
+    "tau_i_im_au": lambda a, g, c, k, w: c.complex_parts and c.complex_parts[1].imag,
+    "omega_au": lambda a, g, c, k, w: w,
+    "gamma_k": lambda a, g, c, k, w: k,
+}
+
+GEOMETRY_COLUMNS = (
+    "atom", "source", "i_p_au", "z_eff", "f_au", "f_a_au", "i_a_au", "regime",
+    "delta_z_au", "delta_z_imag_au", "x_entrance_au", "x_peak_au", "x_exit_au",
+    "x_classical_au", "barrier_width_au", "h_max_au",
+)
+TIMES_COLUMNS = (
+    "atom", "source", "i_p_au", "z_eff", "f_au", "regime", "tau_i_au", "tau_i_as",
+    "tau_d_au", "tau_d_as", "tau_sym_au", "tau_sym_as", "tau_unsy_au", "tau_unsy_as",
+    "tau_c_au", "tau_c_as", "tau_t_au", "tau_t_as", "tau_a_au", "tau_a_as",
+    "de_plus_au", "de_minus_au", "tau_d_re_au", "tau_d_im_au", "tau_i_re_au", "tau_i_im_au",
+)
+DRIVE_COLUMNS = ("omega_au", "gamma_k")      # times, when a wavelength is given
+DUMP_COLUMNS = (
+    "f_au", "regime", "delta_z_au", "delta_z_imag_au", "x_entrance_au",
+    "x_peak_au", "x_exit_au", "x_classical_au", "barrier_width_au", "h_max_au",
+    "tau_i_as", "tau_d_as", "tau_sym_as", "tau_unsy_as", "tau_c_as", "tau_t_as",
+    "tau_a_as", "light_as", "tau_d_re_au", "tau_d_im_au", "gamma_k",
+)
+_FIGURE_COLUMNS = {
+    "fig2": ("f_au", "tau_unsy_as", "tau_sym_as"),
+    "fig3": ("f_au", "tau_d_as", "tau_sym_as"),
+    "fig4": ("d_b_au", "tau_d_as", "light_as"),
+}
+CATALOG_COLUMNS = ("name", "source", "i_p_au", "z_eff", "f_a_au", "i_a_au")
+
+
+def table(columns: Sequence[str], atom: AtomModel, rows: Sequence[tuple],
+          omega: float | None = None) -> list[list[object]]:
+    """One list of cells per ``(geometry, clocks, gamma)`` row, in ``columns``
+    order, each from its :data:`COLUMNS` entry."""
+    cells = [COLUMNS[name] for name in columns]
+    return [[cell(atom, g, c, k, omega) for cell in cells] for g, c, k in rows]
 
 
 def run_sweep(atom: AtomModel, f_grid: Sequence[float],
@@ -282,48 +346,16 @@ def figure_table(atom: AtomModel, rows: Sequence[tuple], figure: str,
     meta = {
         "atom": atom.name,
         "source": atom.source,
-        "z_eff": format_value(atom.z_eff, 12),
-        "i_p": format_value(atom.ip, 12),
-        "grid": ",".join(format_value(g.f, 12) for g, _, _ in rows),
+        "z_eff": f"{atom.z_eff:.12g}",
+        "i_p": f"{atom.ip:.12g}",
+        "grid": ",".join(f"{g.f:.12g}" for g, _, _ in rows),
         "constants": CONSTANTS.version,
     }
-    if figure == "fig2":
-        values = [(g.f, _as(c.tau_unsy), _as(c.tau_sym)) for g, c, _ in selected]
-    elif figure == "fig3":
-        values = [(g.f, _as(c.tau_d), _as(c.tau_sym)) for g, c, _ in selected]
-    else:
-        values = [(g.barrier_width, _as(c.tau_d), _light_as(g)) for g, c, _ in selected]
-    return meta, _FIGURE_COLUMNS[figure], values
+    columns = _FIGURE_COLUMNS[figure]
+    return meta, columns, table(columns, atom, selected)
 
 
-DUMP_COLUMNS = (
-    "f_au", "regime", "delta_z_au", "delta_z_imag_au", "x_entrance_au",
-    "x_peak_au", "x_exit_au", "x_classical_au", "barrier_width_au", "h_max_au",
-    "tau_i_as", "tau_d_as", "tau_sym_as", "tau_unsy_as", "tau_c_as", "tau_t_as",
-    "tau_a_as", "light_as", "tau_d_re_au", "tau_d_im_au", "gamma_k",
-)
 RESIDUAL_COLUMNS = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
-
-
-def dump_table(rows: Sequence[tuple]) -> list[list[object]]:
-    """Every quantity of every sweep row, one list per row in
-    :data:`DUMP_COLUMNS` order; cells that do not exist in a row's regime
-    are None."""
-    table = []
-    for geom, clocks, gamma in rows:
-        complex_d = clocks.complex_parts[0] if clocks.complex_parts else None
-        table.append([
-            geom.f, geom.regime.value, geom.delta_z, geom.delta_z_imag,
-            geom.x_entrance, geom.x_peak, geom.x_exit, geom.x_classical,
-            geom.barrier_width, geom.h_max,
-            _as(clocks.tau_i), _as(clocks.tau_d), _as(clocks.tau_sym),
-            _as(clocks.tau_unsy), _as(clocks.tau_c), _as(clocks.tau_t),
-            _as(clocks.tau_a), _light_as(geom),
-            None if complex_d is None else complex_d.real,
-            None if complex_d is None else complex_d.imag,
-            gamma,
-        ])
-    return table
 
 
 def emit_figure_data(atom: AtomModel, rows: Sequence[tuple], figure: str,

@@ -53,6 +53,12 @@ class TestAtomModelValidation:
         with pytest.raises(ValueError):
             AtomModel(name="X", ip=ip, z_eff=z)
 
+    @pytest.mark.parametrize("name,source", [("a,b", ""), ('a"b', ""), ("a\rb", ""),
+                                             ("X", "a\nb"), ("X", "a,b")])
+    def test_label_that_breaks_csv_rejected(self, name, source):
+        with pytest.raises(AtomConfigError, match="line break"):
+            AtomModel(name=name, ip=0.5, z_eff=1.0, source=source)
+
 
 class TestLaserField:
     def test_direct(self):

@@ -1,10 +1,17 @@
 """End-to-end CLI behavior: values, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attoclock.cli import MAX_GRID_POINTS, main
 from attoclock.barrier import atomic_field_strength
@@ -161,6 +168,16 @@ class TestAtomSelection:
     def test_missing_atom(self, capsys):
         code, _, _ = run_cli(capsys, "geometry", "--field", "0.06")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["times", "--ip", "0.5", "--z-eff", "1", "--name", "a,b", "--field", "0.01"],
+        ["sweep", "--ip", "0.5", "--z-eff", "1", "--name", "a\nb",
+         "--grid", "0.01,0.02", "--figure", "fig3"],
+    ])
+    def test_name_that_breaks_csv_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "line break" in err
 
 
 class TestSweepCommand:
@@ -362,6 +379,10 @@ class TestArgparseBehavior:
     # the gap 4 z_eff F / (ip + delta_z) underflows to 0
     ("times --ip 1e150 --z-eff 1e-5 --field 1e-300", "F=1e-300"),
     ("sweep --ip 1e150 --z-eff 1e-5 --grid 1e-300,1e-200", "F=1e-300"),
+    # 4 z_eff F underflows to 0
+    ("times --ip 1e-12 --z-eff 1e-300 --field 5e-324", "F=5e-324"),
+    ("sweep --ip 1e-12 --z-eff 1e-300 --grid 5e-324", "F=5e-324"),
+    ("sweep --ip 1e-12 --z-eff 5e-324 --grid 0.02:0.16:0.01", "F=0.02"),
 ])
 def test_non_finite_output_exits_2(capsys, tmp_path, argv, named):
     out_path = tmp_path / "out.txt"
@@ -375,3 +396,98 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Clementi" in proc.stdout
+
+
+# CLI fuzz: argv built from the real subcommands and flags. Every value is
+# drawn half the time from ordinary inputs, so that runs reach the output, and
+# half the time from edge values. Grid ranges draw from a smaller set so that no
+# grid holds more than a few hundred points.
+EDGES = ("0", "-0", "5e-324", "2.2e-308", "1e-300", "1e300", "1.7e308", "1e309",
+         "-1e309", "nan", "inf", "-inf", "-0.5", "x", "")
+GRID_EDGES = ("0", "-0", "5e-324", "1e-300", "0.01", "0.02", "0.16", "1e300",
+              "1.7e308", "1e309", "nan", "inf", "-1", "x")
+MEASUREMENTS = str(Path(__file__).resolve().parent / "golden" / "measurements.csv")
+NON_FINITE = re.compile(r"\b(inf|nan|Infinity|NaN)\b")
+
+
+def _either(ordinary, edges):
+    return st.one_of(st.sampled_from(ordinary), st.sampled_from(edges))
+
+
+NUMBER = _either(("0.06", "0.12095388813333334", "0.15", "0.5", "1", "735", "2e14"), EDGES)
+
+
+def _flag(name, values):
+    return values.map(lambda value: [name, value])
+
+
+def _pair(first, second):
+    return st.tuples(NUMBER, NUMBER).map(lambda p: [first, p[0], second, p[1]])
+
+
+ATOM = st.one_of(st.sampled_from((["--atom", "He:clementi"], ["--atom", "He:kullie"])),
+                 _pair("--ip", "--z-eff"), st.sampled_from((["--atom", "He"], [])))
+FIELD = st.one_of(_flag("--field", NUMBER), _flag("--field-from-intensity", NUMBER),
+                  _pair("--f0", "--ellipticity"), st.just([]))
+GRID = st.one_of(
+    st.sampled_from(("0.02:0.16:0.01", "0.06", "0.05,0.12095388813333334,0.15")),
+    st.lists(st.sampled_from(GRID_EDGES), min_size=1, max_size=4).map(",".join),
+    st.tuples(*[st.sampled_from(GRID_EDGES)] * 3).map(":".join))
+NAME = _flag("--name", _either(("H",), ("a,b", "a\nb", 'a"b', "a\rb")))
+WAVELENGTH = _flag("--wavelength", NUMBER)
+OUTPUT = (_flag("--format", st.sampled_from(("csv", "json"))),
+          _flag("--precision", _either(("1", "6", "17"), ("0", "18", "x"))))
+# Per command: the parts always drawn, then the optional ones.
+COMMANDS = {
+    "geometry": ((ATOM, FIELD), (NAME, WAVELENGTH)),
+    "times": ((ATOM, FIELD), (NAME, WAVELENGTH)),
+    "sweep": ((ATOM, _flag("--grid", GRID)),
+              (NAME, WAVELENGTH, _flag("--figure", _either(("fig2", "fig3", "fig4"),
+                                                             ("fig1",))))),
+    "compare": ((ATOM, _flag("--estimator", _either(("tau_d", "tau_sym", "tau_unsy",
+                                                     "tau_t"), ("x",))),
+                 st.sampled_from(([MEASUREMENTS], ["no-such-file.csv"]))),
+                (NAME, st.just(["--residuals"]))),
+    "catalog": ((), ()),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    always, optional = COMMANDS[command]
+    argv = [command]
+    for part in always:
+        argv += draw(part)
+    for part in optional + OUTPUT:
+        if draw(st.booleans()):
+            argv += draw(part)
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(cli_argv())
+@example(["times", "--ip", "1e-12", "--z-eff", "1e-300", "--field", "5e-324"])
+@example(["sweep", "--ip", "1e-12", "--z-eff", "1e-300", "--grid", "5e-324"])
+@example(["sweep", "--ip", "1e-12", "--z-eff", "5e-324", "--grid", "0.02:0.16:0.01"])
+@example(["times", "--ip", "0.5", "--z-eff", "1", "--name", "a,b", "--field", "0.01"])
+@example(["sweep", "--ip", "0.5", "--z-eff", "1", "--name", "a\nb",
+          "--grid", "0.01,0.02", "--figure", "fig3"])
+def test_cli_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    text = out.getvalue()
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert text == ""
+    assert not NON_FINITE.search(text)
+    if text and "json" not in argv:
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        # compare --residuals prints its summary record, then the residual table
+        tables = [lines[:2], lines[2:]] if "--residuals" in argv else [lines]
+        for lines in tables:
+            width = len(lines[0].split(","))
+            assert all(len(line.split(",")) == width for line in lines)

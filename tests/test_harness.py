@@ -6,12 +6,13 @@ import json
 import pytest
 
 from attoclock.barrier import Regime, RegimeError, atomic_field_strength
-from attoclock.harness import (DUMP_COLUMNS, MeasurementFormatError,
-                               MeasurementRecord, compare, dump_table,
-                               emit_figure_data, figure_table,
-                               fit_width_relation, load_measurements, render,
-                               run_sweep)
-from attoclock.units import au_time_to_attoseconds, wavelength_to_angular_frequency
+from attoclock import harness
+from attoclock.harness import (COLUMNS, DUMP_COLUMNS, MeasurementFormatError,
+                               MeasurementRecord, compare, emit_figure_data,
+                               figure_table, fit_width_relation,
+                               load_measurements, render, run_sweep, table)
+from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
+                             wavelength_to_angular_frequency)
 from helpers import rel_err
 
 GRID_9 = [0.03 + 0.01 * k for k in range(9)]   # 0.03 .. 0.11
@@ -60,7 +61,7 @@ class TestRunSweep:
         assert geom.regime is Regime.ATOMIC
         assert geom.barrier_width == 0.0
         assert rel_err(clocks.tau_sym, 1 / he_clementi.ip) < 1e-13
-        (dump,) = dump_table([row])
+        (dump,) = table(DUMP_COLUMNS, he_clementi, [row])
         assert dump[DUMP_COLUMNS.index("light_as")] is None
 
     def test_superatomic_row_carries_complex_parts(self, he_clementi):
@@ -80,6 +81,28 @@ class TestRunSweep:
     def test_invalid_grids_rejected(self, he_clementi, bad_grid):
         with pytest.raises(ValueError):
             run_sweep(he_clementi, bad_grid)
+
+
+class TestColumnRegistry:
+    TUPLES = (harness.GEOMETRY_COLUMNS, harness.TIMES_COLUMNS, harness.DRIVE_COLUMNS,
+              DUMP_COLUMNS, *harness._FIGURE_COLUMNS.values(), harness.CATALOG_COLUMNS)
+
+    def test_every_tuple_name_is_registered_and_every_entry_used(self):
+        used = {name for columns in self.TUPLES for name in columns}
+        assert used == set(COLUMNS)
+
+    @pytest.mark.parametrize("f", [0.06, "f_a", 0.15])
+    def test_as_cells_are_au_twins_converted(self, he_clementi, f):
+        f = atomic_field_strength(he_clementi) if f == "f_a" else f
+        as_names = [n for n in COLUMNS if n.startswith("tau_") and n.endswith("_as")]
+        assert len(as_names) == 7
+        twins = [n[:-3] + "_au" for n in as_names]
+        (cells,) = table(as_names + twins, he_clementi, run_sweep(he_clementi, [f]))
+        for as_cell, au_cell in zip(cells, cells[len(as_names):]):
+            if au_cell is None:
+                assert as_cell is None
+            else:
+                assert as_cell == au_cell * CONSTANTS.au_time_in_attoseconds
 
 
 class TestLightTraversal:
