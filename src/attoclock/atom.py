@@ -42,6 +42,8 @@ class AtomModel:
             raise AtomConfigError("ip^2 / (4 z_eff) overflows; model rejected")
         if any(ch in self.name + self.source for ch in ',"\r\n'):   # they are CSV cells
             raise AtomConfigError(f"comma, quote or line break in atom {self.label()!r}")
+        if self.name.startswith("#"):   # it starts data rows, where '#' marks metadata
+            raise AtomConfigError(f"atom name {self.name!r} starts with '#'")
 
     def label(self) -> str:
         return f"{self.name}:{self.source}" if self.source else self.name

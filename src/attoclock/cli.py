@@ -15,7 +15,7 @@ from typing import Sequence
 from .atom import (AtomConfigError, AtomModel, LaserField, builtin_catalog,
                    catalog_lookup)
 from .barrier import Regime, RegimeError, solve_geometry
-from .clocks import compute_clocks, keldysh_gamma
+from .clocks import evaluate
 from .harness import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, ESTIMATORS,
                       FIGURES, GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS,
                       compare, emit_figure_data, load_measurements, render,
@@ -114,23 +114,21 @@ def cmd_geometry(args: argparse.Namespace) -> tuple[str, int]:
     atom = _resolve_atom(args)
     field = _resolve_field(args)
     _omega(args)                 # rejects a bad --wavelength, which geometry ignores
-    geom = solve_geometry(atom, field)
-    (values,) = table(GEOMETRY_COLUMNS, atom, [(geom, None, None)])
+    geometry = solve_geometry(atom, field.f_peak)
+    (values,) = table(GEOMETRY_COLUMNS, atom, [geometry])
     return (_render_record(GEOMETRY_COLUMNS, values, args),
-            EXIT_REGIME if geom.regime is Regime.SUPER_ATOMIC else EXIT_OK)
+            EXIT_REGIME if geometry.regime is Regime.SUPER_ATOMIC else EXIT_OK)
 
 
 def cmd_times(args: argparse.Namespace) -> tuple[str, int]:
     atom = _resolve_atom(args)
     field = _resolve_field(args)
-    geom = solve_geometry(atom, field)
-    clocks = compute_clocks(geom, atom)
     omega = _omega(args)
-    gamma = None if omega is None else keldysh_gamma(atom, field, omega)
+    point = evaluate(atom, field.f_peak, omega)
     columns = TIMES_COLUMNS if omega is None else TIMES_COLUMNS + DRIVE_COLUMNS
-    (values,) = table(columns, atom, [(geom, clocks, gamma)], omega)
+    (values,) = table(columns, atom, [point], omega)
     return (_render_record(columns, values, args),
-            EXIT_REGIME if geom.regime is Regime.SUPER_ATOMIC else EXIT_OK)
+            EXIT_REGIME if point.regime is Regime.SUPER_ATOMIC else EXIT_OK)
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
@@ -162,7 +160,7 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_catalog(args: argparse.Namespace) -> tuple[str, int]:
-    rows = [table(CATALOG_COLUMNS, a, [(None, None, None)])[0] for a in builtin_catalog()]
+    rows = [table(CATALOG_COLUMNS, a, [None])[0] for a in builtin_catalog()]
     return render(None, CATALOG_COLUMNS, rows, args.format, args.precision), EXIT_OK
 
 

@@ -1,6 +1,7 @@
-"""Tunneling-time estimators built on the time-energy uncertainty relation.
+"""One closed-form evaluation per (atom, field) point: the barrier geometry and
+every tunneling-time estimator built on the time-energy uncertainty relation.
 
-Every estimator is a closed form in the ionization potential and the barrier
+Every quantity is a closed form in the ionization potential and the barrier
 discriminant delta_z. Below barrier suppression all times are real; above it
 the barrier-crossing and approach times acquire conjugate imaginary parts
 while their sum stays real.
@@ -8,50 +9,39 @@ while their sum stays real.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 
-from .atom import AtomModel, LaserField
-from .barrier import BarrierGeometry, Regime
+from .atom import AtomModel
+from .barrier import Geometry, Regime, solve_geometry
 
-
-@dataclass(frozen=True)
-class TunnelClocks:
-    """All time estimators for one barrier geometry, in au.
-
-    Real-only entries are None above barrier suppression, where
-    ``complex_parts`` holds the (crossing, approach) pair instead.
-    """
-
-    tau_i: float | None        # time to reach the barrier entrance
-    tau_d: float | None        # time spent under the barrier
-    tau_sym: float             # total, tau_i + tau_d = ip / (4 z_eff F)
-    tau_unsy: float | None     # single-sided estimate, 2 * tau_d
-    tau_c: float               # first-order value at the classical exit, ip / (2F)
-    tau_t: float | None        # tau_d plus the critical-field approach term
-    tau_a: float               # ionization time at barrier suppression, 1 / ip
-    de_plus: float | None      # energy uncertainty at the exit point
-    de_minus: float | None     # energy uncertainty at the entrance point
-    complex_parts: tuple[complex, complex] | None = None
+# One point, in au: its Geometry, then the times. None marks what it lacks: above
+# barrier suppression the real-only times and energy uncertainties; at or below
+# it the complex crossing time tau_d_re + i tau_d_im (the approach time is its
+# conjugate); without omega, the adiabaticity parameter gamma.
+Point = collections.namedtuple(
+    "Point", Geometry._fields + ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c",
+                                 "tau_t", "tau_a", "de_plus", "de_minus", "tau_d_re",
+                                 "tau_d_im", "gamma"))
 
 
-def keldysh_gamma(atom: AtomModel, field: LaserField, omega: float) -> float:
-    """Adiabaticity parameter omega * sqrt(2 ip) / F."""
-    if not omega > 0:
+def evaluate(atom: AtomModel, f: float, omega: float | None = None) -> Point:
+    """Every quantity of README's closed-form table at field ``f`` (au), and
+    the adiabaticity parameter omega sqrt(2 ip) / F when ``omega`` is given."""
+    return compute_clocks(atom, solve_geometry(atom, f), omega)
+
+
+def compute_clocks(atom: AtomModel, geometry: Geometry,
+                   omega: float | None = None) -> Point:
+    """The point of a solved geometry: every time estimator, and gamma. The gap
+    ip - delta_z is taken as 4 z_eff F / (ip + delta_z), which weak fields do not
+    cancel away; above barrier suppression the crossing time is
+    1 / (2 (ip - i |delta_z|)). 4 z_eff F or the gap underflowing to 0 is an error."""
+    f, regime, dz, dzi = geometry[:4]
+    ip = atom.ip
+    if not (omega is None or omega > 0):
         raise ValueError(f"omega must be > 0, got {omega!r}")
-    return omega * math.sqrt(2.0 * atom.ip) / field.f_peak
-
-
-def compute_clocks(geom: BarrierGeometry, atom: AtomModel) -> TunnelClocks:
-    """Evaluate every estimator for one solved geometry.
-
-    Below and at barrier suppression the gap ip - delta_z is formed once,
-    rationalized to 4 z_eff F / (ip + delta_z) so that weak fields do not
-    cancel it away; the estimators and energy uncertainties are closed forms
-    in it. Above, the crossing and approach times are the conjugate pair
-    1 / (2 (ip -+ i delta_z'')) whose sum is the real tau_sym.
-    """
-    ip, f = atom.ip, geom.f
+    gamma = None if omega is None else omega * math.sqrt(2.0 * ip) / f
     z4f = 4.0 * atom.z_eff * f
     if z4f == 0.0:
         raise ValueError(f"at F={f!r} au 4 z_eff F underflows to 0, so tau_sym is not finite")
@@ -60,28 +50,15 @@ def compute_clocks(geom: BarrierGeometry, atom: AtomModel) -> TunnelClocks:
     # carries the effective charge, ip / (2 z_eff F).
     tau_c = ip / (2.0 * f)
     tau_a = 1.0 / ip
-    if geom.regime is Regime.SUPER_ATOMIC:
-        dzi = geom.delta_z_imag
+    if regime is Regime.SUPER_ATOMIC:
         den = 2.0 * (ip * ip + dzi * dzi)
-        re, im = ip / den, dzi / den
-        return TunnelClocks(tau_i=None, tau_d=None, tau_sym=tau_sym,
-                            tau_unsy=None, tau_c=tau_c, tau_t=None, tau_a=tau_a,
-                            de_plus=None, de_minus=None,
-                            complex_parts=(complex(re, im), complex(re, -im)))
-    ip_plus = ip + geom.delta_z
-    gap = ip if geom.delta_z == 0.0 else z4f / ip_plus
+        return Point._make(geometry + (None, None, tau_sym, None, tau_c, None, tau_a,
+                                       None, None, ip / den, dzi / den, gamma))
+    ip_plus = ip + dz
+    gap = ip if dz == 0.0 else z4f / ip_plus
     if gap == 0.0:
         raise ValueError(f"at F={f!r} au the gap 4 z_eff F / (ip + delta_z) "
                          "underflows to 0, so tau_d is not finite")
-    return TunnelClocks(
-        tau_i=0.5 / ip_plus,
-        tau_d=0.5 / gap,
-        tau_sym=tau_sym,
-        tau_unsy=1.0 / gap,
-        tau_c=tau_c,
-        tau_t=0.5 * (1.0 / ip + 1.0 / gap),
-        tau_a=tau_a,
-        de_plus=0.5 * gap,
-        de_minus=0.5 * ip_plus,
-        complex_parts=None,
-    )
+    return Point._make(geometry + (0.5 / ip_plus, 0.5 / gap, tau_sym, 1.0 / gap, tau_c,
+                                   0.5 * (1.0 / ip + 1.0 / gap), tau_a, 0.5 * gap,
+                                   0.5 * ip_plus, None, None, gamma))

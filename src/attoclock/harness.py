@@ -15,11 +15,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .atom import AtomModel, LaserField
-from .barrier import (BarrierGeometry, Regime, RegimeError, appearance_intensity,
-                      atomic_field_strength, solve_geometry)
-from .clocks import TunnelClocks, compute_clocks, keldysh_gamma
-from .units import CONSTANTS, au_time_to_attoseconds
+from .atom import AtomModel
+from .barrier import Regime, RegimeError, appearance_intensity, atomic_field_strength
+from .clocks import Point, evaluate
+from .units import CONSTANTS
 
 ESTIMATORS = ("tau_d", "tau_sym", "tau_unsy", "tau_t")
 
@@ -102,53 +101,54 @@ def _as(t: float | None) -> float | None:
     return None if t is None else t * CONSTANTS.au_time_in_attoseconds
 
 
-# Every output column, once: its value at one point from the atom, the point's
-# (geometry, clocks, gamma) row and the drive's omega. The suffix is the unit: _au
-# as computed, _as converted, none for text and counts. None: not in this regime.
+# Every output column, once: its value from the atom, the evaluated point and the
+# drive's omega. The suffix is the unit: _au as computed, _as converted, none for
+# text and counts. None: not in this regime.
 COLUMNS = {
-    "atom": lambda a, g, c, k, w: a.name,
-    "name": lambda a, g, c, k, w: a.name,
-    "source": lambda a, g, c, k, w: a.source,
-    "i_p_au": lambda a, g, c, k, w: a.ip,
-    "z_eff": lambda a, g, c, k, w: a.z_eff,
-    "f_a_au": lambda a, g, c, k, w: atomic_field_strength(a),
-    "i_a_au": lambda a, g, c, k, w: appearance_intensity(a),
-    "f_au": lambda a, g, c, k, w: g.f,
-    "regime": lambda a, g, c, k, w: g.regime.value,
-    "delta_z_au": lambda a, g, c, k, w: g.delta_z,
-    "delta_z_imag_au": lambda a, g, c, k, w: g.delta_z_imag,
-    "x_entrance_au": lambda a, g, c, k, w: g.x_entrance,
-    "x_peak_au": lambda a, g, c, k, w: g.x_peak,
-    "x_exit_au": lambda a, g, c, k, w: g.x_exit,
-    "x_classical_au": lambda a, g, c, k, w: g.x_classical,
-    "barrier_width_au": lambda a, g, c, k, w: g.barrier_width,
-    "d_b_au": lambda a, g, c, k, w: g.barrier_width,
-    "h_max_au": lambda a, g, c, k, w: g.h_max,
-    "tau_i_au": lambda a, g, c, k, w: c.tau_i,
-    "tau_i_as": lambda a, g, c, k, w: _as(c.tau_i),
-    "tau_d_au": lambda a, g, c, k, w: c.tau_d,
-    "tau_d_as": lambda a, g, c, k, w: _as(c.tau_d),
-    "tau_sym_au": lambda a, g, c, k, w: c.tau_sym,
-    "tau_sym_as": lambda a, g, c, k, w: _as(c.tau_sym),
-    "tau_unsy_au": lambda a, g, c, k, w: c.tau_unsy,
-    "tau_unsy_as": lambda a, g, c, k, w: _as(c.tau_unsy),
-    "tau_c_au": lambda a, g, c, k, w: c.tau_c,
-    "tau_c_as": lambda a, g, c, k, w: _as(c.tau_c),
-    "tau_t_au": lambda a, g, c, k, w: c.tau_t,
-    "tau_t_as": lambda a, g, c, k, w: _as(c.tau_t),
-    "tau_a_au": lambda a, g, c, k, w: c.tau_a,
-    "tau_a_as": lambda a, g, c, k, w: _as(c.tau_a),
-    "de_plus_au": lambda a, g, c, k, w: c.de_plus,
-    "de_minus_au": lambda a, g, c, k, w: c.de_minus,
+    "atom": lambda a, p, w: a.name,
+    "name": lambda a, p, w: a.name,
+    "source": lambda a, p, w: a.source,
+    "i_p_au": lambda a, p, w: a.ip,
+    "z_eff": lambda a, p, w: a.z_eff,
+    "f_a_au": lambda a, p, w: atomic_field_strength(a),
+    "i_a_au": lambda a, p, w: appearance_intensity(a),
+    "f_au": lambda a, p, w: p.f,
+    "regime": lambda a, p, w: p.regime.value,
+    "delta_z_au": lambda a, p, w: p.delta_z,
+    "delta_z_imag_au": lambda a, p, w: p.delta_z_imag,
+    "x_entrance_au": lambda a, p, w: p.x_entrance,
+    "x_peak_au": lambda a, p, w: p.x_peak,
+    "x_exit_au": lambda a, p, w: p.x_exit,
+    "x_classical_au": lambda a, p, w: p.x_classical,
+    "barrier_width_au": lambda a, p, w: p.barrier_width,
+    "d_b_au": lambda a, p, w: p.barrier_width,
+    "h_max_au": lambda a, p, w: p.h_max,
+    "tau_i_au": lambda a, p, w: p.tau_i,
+    "tau_i_as": lambda a, p, w: _as(p.tau_i),
+    "tau_d_au": lambda a, p, w: p.tau_d,
+    "tau_d_as": lambda a, p, w: _as(p.tau_d),
+    "tau_sym_au": lambda a, p, w: p.tau_sym,
+    "tau_sym_as": lambda a, p, w: _as(p.tau_sym),
+    "tau_unsy_au": lambda a, p, w: p.tau_unsy,
+    "tau_unsy_as": lambda a, p, w: _as(p.tau_unsy),
+    "tau_c_au": lambda a, p, w: p.tau_c,
+    "tau_c_as": lambda a, p, w: _as(p.tau_c),
+    "tau_t_au": lambda a, p, w: p.tau_t,
+    "tau_t_as": lambda a, p, w: _as(p.tau_t),
+    "tau_a_au": lambda a, p, w: p.tau_a,
+    "tau_a_as": lambda a, p, w: _as(p.tau_a),
+    "de_plus_au": lambda a, p, w: p.de_plus,
+    "de_minus_au": lambda a, p, w: p.de_minus,
     # Light-traversal time of the barrier; None without a real barrier.
-    "light_as": lambda a, g, c, k, w: (_as(g.barrier_width / CONSTANTS.speed_of_light)
-                                       if g.regime is Regime.SUB_ATOMIC else None),
-    "tau_d_re_au": lambda a, g, c, k, w: c.complex_parts and c.complex_parts[0].real,
-    "tau_d_im_au": lambda a, g, c, k, w: c.complex_parts and c.complex_parts[0].imag,
-    "tau_i_re_au": lambda a, g, c, k, w: c.complex_parts and c.complex_parts[1].real,
-    "tau_i_im_au": lambda a, g, c, k, w: c.complex_parts and c.complex_parts[1].imag,
-    "omega_au": lambda a, g, c, k, w: w,
-    "gamma_k": lambda a, g, c, k, w: k,
+    "light_as": lambda a, p, w: (_as(p.barrier_width / CONSTANTS.speed_of_light)
+                                 if p.regime is Regime.SUB_ATOMIC else None),
+    "tau_d_re_au": lambda a, p, w: p.tau_d_re,
+    "tau_d_im_au": lambda a, p, w: p.tau_d_im,
+    # The approach time is the conjugate; a zero imaginary part keeps its sign.
+    "tau_i_re_au": lambda a, p, w: p.tau_d_re,
+    "tau_i_im_au": lambda a, p, w: None if p.tau_d_im is None else -p.tau_d_im,
+    "omega_au": lambda a, p, w: w,
+    "gamma_k": lambda a, p, w: p.gamma,
 }
 
 GEOMETRY_COLUMNS = (
@@ -177,25 +177,19 @@ _FIGURE_COLUMNS = {
 CATALOG_COLUMNS = ("name", "source", "i_p_au", "z_eff", "f_a_au", "i_a_au")
 
 
-def table(columns: Sequence[str], atom: AtomModel, rows: Sequence[tuple],
+def table(columns: Sequence[str], atom: AtomModel, points: Sequence[Point | None],
           omega: float | None = None) -> list[list[object]]:
-    """One list of cells per ``(geometry, clocks, gamma)`` row, in ``columns``
-    order, each from its :data:`COLUMNS` entry."""
+    """One list of cells per point, in ``columns`` order, each from its
+    :data:`COLUMNS` entry. Columns that read only the atom take None points."""
     cells = [COLUMNS[name] for name in columns]
-    return [[cell(atom, g, c, k, omega) for cell in cells] for g, c, k in rows]
+    return [[cell(atom, p, omega) for cell in cells] for p in points]
 
 
 def run_sweep(atom: AtomModel, f_grid: Sequence[float],
-              omega: float | None = None,
-              ) -> list[tuple[BarrierGeometry, TunnelClocks, float | None]]:
-    """Evaluate geometry and every estimator over a field-strength grid.
-
-    Returns one ``(geometry, clocks, gamma)`` row per field, in au; a row's
-    field strength is ``geometry.f``. The grid must be strictly ascending
-    and positive. Rows above barrier suppression carry the complex
-    decomposition and no real crossing data. ``gamma`` is the adiabaticity
-    parameter when ``omega`` is given, else None.
-    """
+              omega: float | None = None) -> list[Point]:
+    """:func:`evaluate` at each field of a grid, which must be strictly
+    ascending and positive; ``omega`` gives every point its adiabaticity
+    parameter."""
     if len(f_grid) == 0:
         raise ValueError("field grid is empty")
     for i, f in enumerate(f_grid):
@@ -203,13 +197,7 @@ def run_sweep(atom: AtomModel, f_grid: Sequence[float],
             raise ValueError(f"grid value {f!r} is not a positive finite field")
         if i and not f > f_grid[i - 1]:
             raise ValueError("field grid must be strictly ascending with no duplicates")
-    rows = []
-    for f in f_grid:
-        field = LaserField.direct(f)
-        geom = solve_geometry(atom, field)
-        gamma = keldysh_gamma(atom, field, omega) if omega is not None else None
-        rows.append((geom, compute_clocks(geom, atom), gamma))
-    return rows
+    return [evaluate(atom, f, omega) for f in f_grid]
 
 
 class MeasurementFormatError(ValueError):
@@ -289,8 +277,7 @@ def compare(atom: AtomModel, estimator: str,
         raise ValueError("no measurement records given")
     residuals = []
     for record in data:
-        geom = solve_geometry(atom, LaserField.direct(record.f))
-        value = getattr(compute_clocks(geom, atom), estimator)
+        value = getattr(evaluate(atom, record.f), estimator)
         if value is None:
             warnings.warn(
                 f"record at F={record.f} is above barrier suppression; "
@@ -320,7 +307,7 @@ def compare(atom: AtomModel, estimator: str,
     )
 
 
-def figure_table(atom: AtomModel, rows: Sequence[tuple], figure: str,
+def figure_table(atom: AtomModel, rows: Sequence[Point], figure: str,
                  ) -> tuple[dict[str, str], tuple[str, ...], list[tuple[float, ...]]]:
     """Select and order the data behind one figure from ``atom``'s
     :func:`run_sweep` rows.
@@ -334,12 +321,12 @@ def figure_table(atom: AtomModel, rows: Sequence[tuple], figure: str,
     if not rows:
         raise ValueError("no sweep rows given")
     if figure == "fig4":
-        selected = [r for r in rows if r[0].regime is Regime.SUB_ATOMIC]
+        selected = [p for p in rows if p.regime is Regime.SUB_ATOMIC]
         if not selected:
             raise RegimeError("no real barrier in any sweep row; the width "
                               "table needs fields below barrier suppression")
     else:
-        selected = [r for r in rows if r[0].regime is not Regime.SUPER_ATOMIC]
+        selected = [p for p in rows if p.regime is not Regime.SUPER_ATOMIC]
         if not selected:
             raise RegimeError("all sweep rows lie above barrier suppression; "
                               "the single-sided and crossing times are complex there")
@@ -348,7 +335,7 @@ def figure_table(atom: AtomModel, rows: Sequence[tuple], figure: str,
         "source": atom.source,
         "z_eff": f"{atom.z_eff:.12g}",
         "i_p": f"{atom.ip:.12g}",
-        "grid": ",".join(f"{g.f:.12g}" for g, _, _ in rows),
+        "grid": ",".join(f"{p.f:.12g}" for p in rows),
         "constants": CONSTANTS.version,
     }
     columns = _FIGURE_COLUMNS[figure]
@@ -358,14 +345,14 @@ def figure_table(atom: AtomModel, rows: Sequence[tuple], figure: str,
 RESIDUAL_COLUMNS = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
 
 
-def emit_figure_data(atom: AtomModel, rows: Sequence[tuple], figure: str,
+def emit_figure_data(atom: AtomModel, rows: Sequence[Point], figure: str,
                      precision: int = 12, fmt: str = "csv") -> str:
     """One figure table as :func:`render` text. Columns are fixed per figure;
     the metadata records the atom, grid and constants-table version."""
     return render(*figure_table(atom, rows, figure), fmt, precision)
 
 
-def fit_width_relation(rows: Sequence[tuple]) -> WidthFit:
+def fit_width_relation(rows: Sequence[Point]) -> WidthFit:
     """Least-squares line of the barrier-crossing time (as) vs width (au)
     over the sub-atomic sweep rows.
 
@@ -374,8 +361,7 @@ def fit_width_relation(rows: Sequence[tuple]) -> WidthFit:
     1 / (2 ip) for any window of rows, and approaches it linearly in
     1 - F/F_a as the window shrinks toward F_a.
     """
-    pts = [(g.barrier_width, au_time_to_attoseconds(c.tau_d))
-           for g, c, _ in rows if g.regime is Regime.SUB_ATOMIC]
+    pts = [(p.barrier_width, _as(p.tau_d)) for p in rows if p.regime is Regime.SUB_ATOMIC]
     if len(pts) < 2:
         raise ValueError("need at least two sub-atomic rows for a line fit")
     n = len(pts)

@@ -2,12 +2,21 @@
 
 from hypothesis import strategies as st
 
-from attoclock.atom import AtomModel, LaserField
+from attoclock.atom import AtomModel
 from attoclock.barrier import atomic_field_strength
+from attoclock.harness import table
 
 
 def rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
+
+
+def complex_parts(point):
+    """(crossing, approach) times as their printed columns give them above
+    barrier suppression, or None."""
+    ((d_re, d_im, i_re, i_im),) = table(
+        ("tau_d_re_au", "tau_d_im_au", "tau_i_re_au", "tau_i_im_au"), None, [point])
+    return None if d_re is None else (complex(d_re, d_im), complex(i_re, i_im))
 
 
 @st.composite
@@ -21,9 +30,9 @@ def atom_models(draw) -> AtomModel:
 
 @st.composite
 def subatomic_cases(draw, lo: float = 0.01, hi: float = 0.999):
-    """An (atom, field) pair with the field a fixed fraction of the
+    """An (atom, field strength) pair with the field a fixed fraction of the
     barrier-suppression value, safely below it."""
     atom = draw(atom_models())
     frac = draw(st.floats(min_value=lo, max_value=hi,
                           allow_nan=False, allow_infinity=False))
-    return atom, LaserField.direct(frac * atomic_field_strength(atom))
+    return atom, frac * atomic_field_strength(atom)

@@ -9,15 +9,15 @@ import time
 
 import numpy as np
 
-from attoclock.atom import AtomModel, LaserField, catalog_lookup
+from attoclock.atom import AtomModel, catalog_lookup
 from attoclock.barrier import (atomic_field_strength, exit_points_oracle,
-                               signed_barrier_height, solve_geometry)
+                               signed_barrier_height)
 from attoclock.cli import main
-from attoclock.clocks import compute_clocks
+from attoclock.clocks import evaluate
 from attoclock.harness import (compare, emit_figure_data, figure_table,
                                fit_width_relation, load_measurements, run_sweep)
 from attoclock.units import au_time_to_attoseconds
-from helpers import rel_err
+from helpers import complex_parts, rel_err
 
 RNG_SEED = 20240614
 
@@ -38,14 +38,9 @@ def he_models():
     return catalog_lookup("He:clementi"), catalog_lookup("He:kullie")
 
 
-def evaluate(atom, f):
-    geom = solve_geometry(atom, LaserField.direct(f))
-    return geom, compute_clocks(geom, atom)
+def tau_d_as(point):
+    return au_time_to_attoseconds(point.tau_d)
 
-
-def tau_d_as(row):
-    _, clocks, _ = row
-    return au_time_to_attoseconds(clocks.tau_d)
 
 
 def oracle_grid(atom):
@@ -59,7 +54,7 @@ def test_criterion_1_critical_field_limits():
     rng = np.random.default_rng(RNG_SEED)
     worst = 0.0
     for atom in random_atoms(rng, 100):
-        _, clocks = evaluate(atom, atomic_field_strength(atom))
+        clocks = evaluate(atom, atomic_field_strength(atom))
         worst = max(worst,
                     rel_err(clocks.tau_sym, 1.0 / atom.ip),
                     rel_err(clocks.tau_d, 0.5 / atom.ip),
@@ -76,7 +71,7 @@ def test_criterion_2_decomposition_identity():
     worst_sum = worst_product = 0.0
     for atom in random_atoms(rng, 1000):
         f = rng.uniform(0.01, 0.999) * atomic_field_strength(atom)
-        _, clocks = evaluate(atom, f)
+        clocks = evaluate(atom, f)
         tau_sym = clocks.tau_sym
         worst_sum = max(worst_sum, rel_err(clocks.tau_i + clocks.tau_d, tau_sym))
         worst_product = max(worst_product, rel_err(
@@ -92,10 +87,9 @@ def test_criterion_3_geometry_oracle_equivalence():
     worst = 0.0
     for atom in he_models():
         for f in oracle_grid(atom):
-            field = LaserField.direct(f)
-            geom = solve_geometry(atom, field)
-            closed = (geom.x_entrance, geom.x_exit)
-            bisected = exit_points_oracle(atom, field, tol=1e-12)
+            point = evaluate(atom, f)
+            closed = (point.x_entrance, point.x_exit)
+            bisected = exit_points_oracle(atom, f, tol=1e-12)
             worst = max(worst, abs(closed[0] - bisected[0]),
                         abs(closed[1] - bisected[1]))
     elapsed = time.perf_counter() - start
@@ -108,16 +102,15 @@ def test_criterion_4_vieta_and_root_identities():
     worst_sum = worst_prod = worst_root = 0.0
     for atom in he_models():
         for f in oracle_grid(atom):
-            field = LaserField.direct(f)
-            geom = solve_geometry(atom, field)
-            x_minus, x_plus = geom.x_entrance, geom.x_exit
+            point = evaluate(atom, f)
+            x_minus, x_plus = point.x_entrance, point.x_exit
             worst_sum = max(worst_sum,
                             rel_err(x_minus + x_plus, atom.ip / f),
-                            rel_err(x_minus + x_plus, geom.x_classical))
+                            rel_err(x_minus + x_plus, point.x_classical))
             worst_prod = max(worst_prod, rel_err(x_minus * x_plus, atom.z_eff / f))
             worst_root = max(worst_root,
-                             abs(signed_barrier_height(x_minus, atom, field)) / atom.ip,
-                             abs(signed_barrier_height(x_plus, atom, field)) / atom.ip)
+                             abs(signed_barrier_height(x_minus, atom, f)) / atom.ip,
+                             abs(signed_barrier_height(x_plus, atom, f)) / atom.ip)
     ok = worst_sum <= 1e-12 and worst_prod <= 1e-12 and worst_root <= 1e-12
     assert report("C4 Vieta/root identities", ok,
                   f"sum {worst_sum:.2e}, prod {worst_prod:.2e}, root {worst_root:.2e}")
@@ -137,16 +130,15 @@ DERIVED_F006 = {
 
 def test_criterion_5_derived_value_reproduction():
     atom = catalog_lookup("He:clementi")
-    geom = solve_geometry(atom, LaserField.direct(0.06))
-    clocks = compute_clocks(geom, atom)
+    point = evaluate(atom, 0.06)
     got = {
-        "delta_z_au": geom.delta_z,
-        "x_minus_au": geom.x_entrance,
-        "x_plus_au": geom.x_exit,
-        "d_b_au": geom.barrier_width,
-        "tau_d_as": au_time_to_attoseconds(clocks.tau_d),
-        "tau_i_as": au_time_to_attoseconds(clocks.tau_i),
-        "tau_sym_as": au_time_to_attoseconds(clocks.tau_sym),
+        "delta_z_au": point.delta_z,
+        "x_minus_au": point.x_entrance,
+        "x_plus_au": point.x_exit,
+        "d_b_au": point.barrier_width,
+        "tau_d_as": au_time_to_attoseconds(point.tau_d),
+        "tau_i_as": au_time_to_attoseconds(point.tau_i),
+        "tau_sym_as": au_time_to_attoseconds(point.tau_sym),
     }
     worst = max(rel_err(got[key], expected) for key, expected in DERIVED_F006.items())
     ok = worst <= 1e-4
@@ -158,12 +150,12 @@ def test_criterion_6_expansion_property():
     for atom in he_models():
         fa = atomic_field_strength(atom)
         for f in np.geomspace(1e-6 * fa, fa / 100, 40):
-            _, clocks = evaluate(atom, float(f))
+            clocks = evaluate(atom, float(f))
             ratio = clocks.tau_unsy * (2.0 * atom.z_eff * f / atom.ip)
             worst_lo, worst_hi = min(worst_lo, ratio), max(worst_hi, ratio)
         # the stated first-order operation stays exactly ip / (2F)
         for f in (fa / 100, fa / 2, 0.06):
-            assert evaluate(atom, f)[1].tau_c == atom.ip / (2.0 * f)
+            assert evaluate(atom, f).tau_c == atom.ip / (2.0 * f)
     ok = 0.98 <= worst_lo and worst_hi <= 1.02
     assert report("C6 expansion property", ok,
                   f"ratio range [{worst_lo:.5f}, {worst_hi:.5f}]")
@@ -268,12 +260,11 @@ def test_criterion_8_superatomic_complex_decomposition():
     for atom in he_models():
         fa = atomic_field_strength(atom)
         for gap in np.geomspace(1e-9, 1.0, 50):
-            _, clocks = evaluate(atom, fa * (1.0 + float(gap)))
-            tau_d_c, tau_i_c = clocks.complex_parts
+            tau_d_c, tau_i_c = complex_parts(evaluate(atom, fa * (1.0 + float(gap))))
             worst = max(worst,
                         rel_err(tau_d_c.real, tau_i_c.real),
                         rel_err(tau_d_c.imag, -tau_i_c.imag))
-        tau_d_c, _ = evaluate(atom, fa * (1.0 + 1e-9))[1].complex_parts
+        tau_d_c, _ = complex_parts(evaluate(atom, fa * (1.0 + 1e-9)))
         worst_limit = max(worst_limit, abs(tau_d_c.real - 0.5 / atom.ip))
     ok = worst <= 1e-13 and worst_limit <= 1e-6
     assert report("C8 super-atomic complex decomposition", ok,
@@ -287,7 +278,7 @@ def test_criterion_9_harness_fixtures(tmp_path):
 
     def write(path, offset, err):
         lines = ["field_au,time_as,err_as"]
-        lines += [f"{row[0].f!r},{tau_d_as(row) + offset!r},{err!r}" for row in rows]
+        lines += [f"{row.f!r},{tau_d_as(row) + offset!r},{err!r}" for row in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return str(path)
 
@@ -331,7 +322,7 @@ def test_criterion_10_cli_end_to_end(tmp_path, capsys):
     rows = run_sweep(catalog_lookup("He:clementi"), [0.04, 0.06, 0.08])
     fixture.write_text(
         "field_au,time_as,err_as\n"
-        + "".join(f"{r[0].f!r},{tau_d_as(r)!r},1.0\n" for r in rows),
+        + "".join(f"{r.f!r},{tau_d_as(r)!r},1.0\n" for r in rows),
         encoding="utf-8")
     code, out = run("compare", "--atom", "He:clementi", "--estimator", "tau_d",
                     str(fixture))

@@ -59,6 +59,12 @@ class TestAtomModelValidation:
         with pytest.raises(AtomConfigError, match="line break"):
             AtomModel(name=name, ip=0.5, z_eff=1.0, source=source)
 
+    @pytest.mark.parametrize("name", ["#H", "# atom=He"])
+    def test_name_that_reads_as_metadata_rejected(self, name):
+        # a data row that starts with '#' is dropped as a metadata line
+        with pytest.raises(AtomConfigError, match="starts with '#'"):
+            AtomModel(name=name, ip=0.5, z_eff=1.0)
+
 
 class TestLaserField:
     def test_direct(self):

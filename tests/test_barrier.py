@@ -7,24 +7,23 @@ from decimal import Decimal, localcontext
 import pytest
 from hypothesis import given
 
-from attoclock.atom import AtomModel, LaserField
+from attoclock.atom import AtomModel
 from attoclock.barrier import (ATOMIC_BAND, Regime, RegimeError,
                                appearance_intensity, atomic_field_strength,
-                               barrier_peak_position, classify_regime,
-                               exit_points_oracle, signed_barrier_height,
-                               solve_geometry)
+                               classify_regime, exit_points_oracle,
+                               signed_barrier_height, solve_geometry)
 from helpers import rel_err, subatomic_cases
 
-F06 = LaserField.direct(0.06)
+F06 = 0.06
 
 
-def potential(x, atom, field):
+def potential(x, atom, f):
     """Combined potential -z_eff/x - x*F, read off the signed barrier height."""
-    return -atom.ip - signed_barrier_height(x, atom, field)
+    return -atom.ip - signed_barrier_height(x, atom, f)
 
 
-def crossings(atom, field):
-    geom = solve_geometry(atom, field)
+def crossings(atom, f):
+    geom = solve_geometry(atom, f)
     return geom.x_entrance, geom.x_exit
 
 # frozen from a 50-digit evaluation of the closed forms (He, ip=0.90357)
@@ -48,16 +47,16 @@ class TestEffectivePotential:
     def test_direct_substitution(self):
         hydrogen = AtomModel(name="H", ip=0.5, z_eff=1.0)
         # -ip + z_eff/x + x*F at x = 1
-        assert signed_barrier_height(1.0, hydrogen, LaserField.direct(0.1)) == 0.6
+        assert signed_barrier_height(1.0, hydrogen, 0.1) == 0.6
 
     def test_value_at_barrier_peak(self, he_clementi):
-        x_m = barrier_peak_position(he_clementi, F06)
+        x_m = solve_geometry(he_clementi, F06).x_peak
         assert rel_err(potential(x_m, he_clementi, F06),
                        CLEMENTI_F06["veff_peak"]) < 1e-12
 
     def test_coulomb_tail_approaches_zero_from_below(self):
         hydrogen = AtomModel(name="H", ip=0.5, z_eff=1.0)
-        weak = LaserField.direct(1e-300)
+        weak = 1e-300
         # -V(x) = z_eff/x + x*F, the signed height above the bound level
         values = [signed_barrier_height(x, hydrogen, weak) + hydrogen.ip
                   for x in (1e3, 1e6, 1e9)]
@@ -78,7 +77,7 @@ class TestBarrierHeight:
         assert abs(signed_barrier_height(x_plus, he_clementi, F06)) <= 1e-12 * he_clementi.ip
 
     def test_maximum_value(self, he_clementi):
-        x_m = barrier_peak_position(he_clementi, F06)
+        x_m = solve_geometry(he_clementi, F06).x_peak
         assert rel_err(abs(signed_barrier_height(x_m, he_clementi, F06)),
                        CLEMENTI_F06["h_max"]) < 1e-12
         assert rel_err(solve_geometry(he_clementi, F06).h_max,
@@ -87,7 +86,7 @@ class TestBarrierHeight:
     def test_peak_is_extremum_of_potential(self, he_clementi):
         # V is maximal at x_peak, so the signed height (-ip - V) is minimal
         # there and the absolute height is maximal between the crossings.
-        x_m = barrier_peak_position(he_clementi, F06)
+        x_m = solve_geometry(he_clementi, F06).x_peak
         h_peak = signed_barrier_height(x_m, he_clementi, F06)
         n = 10_000
         for i in range(n + 1):
@@ -105,19 +104,16 @@ class TestBarrierHeight:
 
 class TestBarrierPeak:
     def test_clementi_f006(self, he_clementi):
-        assert rel_err(barrier_peak_position(he_clementi, F06),
-                       CLEMENTI_F06["x_peak"]) < 1e-12
         assert rel_err(solve_geometry(he_clementi, F06).x_peak,
                        CLEMENTI_F06["x_peak"]) < 1e-12
 
     def test_unit_case(self):
         model = AtomModel(name="U", ip=1.0, z_eff=1.0)
-        assert barrier_peak_position(model, LaserField.direct(1.0)) == 1.0
+        assert solve_geometry(model, 1.0).x_peak == 1.0
 
     def test_peak_at_critical_field_is_2z_over_ip(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        assert rel_err(barrier_peak_position(he_clementi, LaserField.direct(fa)),
-                       X_A_CLEMENTI) < 1e-12
+        assert rel_err(solve_geometry(he_clementi, fa).x_peak, X_A_CLEMENTI) < 1e-12
 
 
 class TestAtomicFieldStrength:
@@ -134,14 +130,14 @@ class TestAtomicFieldStrength:
 
     def test_h_max_vanishes_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        geom = solve_geometry(he_clementi, LaserField.direct(fa))
+        geom = solve_geometry(he_clementi, fa)
         assert geom.h_max <= 1e-12
 
 
 class TestDeltaZ:
     def test_zero_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        geom = solve_geometry(he_clementi, LaserField.direct(fa))
+        geom = solve_geometry(he_clementi, fa)
         assert (geom.delta_z, geom.delta_z_imag) == (0.0, 0.0)
 
     def test_subatomic_value(self, he_clementi):
@@ -150,7 +146,7 @@ class TestDeltaZ:
         assert geom.delta_z_imag == 0.0
 
     def test_superatomic_value(self, he_clementi):
-        geom = solve_geometry(he_clementi, LaserField.direct(0.15))
+        geom = solve_geometry(he_clementi, 0.15)
         assert geom.delta_z == 0.0
         assert rel_err(geom.delta_z_imag, DZI_F015) < 1e-12
 
@@ -163,7 +159,7 @@ class TestExitPoints:
 
     def test_double_root_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        x_minus, x_plus = crossings(he_clementi, LaserField.direct(fa))
+        x_minus, x_plus = crossings(he_clementi, fa)
         assert x_minus == x_plus
         assert rel_err(x_minus, X_A_CLEMENTI) < 1e-12
 
@@ -173,7 +169,7 @@ class TestExitPoints:
 
     def test_superatomic_error_carries_complex_pair(self, he_clementi):
         # no real crossings: (ip -+ i delta_z'') / (2F) is left to the caller
-        geom = solve_geometry(he_clementi, LaserField.direct(0.15))
+        geom = solve_geometry(he_clementi, 0.15)
         assert geom.x_entrance is None and geom.x_exit is None
         assert rel_err(geom.delta_z_imag / (2 * geom.f), DZI_F015 / 0.3) < 1e-12
 
@@ -186,18 +182,18 @@ class TestExitPoints:
             ip, z, big_f = Decimal(he_clementi.ip), Decimal(he_clementi.z_eff), Decimal(f)
             dz = (ip * ip - 4 * z * big_f).sqrt()
             reference = (ip - dz) / (2 * big_f)
-        x_minus = solve_geometry(he_clementi, LaserField.direct(f)).x_entrance
+        x_minus = solve_geometry(he_clementi, f).x_entrance
         assert abs(Decimal(x_minus) - reference) / reference <= Decimal("1e-15")
 
     @given(subatomic_cases())
     def test_vieta_identities_and_root_property(self, case):
-        atom, field = case
-        x_minus, x_plus = crossings(atom, field)
+        atom, f = case
+        x_minus, x_plus = crossings(atom, f)
         assert 0 < x_minus <= x_plus
-        assert rel_err(x_minus + x_plus, atom.ip / field.f_peak) < 1e-12
-        assert rel_err(x_minus * x_plus, atom.z_eff / field.f_peak) < 1e-12
-        assert abs(signed_barrier_height(x_minus, atom, field)) <= 1e-12 * atom.ip
-        assert abs(signed_barrier_height(x_plus, atom, field)) <= 1e-12 * atom.ip
+        assert rel_err(x_minus + x_plus, atom.ip / f) < 1e-12
+        assert rel_err(x_minus * x_plus, atom.z_eff / f) < 1e-12
+        assert abs(signed_barrier_height(x_minus, atom, f)) <= 1e-12 * atom.ip
+        assert abs(signed_barrier_height(x_plus, atom, f)) <= 1e-12 * atom.ip
 
 
 class TestClassicalExit:
@@ -207,7 +203,7 @@ class TestClassicalExit:
 
     def test_unit_case(self):
         model = AtomModel(name="U", ip=1.0, z_eff=1.0)
-        assert solve_geometry(model, LaserField.direct(1.0)).x_classical == 1.0
+        assert solve_geometry(model, 1.0).x_classical == 1.0
 
 
 class TestBarrierWidth:
@@ -217,7 +213,7 @@ class TestBarrierWidth:
 
     def test_vanishes_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        assert solve_geometry(he_clementi, LaserField.direct(fa)).barrier_width == 0.0
+        assert solve_geometry(he_clementi, fa).barrier_width == 0.0
 
     def test_equals_exit_point_separation(self, he_clementi):
         geom = solve_geometry(he_clementi, F06)
@@ -225,36 +221,36 @@ class TestBarrierWidth:
 
     def test_strictly_decreasing_in_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        widths = [solve_geometry(he_clementi, LaserField.direct(frac * fa)).barrier_width
+        widths = [solve_geometry(he_clementi, frac * fa).barrier_width
                   for frac in [k / 200 for k in range(1, 200)]]
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
     def test_superatomic_error(self, he_clementi):
-        assert solve_geometry(he_clementi, LaserField.direct(0.15)).barrier_width is None
+        assert solve_geometry(he_clementi, 0.15).barrier_width is None
 
 
 class TestExitPointsOracle:
     @pytest.mark.parametrize("frac", [0.1, 0.4960, 0.9, 1 - 1e-6])
     def test_matches_closed_form(self, he_clementi, frac):
-        field = LaserField.direct(frac * atomic_field_strength(he_clementi))
-        closed = crossings(he_clementi, field)
-        bisected = exit_points_oracle(he_clementi, field, tol=1e-12)
+        f = frac * atomic_field_strength(he_clementi)
+        closed = crossings(he_clementi, f)
+        bisected = exit_points_oracle(he_clementi, f, tol=1e-12)
         assert abs(closed[0] - bisected[0]) <= 1e-10
         assert abs(closed[1] - bisected[1]) <= 1e-10
 
     def test_roots_inside_classical_exit(self, he_clementi):
-        field = LaserField.direct(0.9 * atomic_field_strength(he_clementi))
-        x_minus, x_plus = exit_points_oracle(he_clementi, field)
-        assert 0 < x_minus < x_plus < he_clementi.ip / field.f_peak
+        f = 0.9 * atomic_field_strength(he_clementi)
+        x_minus, x_plus = exit_points_oracle(he_clementi, f)
+        assert 0 < x_minus < x_plus < he_clementi.ip / f
 
     def test_near_degenerate_roots_straddle_peak(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        field = LaserField.direct(fa * (1 - 1e-6))
-        x_minus, x_plus = exit_points_oracle(he_clementi, field, tol=1e-13)
-        x_m = barrier_peak_position(he_clementi, field)
+        f = fa * (1 - 1e-6)
+        x_minus, x_plus = exit_points_oracle(he_clementi, f, tol=1e-13)
+        x_m = solve_geometry(he_clementi, f).x_peak
         assert x_minus < x_m < x_plus
         assert rel_err(x_plus - x_minus,
-                       solve_geometry(he_clementi, field).barrier_width) < 1e-4
+                       solve_geometry(he_clementi, f).barrier_width) < 1e-4
 
     def test_bad_tolerance(self, he_clementi):
         with pytest.raises(ValueError):
@@ -263,19 +259,19 @@ class TestExitPointsOracle:
     def test_degenerate_regime_rejected(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
         with pytest.raises(RegimeError):
-            exit_points_oracle(he_clementi, LaserField.direct(fa))
+            exit_points_oracle(he_clementi, fa)
 
 
 class TestRegimeClassification:
     def test_band_around_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        assert classify_regime(he_clementi, LaserField.direct(fa)) is Regime.ATOMIC
+        assert classify_regime(he_clementi, fa) is Regime.ATOMIC
         inside = fa * (1 + 0.5 * ATOMIC_BAND)
-        assert classify_regime(he_clementi, LaserField.direct(inside)) is Regime.ATOMIC
+        assert classify_regime(he_clementi, inside) is Regime.ATOMIC
         below = fa * (1 - 1e-9)
-        assert classify_regime(he_clementi, LaserField.direct(below)) is Regime.SUB_ATOMIC
+        assert classify_regime(he_clementi, below) is Regime.SUB_ATOMIC
         above = fa * (1 + 1e-9)
-        assert classify_regime(he_clementi, LaserField.direct(above)) is Regime.SUPER_ATOMIC
+        assert classify_regime(he_clementi, above) is Regime.SUPER_ATOMIC
 
 
 class TestSolveGeometry:
@@ -287,13 +283,13 @@ class TestSolveGeometry:
 
     def test_atomic_invariants(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        geom = solve_geometry(he_clementi, LaserField.direct(fa))
+        geom = solve_geometry(he_clementi, fa)
         assert geom.regime is Regime.ATOMIC
         assert geom.x_entrance == geom.x_peak == geom.x_exit
         assert geom.delta_z == 0.0 and geom.barrier_width == 0.0
 
     def test_superatomic_invariants(self, he_clementi):
-        geom = solve_geometry(he_clementi, LaserField.direct(0.15))
+        geom = solve_geometry(he_clementi, 0.15)
         assert geom.regime is Regime.SUPER_ATOMIC
         assert geom.x_entrance is None and geom.x_exit is None
         assert geom.barrier_width is None

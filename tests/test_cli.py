@@ -179,6 +179,16 @@ class TestAtomSelection:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "line break" in err
 
+    @pytest.mark.parametrize("command", [
+        ["times", "--field", "0.01"],
+        ["sweep", "--grid", "0.01,0.02"],
+    ])
+    def test_name_that_reads_as_metadata_exits_2(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--ip", "0.5", "--z-eff", "1",
+                                 "--name", "#H")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "starts with '#'" in err
+
 
 class TestSweepCommand:
     def test_fig3_nine_rows(self, capsys):
@@ -389,6 +399,17 @@ def test_non_finite_output_exits_2(capsys, tmp_path, argv, named):
     code, out, err = run_cli(capsys, *argv.split(), "--out", str(out_path))
     assert code == 2 and out == "" and not out_path.exists()
     assert err.count("\n") == 1 and named in err and "finite" in err
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    ("geometry --ip 1 --z-eff 1e-25 --field 1e-300", 0),          # 4 z_eff F is 0
+    ("geometry --ip 1e10 --z-eff 1e-20 --field 1e-298", 0),       # the gap is 0
+    ("geometry --ip 1e-170 --z-eff 1e-300 --field 1e-300", 3),    # both, above F_a
+])
+def test_geometry_needs_no_finite_times(capsys, argv, exit_code):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == exit_code and err == ""
+    assert len(out.splitlines()) == 2
 
 
 def test_module_entry_point():

@@ -4,13 +4,13 @@ critical field, and the complex decomposition above it."""
 import pytest
 from hypothesis import given
 
-from attoclock.atom import AtomModel, LaserField
-from attoclock.barrier import atomic_field_strength, solve_geometry
-from attoclock.clocks import compute_clocks, keldysh_gamma
+from attoclock.atom import AtomModel
+from attoclock.barrier import atomic_field_strength
+from attoclock.clocks import evaluate
 from attoclock.units import au_time_to_attoseconds, wavelength_to_angular_frequency
-from helpers import rel_err, subatomic_cases
+from helpers import complex_parts, rel_err, subatomic_cases
 
-F06 = LaserField.direct(0.06)
+F06 = 0.06
 
 # frozen from a 50-digit evaluation (He ip=0.90357, z_eff=1.6875)
 CLEMENTI_F06 = {
@@ -33,14 +33,9 @@ GAMMA_735_F006 = 1.3889064083278631
 GAMMA_735_F012 = 0.69445320416393153
 
 
-def clocks_at(atom, f):
-    geom = solve_geometry(atom, LaserField.direct(f))
-    return geom, compute_clocks(geom, atom)
-
-
 class TestFrozenValues:
     def test_clementi_f006(self, he_clementi):
-        _, clocks = clocks_at(he_clementi, 0.06)
+        clocks = evaluate(he_clementi, 0.06)
         for name, expected in CLEMENTI_F06.items():
             if name.endswith("_as"):
                 continue
@@ -53,53 +48,53 @@ class TestFrozenValues:
                        CLEMENTI_F06["tau_sym_as"]) < 1e-13
 
     def test_tau_delay_weak_and_strong_fields(self, he_clementi):
-        _, weak = clocks_at(he_clementi, 0.03)
+        weak = evaluate(he_clementi, 0.03)
         assert rel_err(weak.tau_d, TAU_D_F003) < 1e-13
         assert rel_err(au_time_to_attoseconds(weak.tau_d), 100.76369931555205) < 1e-13
-        _, strong = clocks_at(he_clementi, 0.11)
+        strong = evaluate(he_clementi, 0.11)
         assert rel_err(strong.tau_d, TAU_D_F011) < 1e-13
 
     def test_appearance_time(self, he_clementi):
-        _, clocks = clocks_at(he_clementi, 0.06)
+        clocks = evaluate(he_clementi, 0.06)
         assert rel_err(clocks.tau_a, CLEMENTI_F06["tau_a"]) < 1e-13
-        _, hydrogen = clocks_at(AtomModel(name="X", ip=0.5, z_eff=1.0), 0.01)
+        hydrogen = evaluate(AtomModel(name="X", ip=0.5, z_eff=1.0), 0.01)
         assert hydrogen.tau_a == 2.0
         assert abs(au_time_to_attoseconds(clocks.tau_a) - 26.77) < 5e-3
 
 
 class TestEnergyUncertainty:
     def test_at_exit_point(self, he_clementi):
-        geom, clocks = clocks_at(he_clementi, 0.06)
+        clocks = evaluate(he_clementi, 0.06)
         assert rel_err(clocks.de_plus, CLEMENTI_F06["de_plus"]) < 1e-12
         # the binding potential z_eff / x read at both crossings
-        assert rel_err(clocks.de_plus, he_clementi.z_eff / geom.x_exit) < 1e-12
-        assert rel_err(clocks.de_minus, he_clementi.z_eff / geom.x_entrance) < 1e-12
+        assert rel_err(clocks.de_plus, he_clementi.z_eff / clocks.x_exit) < 1e-12
+        assert rel_err(clocks.de_minus, he_clementi.z_eff / clocks.x_entrance) < 1e-12
         # same number from both printed forms of the identity
-        assert rel_err(clocks.de_plus, (he_clementi.ip - geom.delta_z) / 2) < 1e-12
+        assert rel_err(clocks.de_plus, (he_clementi.ip - clocks.delta_z) / 2) < 1e-12
 
     def test_at_critical_exit_is_half_ip(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        _, clocks = clocks_at(he_clementi, fa)
+        clocks = evaluate(he_clementi, fa)
         assert rel_err(clocks.de_plus, he_clementi.ip / 2) < 1e-12
         assert rel_err(clocks.de_minus, he_clementi.ip / 2) < 1e-12
 
     def test_unit_case(self):
         # ip = z_eff = 1 at F = 3/16: delta_z = 1/2 and the crossings are
         # 4/3 and 4, all exact in binary
-        _, clocks = clocks_at(AtomModel(name="U", ip=1.0, z_eff=1.0), 0.1875)
+        clocks = evaluate(AtomModel(name="U", ip=1.0, z_eff=1.0), 0.1875)
         assert clocks.de_plus == 0.25
         assert clocks.de_minus == 0.75
 
     def test_domain_error(self, he_clementi):
         # no real crossing to read the binding potential at above F_a
-        _, clocks = clocks_at(he_clementi, 0.15)
+        clocks = evaluate(he_clementi, 0.15)
         assert clocks.de_plus is None and clocks.de_minus is None
 
 
 class TestCriticalFieldLimits:
     def test_all_estimators(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        _, clocks = clocks_at(he_clementi, fa)
+        clocks = evaluate(he_clementi, fa)
         ip = he_clementi.ip
         assert rel_err(clocks.tau_d, 1 / (2 * ip)) < 1e-13
         assert rel_err(clocks.tau_i, 1 / (2 * ip)) < 1e-13
@@ -112,41 +107,40 @@ class TestCriticalFieldLimits:
 class TestIdentities:
     @given(subatomic_cases())
     def test_symmetric_decomposition(self, case):
-        atom, field = case
-        clocks = compute_clocks(solve_geometry(atom, field), atom)
+        atom, f = case
+        clocks = evaluate(atom, f)
         assert rel_err(clocks.tau_i + clocks.tau_d, clocks.tau_sym) < 1e-13
 
     @given(subatomic_cases())
     def test_hyperbola_law(self, case):
-        atom, field = case
-        clocks = compute_clocks(solve_geometry(atom, field), atom)
-        product = clocks.tau_sym * (4.0 * atom.z_eff * field.f_peak)
+        atom, f = case
+        clocks = evaluate(atom, f)
+        product = clocks.tau_sym * (4.0 * atom.z_eff * f)
         assert rel_err(product, atom.ip) < 1e-13
 
     @given(subatomic_cases())
     def test_unsymmetric_is_twice_delay(self, case):
-        atom, field = case
-        clocks = compute_clocks(solve_geometry(atom, field), atom)
+        atom, f = case
+        clocks = evaluate(atom, f)
         assert clocks.tau_unsy == 2.0 * clocks.tau_d
 
     @given(subatomic_cases())
     def test_energy_uncertainty_double_identity(self, case):
-        atom, field = case
-        geom = solve_geometry(atom, field)
-        clocks = compute_clocks(geom, atom)
-        assert rel_err(clocks.de_plus * (atom.ip + geom.delta_z),
-                       2.0 * atom.z_eff * field.f_peak) < 1e-13
-        assert rel_err(clocks.de_plus, (atom.ip - geom.delta_z) / 2.0) < 1e-13
+        atom, f = case
+        clocks = evaluate(atom, f)
+        assert rel_err(clocks.de_plus * (atom.ip + clocks.delta_z),
+                       2.0 * atom.z_eff * f) < 1e-13
+        assert rel_err(clocks.de_plus, (atom.ip - clocks.delta_z) / 2.0) < 1e-13
 
     @given(subatomic_cases())
     def test_orderings(self, case):
-        atom, field = case
-        clocks = compute_clocks(solve_geometry(atom, field), atom)
+        atom, f = case
+        clocks = evaluate(atom, f)
         assert clocks.tau_i <= clocks.tau_d
         assert clocks.tau_t >= clocks.tau_sym
 
     def test_sum_identity_at_f006(self, he_clementi):
-        geom, clocks = clocks_at(he_clementi, 0.06)
+        clocks = evaluate(he_clementi, 0.06)
         assert rel_err(clocks.tau_i + clocks.tau_d, clocks.tau_sym) < 1e-13
 
 
@@ -156,7 +150,7 @@ class TestMonotonicity:
         fractions = [k / 100 for k in range(1, 101)]
         delays, initials = [], []
         for frac in fractions:
-            _, clocks = clocks_at(he_clementi, frac * fa)
+            clocks = evaluate(he_clementi, frac * fa)
             delays.append(clocks.tau_d)
             initials.append(clocks.tau_i)
         assert all(a > b for a, b in zip(delays, delays[1:]))
@@ -165,11 +159,11 @@ class TestMonotonicity:
 
 class TestClassicalFirstOrder:
     def test_verbatim_form(self, he_clementi):
-        _, clocks = clocks_at(he_clementi, 0.06)
+        clocks = evaluate(he_clementi, 0.06)
         assert clocks.tau_c == he_clementi.ip / (2 * 0.06)
 
     def test_unit_case(self):
-        _, clocks = clocks_at(AtomModel(name="U", ip=1.0, z_eff=1.0), 0.5)
+        clocks = evaluate(AtomModel(name="U", ip=1.0, z_eff=1.0), 0.5)
         assert clocks.tau_c == 1.0
 
     @pytest.mark.parametrize("fixture", ["he_clementi", "he_kullie"])
@@ -181,64 +175,64 @@ class TestClassicalFirstOrder:
         fa = atomic_field_strength(atom)
         for exponent in range(0, 9):
             f = fa / 100 * 10 ** (-exponent / 2)
-            _, clocks = clocks_at(atom, f)
+            clocks = evaluate(atom, f)
             ratio = clocks.tau_unsy * (2 * atom.z_eff * f / atom.ip)
             assert 0.98 <= ratio <= 1.02
 
 
 class TestComplexRegime:
     def test_frozen_values_f015(self, he_clementi):
-        _, clocks = clocks_at(he_clementi, 0.15)
-        tau_d_c, tau_i_c = clocks.complex_parts
+        clocks = evaluate(he_clementi, 0.15)
+        tau_d_c, tau_i_c = complex_parts(clocks)
         assert rel_err(tau_d_c.real, COMPLEX_F015["re"]) < 1e-13
         assert rel_err(tau_d_c.imag, COMPLEX_F015["im"]) < 1e-13
         assert tau_i_c == tau_d_c.conjugate()
 
     def test_sum_is_real_symmetric_time(self, he_clementi):
-        _, clocks = clocks_at(he_clementi, 0.15)
-        tau_d_c, tau_i_c = clocks.complex_parts
+        clocks = evaluate(he_clementi, 0.15)
+        tau_d_c, tau_i_c = complex_parts(clocks)
         total = tau_d_c + tau_i_c
         assert total.imag == 0.0
         assert rel_err(total.real, clocks.tau_sym) < 1e-13
 
     def test_continuity_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        _, clocks = clocks_at(he_clementi, fa * (1 + 1e-9))
-        tau_d_c, _ = clocks.complex_parts
+        clocks = evaluate(he_clementi, fa * (1 + 1e-9))
+        tau_d_c, _ = complex_parts(clocks)
         assert abs(tau_d_c.real - 1 / (2 * he_clementi.ip)) <= 1e-6
         assert 0 < tau_d_c.imag < 1e-4
 
     def test_real_estimators_refuse_superatomic(self, he_clementi):
-        _, clocks = clocks_at(he_clementi, 0.15)
+        clocks = evaluate(he_clementi, 0.15)
         for name in ("tau_d", "tau_i", "tau_unsy", "tau_t"):
             assert getattr(clocks, name) is None, name
 
     def test_complex_times_refuses_subatomic(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
         for f in (0.06, fa):
-            _, clocks = clocks_at(he_clementi, f)
-            assert clocks.complex_parts is None
+            clocks = evaluate(he_clementi, f)
+            assert complex_parts(clocks) is None
 
     def test_compute_clocks_superatomic_payload(self, he_clementi):
-        _, clocks = clocks_at(he_clementi, 0.15)
+        clocks = evaluate(he_clementi, 0.15)
         assert clocks.tau_d is None and clocks.tau_i is None
         assert clocks.tau_unsy is None and clocks.tau_t is None
-        assert clocks.complex_parts is not None
+        assert complex_parts(clocks) is not None
         assert clocks.tau_sym > 0 and clocks.tau_a > 0
 
 
 class TestKeldyshGamma:
     def test_experiment_wavelength(self, he_clementi):
         omega = wavelength_to_angular_frequency(735.0)
-        assert rel_err(keldysh_gamma(he_clementi, F06, omega),
+        assert rel_err(evaluate(he_clementi, F06, omega).gamma,
                        GAMMA_735_F006) < 1e-12
-        assert rel_err(keldysh_gamma(he_clementi, LaserField.direct(0.12), omega),
+        assert rel_err(evaluate(he_clementi, 0.12, omega).gamma,
                        GAMMA_735_F012) < 1e-12
 
     def test_vanishes_for_strong_fields(self, he_clementi):
         omega = wavelength_to_angular_frequency(735.0)
-        assert keldysh_gamma(he_clementi, LaserField.direct(1e6), omega) < 1e-6
+        assert evaluate(he_clementi, 1e6, omega).gamma < 1e-6
 
     def test_invalid_omega(self, he_clementi):
-        with pytest.raises(ValueError):
-            keldysh_gamma(he_clementi, F06, 0.0)
+        with pytest.raises(ValueError, match="omega must be > 0"):
+            evaluate(he_clementi, F06, 0.0)

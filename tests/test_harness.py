@@ -18,13 +18,12 @@ from helpers import rel_err
 GRID_9 = [0.03 + 0.01 * k for k in range(9)]   # 0.03 .. 0.11
 
 
-def tau_d_as(row):
-    _, clocks, _ = row
-    return au_time_to_attoseconds(clocks.tau_d)
+def tau_d_as(point):
+    return au_time_to_attoseconds(point.tau_d)
 
 
-def light_as(atom, row):
-    _, _, ((_, _, light),) = figure_table(atom, [row], "fig4")
+def light_as(atom, point):
+    _, _, ((_, _, light),) = figure_table(atom, [point], "fig4")
     return light
 
 
@@ -42,9 +41,8 @@ def write_measurement_csv(path, rows, header="field_au,time_as,err_lo_as,err_hi_
 class TestRunSweep:
     def test_nine_rows_sorted_subatomic(self, rows9):
         assert len(rows9) == 9
-        geoms = [geom for geom, _, _ in rows9]
-        assert all(a.f < b.f for a, b in zip(geoms, geoms[1:]))
-        assert all(geom.regime is Regime.SUB_ATOMIC for geom in geoms)
+        assert all(a.f < b.f for a, b in zip(rows9, rows9[1:]))
+        assert all(point.regime is Regime.SUB_ATOMIC for point in rows9)
 
     def test_delay_endpoints(self, rows9):
         assert rel_err(tau_d_as(rows9[0]), 100.76369931555205) < 1e-12
@@ -56,25 +54,24 @@ class TestRunSweep:
 
     def test_single_critical_field_row(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        (row,) = run_sweep(he_clementi, [fa])
-        geom, clocks, _ = row
-        assert geom.regime is Regime.ATOMIC
-        assert geom.barrier_width == 0.0
-        assert rel_err(clocks.tau_sym, 1 / he_clementi.ip) < 1e-13
-        (dump,) = table(DUMP_COLUMNS, he_clementi, [row])
+        (point,) = run_sweep(he_clementi, [fa])
+        assert point.regime is Regime.ATOMIC
+        assert point.barrier_width == 0.0
+        assert rel_err(point.tau_sym, 1 / he_clementi.ip) < 1e-13
+        (dump,) = table(DUMP_COLUMNS, he_clementi, [point])
         assert dump[DUMP_COLUMNS.index("light_as")] is None
 
     def test_superatomic_row_carries_complex_parts(self, he_clementi):
-        ((geom, clocks, _),) = run_sweep(he_clementi, [0.15])
-        assert geom.regime is Regime.SUPER_ATOMIC
-        assert clocks.complex_parts is not None
-        assert clocks.tau_d is None
-        assert geom.x_exit is None
+        (point,) = run_sweep(he_clementi, [0.15])
+        assert point.regime is Regime.SUPER_ATOMIC
+        assert point.tau_d_re is not None and point.tau_d_im is not None
+        assert point.tau_d is None
+        assert point.x_exit is None
 
     def test_gamma_column(self, he_clementi):
         omega = wavelength_to_angular_frequency(735.0)
-        ((_, _, gamma),) = run_sweep(he_clementi, [0.06], omega=omega)
-        assert rel_err(gamma, 1.3889064083278631) < 1e-12
+        (point,) = run_sweep(he_clementi, [0.06], omega=omega)
+        assert rel_err(point.gamma, 1.3889064083278631) < 1e-12
 
     @pytest.mark.parametrize("bad_grid", [[], [0.06, 0.05], [0.05, 0.05],
                                           [-0.01], [0.0], [float("nan")]])
@@ -202,7 +199,7 @@ class TestLoadMeasurements:
 
 class TestCompare:
     def test_self_comparison_is_exact(self, he_clementi, rows9, tmp_path):
-        data = [(r[0].f, tau_d_as(r), 0.0, 0.0) for r in rows9]
+        data = [(r.f, tau_d_as(r), 0.0, 0.0) for r in rows9]
         path = write_measurement_csv(tmp_path / "self.csv", data)
         report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.rms == 0.0
@@ -211,7 +208,7 @@ class TestCompare:
         assert report.n_skipped == 0
 
     def test_unit_offset_gives_unit_rms(self, he_clementi, rows9, tmp_path):
-        data = [(r[0].f, tau_d_as(r) + 1.0, 2.0, 2.0) for r in rows9]
+        data = [(r.f, tau_d_as(r) + 1.0, 2.0, 2.0) for r in rows9]
         path = write_measurement_csv(tmp_path / "off.csv", data)
         report = compare(he_clementi, "tau_d", load_measurements(path))
         assert abs(report.rms - 1.0) < 1e-9
@@ -220,19 +217,19 @@ class TestCompare:
         assert all(abs(r + 1.0) < 1e-9 for _, _, _, r, _ in report.residuals)
 
     def test_offset_beyond_bars(self, he_clementi, rows9, tmp_path):
-        data = [(r[0].f, tau_d_as(r) + 5.0, 2.0, 2.0) for r in rows9]
+        data = [(r.f, tau_d_as(r) + 5.0, 2.0, 2.0) for r in rows9]
         path = write_measurement_csv(tmp_path / "far.csv", data)
         report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.fraction_within_bars == 0.0
 
     def test_asymmetric_bars_use_larger(self, he_clementi, rows9, tmp_path):
-        data = [(rows9[0][0].f, tau_d_as(rows9[0]) + 3.0, 1.0, 4.0)]
+        data = [(rows9[0].f, tau_d_as(rows9[0]) + 3.0, 1.0, 4.0)]
         path = write_measurement_csv(tmp_path / "asym.csv", data)
         report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.fraction_within_bars == 1.0
 
     def test_superatomic_record_skipped_with_warning(self, he_clementi, rows9, tmp_path):
-        data = [(rows9[0][0].f, tau_d_as(rows9[0]), 1.0, 1.0),
+        data = [(rows9[0].f, tau_d_as(rows9[0]), 1.0, 1.0),
                 (0.15, 10.0, 1.0, 1.0)]
         path = write_measurement_csv(tmp_path / "mix.csv", data)
         with pytest.warns(UserWarning, match="skipped"):
