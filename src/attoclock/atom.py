@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
-from dataclasses import dataclass
 
 from .units import elliptical_peak_field, intensity_to_field
 
@@ -23,52 +23,53 @@ class FieldOrigin(enum.Enum):
     FROM_F0_ELLIPTICITY = "from_f0_ellipticity"
 
 
-@dataclass(frozen=True)
-class AtomModel:
-    """One-electron model of the bound system: ionization potential plus the
-    effective nuclear charge the tunneling electron sees."""
+class AtomModel(collections.namedtuple("AtomModel", "name ip z_eff source")):
+    """One-electron model of the bound system: ionization potential (au) plus the
+    effective nuclear charge the tunneling electron sees, and its provenance."""
 
-    name: str
-    ip: float          # ionization potential, au
-    z_eff: float       # effective nuclear charge, dimensionless
-    source: str = ""   # provenance of the z_eff parameterization
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.ip) and self.ip > 0):
-            raise AtomConfigError(f"ip must be finite and > 0, got {self.ip!r}")
-        if not (math.isfinite(self.z_eff) and self.z_eff > 0):
-            raise AtomConfigError(f"z_eff must be finite and > 0, got {self.z_eff!r}")
-        if not math.isfinite(self.ip * self.ip / (4.0 * self.z_eff)):
+    def __new__(cls, name: str, ip: float, z_eff: float, source: str = "") -> "AtomModel":
+        self = super().__new__(cls, name, ip, z_eff, source)
+        if not (math.isfinite(ip) and ip > 0):
+            raise AtomConfigError(f"ip must be finite and > 0, got {ip!r}")
+        if not (math.isfinite(z_eff) and z_eff > 0):
+            raise AtomConfigError(f"z_eff must be finite and > 0, got {z_eff!r}")
+        if not math.isfinite(ip * ip / (4.0 * z_eff)):
             raise AtomConfigError("ip^2 / (4 z_eff) overflows; model rejected")
-        if any(ch in self.name + self.source for ch in ',"\r\n'):   # they are CSV cells
+        if any(ch in name + source for ch in ',"\r\n'):   # they are CSV cells
             raise AtomConfigError(f"comma, quote or line break in atom {self.label()!r}")
-        if self.name.startswith("#"):   # it starts data rows, where '#' marks metadata
-            raise AtomConfigError(f"atom name {self.name!r} starts with '#'")
+        if name.startswith("#"):   # it starts data rows, where '#' marks metadata
+            raise AtomConfigError(f"atom name {name!r} starts with '#'")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))   # _replace validates too
 
     def label(self) -> str:
         return f"{self.name}:{self.source}" if self.source else self.name
 
 
-@dataclass(frozen=True)
-class LaserField:
-    """Peak field strength of the drive, with provenance of how it was set."""
+class LaserField(collections.namedtuple("LaserField", "f_peak ellipticity f0 origin")):
+    """Peak field strength (au) of the drive, with provenance of how it was set;
+    f0 is the major-axis amplitude when elliptical."""
 
-    f_peak: float                        # field strength at pulse maximum, au
-    ellipticity: float | None = None
-    f0: float | None = None              # major-axis amplitude when elliptical
-    origin: FieldOrigin = FieldOrigin.DIRECT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.f_peak) and self.f_peak > 0):
-            raise ValueError(f"f_peak must be finite and > 0, got {self.f_peak!r}")
-        if self.ellipticity is not None and not 0.0 <= self.ellipticity <= 1.0:
-            raise ValueError(f"ellipticity must be in [0, 1], got {self.ellipticity!r}")
-        if self.origin is FieldOrigin.FROM_F0_ELLIPTICITY:
-            if self.f0 is None or self.ellipticity is None:
+    def __new__(cls, f_peak: float, ellipticity: float | None = None, f0: float | None = None,
+                origin: FieldOrigin = FieldOrigin.DIRECT) -> "LaserField":
+        if not (math.isfinite(f_peak) and f_peak > 0):
+            raise ValueError(f"f_peak must be finite and > 0, got {f_peak!r}")
+        if ellipticity is not None and not 0.0 <= ellipticity <= 1.0:
+            raise ValueError(f"ellipticity must be in [0, 1], got {ellipticity!r}")
+        if origin is FieldOrigin.FROM_F0_ELLIPTICITY:
+            if f0 is None or ellipticity is None:
                 raise ValueError("elliptical origin requires f0 and ellipticity")
-            expected = elliptical_peak_field(self.f0, self.ellipticity)
-            if abs(self.f_peak - expected) > 1e-14 * expected:
+            expected = elliptical_peak_field(f0, ellipticity)
+            if abs(f_peak - expected) > 1e-14 * expected:
                 raise ValueError("f_peak inconsistent with f0 / sqrt(1 + eps^2)")
+        return super().__new__(cls, f_peak, ellipticity, f0, origin)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))   # _replace validates too
 
     @classmethod
     def direct(cls, f_peak: float) -> "LaserField":

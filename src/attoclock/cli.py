@@ -18,7 +18,7 @@ from .barrier import Regime, RegimeError, solve_geometry
 from .clocks import evaluate
 from .harness import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, ESTIMATORS,
                       FIGURES, GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS,
-                      compare, emit_figure_data, load_measurements, render,
+                      check_finite, compare, emit_figure_data, load_measurements, render,
                       run_sweep, table)
 from .units import wavelength_to_angular_frequency
 
@@ -36,10 +36,10 @@ def _write_output(text: str, args: argparse.Namespace) -> None:
 
 
 def _render_record(columns: Sequence[str], values: list, args: argparse.Namespace) -> str:
-    text = render(None, columns, [values], "csv", args.precision)  # refuses inf, nan
     if args.format == "json":
+        check_finite(columns, [values])
         return json.dumps(dict(zip(columns, values)), indent=2) + "\n"
-    return text
+    return render(None, columns, [values], "csv", args.precision)
 
 
 def _resolve_atom(args: argparse.Namespace) -> AtomModel:
@@ -60,12 +60,12 @@ def _resolve_field(args: argparse.Namespace) -> LaserField:
     if sum(modes) != 1:
         raise ValueError("choose exactly one of --field, --field-from-intensity, "
                          "--f0 (with --ellipticity)")
+    if (args.f0 is None) != (args.ellipticity is None):
+        raise ValueError("--f0 and --ellipticity must be given together")
     if args.field is not None:
         return LaserField.direct(args.field)
     if args.field_from_intensity is not None:
         return LaserField.from_intensity(args.field_from_intensity)
-    if args.ellipticity is None:
-        raise ValueError("--f0 requires --ellipticity")
     return LaserField.from_f0_ellipticity(args.f0, args.ellipticity)
 
 

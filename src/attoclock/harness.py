@@ -8,11 +8,12 @@ It also scores model curves against measured points and renders every table.
 
 from __future__ import annotations
 
+import collections
 import csv
+import io
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 from .atom import AtomModel
@@ -25,48 +26,42 @@ ESTIMATORS = ("tau_d", "tau_sym", "tau_unsy", "tau_t")
 FIGURES = ("fig2", "fig3", "fig4")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One ingested reference data point with asymmetric error bars."""
+class MeasurementRecord(collections.namedtuple("MeasurementRecord",
+                                               "f t err_lo err_hi source")):
+    """One ingested reference data point: field (au), time and asymmetric error bars (as)."""
 
-    f: float          # au
-    t: float          # as
-    err_lo: float     # as
-    err_hi: float     # as
-    source: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.f) and self.f > 0):
-            raise ValueError(f"field must be finite and > 0, got {self.f!r}")
-        if not (math.isfinite(self.t)):
-            raise ValueError(f"time must be finite, got {self.t!r}")
-        if not all(math.isfinite(e) and e >= 0 for e in (self.err_lo, self.err_hi)):
+    def __new__(cls, f: float, t: float, err_lo: float, err_hi: float,
+                source: str = "") -> "MeasurementRecord":
+        if not (math.isfinite(f) and f > 0):
+            raise ValueError(f"field must be finite and > 0, got {f!r}")
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t!r}")
+        if not all(math.isfinite(e) and e >= 0 for e in (err_lo, err_hi)):
             raise ValueError("error bars must be finite and >= 0")
+        return super().__new__(cls, f, t, err_lo, err_hi, source)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))   # _replace validates too
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Residual statistics of a model curve against measured points, with
-    one residual row per used record in :data:`RESIDUAL_COLUMNS` order."""
+# Residual statistics of a model curve against measured points, with one
+# residual row per used record in RESIDUAL_COLUMNS order.
+ComparisonReport = collections.namedtuple(
+    "ComparisonReport", "model_id estimator residuals rms max_abs fraction_within_bars "
+                        "n_records n_skipped")
 
-    model_id: str
-    estimator: str
-    residuals: tuple[tuple[float, float, float, float, int], ...]
-    rms: float
-    max_abs: float
-    fraction_within_bars: float
-    n_records: int
-    n_skipped: int
+# Least-squares line through (barrier width, crossing time) points.
+WidthFit = collections.namedtuple("WidthFit",
+                                  "slope_as_per_au intercept_as r_squared n_points")
 
 
-@dataclass(frozen=True)
-class WidthFit:
-    """Least-squares line through (barrier width, crossing time) points."""
-
-    slope_as_per_au: float
-    intercept_as: float
-    r_squared: float
-    n_points: int
+def check_finite(columns: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+    """Refuse a float cell that is not finite, naming its column."""
+    for row in rows:
+        for column, value in zip(columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{column} is {value!r}, not a finite number")
 
 
 def render(meta: dict[str, str] | None, columns: Sequence[str],
@@ -89,10 +84,7 @@ def render(meta: dict[str, str] | None, columns: Sequence[str],
     # How a non-finite float prints. Searching the text is cheaper than testing
     # every cell, which is done only on a hit (a text cell can hold the word).
     if any(word in text for word in words):
-        for row in rows:
-            for column, value in zip(columns, row):
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(f"{column} is {value!r}, not a finite number")
+        check_finite(columns, rows)
     return text + "\n"
 
 
@@ -217,43 +209,43 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
     yields an empty list. Rows out of field order are accepted with a
     warning.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise MeasurementFormatError(f"{path}: missing header line") from None
-        if header in (_HEADER_4, _HEADER_4 + ["source"]):
-            symmetric = False
-        elif header in (_HEADER_3, _HEADER_3 + ["source"]):
-            symmetric = True
-        else:
-            expected = f"{','.join(_HEADER_4)}[,source] or {','.join(_HEADER_3)}[,source]"
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MeasurementFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [c.strip() for c in next(reader)]
+    except StopIteration:
+        raise MeasurementFormatError(f"{path}: missing header line") from None
+    if header in (_HEADER_4, _HEADER_4 + ["source"]):
+        symmetric = False
+    elif header in (_HEADER_3, _HEADER_3 + ["source"]):
+        symmetric = True
+    else:
+        expected = f"{','.join(_HEADER_4)}[,source] or {','.join(_HEADER_3)}[,source]"
+        raise MeasurementFormatError(
+            f"{path}: line 1: bad header {','.join(header)!r}; expected {expected}")
+    records = []
+    for row in reader:
+        line = reader.line_num
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
             raise MeasurementFormatError(
-                f"{path}: line 1: bad header {','.join(header)!r}; expected {expected}")
-        records = []
-        for row in reader:
-            line = reader.line_num
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise MeasurementFormatError(
-                    f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
-            try:
-                values = [float(c) for c in row[: len(header) - (header[-1] == "source")]]
-            except ValueError as exc:
-                raise MeasurementFormatError(f"{path}: line {line}: {exc}") from None
-            source = row[-1].strip() if header[-1] == "source" else ""
-            if symmetric:
-                f, t, err = values
-                err_lo = err_hi = err
-            else:
-                f, t, err_lo, err_hi = values
-            try:
-                records.append(MeasurementRecord(f=f, t=t, err_lo=err_lo,
-                                                 err_hi=err_hi, source=source))
-            except ValueError as exc:
-                raise MeasurementFormatError(f"{path}: line {line}: {exc}") from None
+                f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
+        try:
+            values = [float(c) for c in row[: len(header) - (header[-1] == "source")]]
+        except ValueError as exc:
+            raise MeasurementFormatError(f"{path}: line {line}: {exc}") from None
+        source = row[-1].strip() if header[-1] == "source" else ""
+        if symmetric:
+            values.append(values[2])      # one bar for both sides
+        try:
+            records.append(MeasurementRecord(*values, source))
+        except ValueError as exc:
+            raise MeasurementFormatError(f"{path}: line {line}: {exc}") from None
     if any(b.f <= a.f for a, b in zip(records, records[1:])):
         warnings.warn(f"{path}: field values are not strictly increasing; "
                       "records were re-sorted", stacklevel=2)
@@ -371,7 +363,5 @@ def fit_width_relation(rows: Sequence[Point]) -> WidthFit:
     syy = math.fsum((y - y_mean) ** 2 for _, y in pts)
     sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in pts)
     slope = sxy / sxx
-    return WidthFit(slope_as_per_au=slope,
-                    intercept_as=y_mean - slope * x_mean,
-                    r_squared=(sxy * sxy) / (sxx * syy),
-                    n_points=n)
+    return WidthFit(slope_as_per_au=slope, intercept_as=y_mean - slope * x_mean,
+                    r_squared=(sxy * sxy) / (sxx * syy), n_points=n)

@@ -6,32 +6,15 @@ W/cm^2 appear only when reading laser parameters or printing results.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Frozen conversion table (CODATA 2018). Single source of truth for
-    every unit factor in the package."""
-
-    au_time_in_attoseconds: float
-    speed_of_light: float            # in au (inverse fine-structure constant)
-    intensity_au_in_w_per_cm2: float
-    bohr_radius_nm: float
-    version: str = "codata2018"
-
-    def __post_init__(self) -> None:
-        for name in ("au_time_in_attoseconds", "speed_of_light",
-                     "intensity_au_in_w_per_cm2", "bohr_radius_nm"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"constant {name} must be finite and positive")
-        if not 24.18 <= self.au_time_in_attoseconds <= 24.20:
-            raise ValueError("au_time_in_attoseconds outside [24.18, 24.20]")
-        if not 137.0 <= self.speed_of_light <= 137.1:
-            raise ValueError("speed_of_light outside [137.0, 137.1] au")
-
+# Conversion table (CODATA 2018), the single source of truth for every unit factor
+# in the package. speed_of_light is in au (the inverse fine-structure constant).
+PhysicalConstants = collections.namedtuple(
+    "PhysicalConstants", "au_time_in_attoseconds speed_of_light "
+                         "intensity_au_in_w_per_cm2 bohr_radius_nm version",
+    defaults=("codata2018",))
 
 CONSTANTS = PhysicalConstants(
     au_time_in_attoseconds=24.188843265857,       # hbar / E_h, in as

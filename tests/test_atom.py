@@ -65,6 +65,11 @@ class TestAtomModelValidation:
         with pytest.raises(AtomConfigError, match="starts with '#'"):
             AtomModel(name=name, ip=0.5, z_eff=1.0)
 
+    def test_replace_validates(self, he_clementi):
+        assert he_clementi._replace(source="X") == AtomModel("He", HE_IP_AU, 1.6875, "X")
+        with pytest.raises(AtomConfigError, match="ip must be finite and > 0"):
+            he_clementi._replace(ip=-1.0)
+
 
 class TestLaserField:
     def test_direct(self):
@@ -94,3 +99,7 @@ class TestLaserField:
     def test_ellipticity_range(self):
         with pytest.raises(ValueError):
             LaserField.from_f0_ellipticity(0.1, 1.5)
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError, match="ellipticity must be in"):
+            LaserField.direct(0.06)._replace(ellipticity=1.5)

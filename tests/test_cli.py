@@ -105,6 +105,12 @@ class TestTimesCommand:
                                "--f0", "0.1")
         assert code == 2 and "ellipticity" in err
 
+    def test_ellipticity_without_f0_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "times", "--atom", "He:clementi",
+                                 "--field", "0.06", "--ellipticity", "0.5")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "--f0" in err
+
     def test_negative_f0_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "times", "--atom", "He:clementi",
                                  "--f0", "-1", "--ellipticity", "0.5")
@@ -376,6 +382,7 @@ class TestArgparseBehavior:
 
 @pytest.mark.parametrize("argv,named", [
     ("times --atom He:clementi --field 1e-300 --wavelength 1e-20", "gamma_k"),
+    ("times --atom He:clementi --field 1e-300 --wavelength 1e-20 --format json", "gamma_k"),
     ("geometry --atom He:clementi --field 1e-320", "x_peak_au"),
     ("geometry --atom He:clementi --field 1e-320 --format json", "x_peak_au"),
     ("times --atom He:clementi --field 1e-308", "tau_d_as"),
@@ -417,6 +424,12 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Clementi" in proc.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = "import sys, attoclock.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "set()\n"
 
 
 # CLI fuzz: argv built from the real subcommands and flags. Every value is

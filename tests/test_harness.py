@@ -196,6 +196,16 @@ class TestLoadMeasurements:
             records = load_measurements(path)
         assert [r.f for r in records] == [0.060, 0.080]
 
+    def test_non_utf8_file_is_named(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"field_au,time_as,err_as\n0.06,45.0,8.0\xff\n")
+        with pytest.raises(MeasurementFormatError, match=r"m\.csv: not UTF-8"):
+            load_measurements(str(path))
+
+    def test_record_replace_validates(self):
+        with pytest.raises(ValueError, match="error bars must be finite and >= 0"):
+            MeasurementRecord(f=0.06, t=45.0, err_lo=8.0, err_hi=8.0)._replace(err_lo=-1.0)
+
 
 class TestCompare:
     def test_self_comparison_is_exact(self, he_clementi, rows9, tmp_path):

