@@ -125,17 +125,25 @@ def solve_geometry(atom: AtomModel, f: float) -> Geometry:
     :func:`attoclock.clocks.evaluate`. delta_z = sqrt(ip^2 - 4 z_eff F) is real
     below barrier suppression and imaginary above, where the crossings leave the
     real axis. The entrance (ip - delta_z) / (2F) is taken as 2 z_eff / (ip +
-    delta_z), which weak fields do not cancel away."""
+    delta_z), which weak fields do not cancel away. Where 4 z_eff F overflows,
+    delta_z'' and h_max are taken from its root, which does not."""
     if not (math.isfinite(f) and f > 0):
         raise ValueError(f"f_peak must be finite and > 0, got {f!r}")
     regime = classify_regime(atom, f)
     ip, z_eff = atom.ip, atom.z_eff
     z4f = 4.0 * z_eff * f
     x_peak = math.sqrt(z_eff / f)
+    if x_peak < 1.5e-154:           # z_eff / F may be subnormal, with bits lost
+        x_peak = math.sqrt(z_eff) / math.sqrt(f)
     h_max = abs(-ip + math.sqrt(z4f))
     x_c = ip / f                      # classical exit, binding potential neglected
     disc = ip * ip - z4f
     if regime is Regime.SUPER_ATOMIC:
+        if z4f == math.inf:
+            # 4 z_eff F overflows, but not its root s: delta_z'' = sqrt((s - ip)(s + ip)).
+            s = 2.0 * math.sqrt(z_eff) * math.sqrt(f)
+            return Geometry(f, regime, 0.0, math.sqrt(s - ip) * math.sqrt(s + ip), None,
+                            x_peak, None, x_c, None, s - ip)
         return Geometry(f, regime, 0.0, math.sqrt(max(-disc, 0.0)), None, x_peak, None,
                         x_c, None, h_max)
     if regime is Regime.ATOMIC:

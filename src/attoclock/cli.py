@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage/config/parse error, 3 field-regime error
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Sequence
@@ -18,8 +17,8 @@ from .barrier import Regime, RegimeError, solve_geometry
 from .clocks import evaluate
 from .harness import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, ESTIMATORS,
                       FIGURES, GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS,
-                      check_finite, compare, emit_figure_data, load_measurements, render,
-                      run_sweep, table)
+                      check_finite, compare, emit_figure_data, iter_sweep, load_measurements,
+                      render, run_sweep, table)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -37,8 +36,10 @@ def _write_output(text: str, args: argparse.Namespace) -> None:
 
 def _render_record(columns: Sequence[str], values: list, args: argparse.Namespace) -> str:
     if args.format == "json":
-        check_finite(columns, [values])
-        return json.dumps(dict(zip(columns, values)), indent=2) + "\n"
+        import json
+        record = dict(zip(columns, values))
+        check_finite([record])
+        return json.dumps(record, indent=2) + "\n"
     return render(None, columns, [values], "csv", args.precision)
 
 
@@ -134,12 +135,13 @@ def cmd_times(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     atom = _resolve_atom(args)
     grid = parse_grid(args.grid)
-    rows = run_sweep(atom, grid, omega=_omega(args))
+    omega = _omega(args)
     if args.figure:
-        return (emit_figure_data(atom, rows, args.figure, args.precision, args.format),
-                EXIT_OK)
-    return render(None, DUMP_COLUMNS, table(DUMP_COLUMNS, atom, rows), args.format,
-                  args.precision), EXIT_OK
+        return (emit_figure_data(atom, run_sweep(atom, grid, omega), args.figure,
+                                 args.precision, args.format), EXIT_OK)
+    points = iter_sweep(atom, grid, omega)    # lazy: the dump holds only its text
+    return render(None, DUMP_COLUMNS, table(DUMP_COLUMNS, atom, points, omega),
+                  args.format, args.precision), EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
@@ -160,7 +162,7 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_catalog(args: argparse.Namespace) -> tuple[str, int]:
-    rows = [table(CATALOG_COLUMNS, a, [None])[0] for a in builtin_catalog()]
+    rows = [next(table(CATALOG_COLUMNS, a, [None])) for a in builtin_catalog()]
     return render(None, CATALOG_COLUMNS, rows, args.format, args.precision), EXIT_OK
 
 

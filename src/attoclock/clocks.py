@@ -36,7 +36,8 @@ def compute_clocks(atom: AtomModel, geometry: Geometry,
     """The point of a solved geometry: every time estimator, and gamma. The gap
     ip - delta_z is taken as 4 z_eff F / (ip + delta_z), which weak fields do not
     cancel away; above barrier suppression the crossing time is
-    1 / (2 (ip - i |delta_z|)). 4 z_eff F or the gap underflowing to 0 is an error."""
+    1 / (2 (ip - i |delta_z|)), taken through sqrt(4 z_eff F) where 4 z_eff F
+    overflows. 4 z_eff F or the gap underflowing to 0 is an error."""
     f, regime, dz, dzi = geometry[:4]
     ip = atom.ip
     if not (omega is None or omega > 0):
@@ -48,10 +49,16 @@ def compute_clocks(atom: AtomModel, geometry: Geometry,
     tau_sym = ip / z4f
     # Verbatim first-order term; the weak-field limit of tau_unsy itself
     # carries the effective charge, ip / (2 z_eff F).
-    tau_c = ip / (2.0 * f)
+    tau_c = ip / f * 0.5              # halved last: 2F can overflow
     tau_a = 1.0 / ip
     if regime is Regime.SUPER_ATOMIC:
         den = 2.0 * (ip * ip + dzi * dzi)
+        if den == math.inf:
+            # 2 (ip^2 + dzi^2) = 2 (4 z_eff F) overflows, but not s = sqrt(4 z_eff F).
+            s = 2.0 * math.sqrt(atom.z_eff) * math.sqrt(f)
+            return Point._make(geometry + (None, None, ip / s / s, None, tau_c, None,
+                                           tau_a, None, None, 0.5 * (ip / s) / s,
+                                           0.5 * (dzi / s) / s, gamma))
         return Point._make(geometry + (None, None, tau_sym, None, tau_c, None, tau_a,
                                        None, None, ip / den, dzi / den, gamma))
     ip_plus = ip + dz

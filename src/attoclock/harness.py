@@ -9,12 +9,11 @@ It also scores model curves against measured points and renders every table.
 from __future__ import annotations
 
 import collections
-import csv
 import io
-import json
 import math
 import warnings
-from typing import Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .atom import AtomModel
 from .barrier import Regime, RegimeError, appearance_intensity, atomic_field_strength
@@ -56,92 +55,109 @@ WidthFit = collections.namedtuple("WidthFit",
                                   "slope_as_per_au intercept_as r_squared n_points")
 
 
-def check_finite(columns: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def check_finite(records: Iterable[dict[str, object]]) -> None:
     """Refuse a float cell that is not finite, naming its column."""
-    for row in rows:
-        for column, value in zip(columns, row):
+    for record in records:
+        for column, value in record.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{column} is {value!r}, not a finite number")
 
 
 def render(meta: dict[str, str] | None, columns: Sequence[str],
-           rows: Sequence[Sequence[object]], fmt: str, precision: int) -> str:
+           rows: Iterable[Sequence[object]], fmt: str, precision: int) -> str:
     """One table as CSV (``# key=value`` metadata lines, header, rows) or
     JSON (a list of row objects, or ``{"meta": ..., "rows": [...]}`` with
-    metadata). A float cell that is not finite is an error naming its column."""
+    metadata). ``rows`` is consumed once, so it may be lazy. A float cell
+    that is not finite is an error naming its column."""
     if fmt == "json":
+        import json
         records = [dict(zip(columns, row)) for row in rows]
         text = json.dumps({"meta": meta, "rows": records} if meta else records, indent=2)
-        words = ("Infinity", "NaN")
-    else:
-        spec = f".{precision}g"
-        lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
-        lines.append(",".join(columns))
-        lines += [",".join(["" if v is None else format(v, spec) if isinstance(v, float)
-                            else str(v) for v in row]) for row in rows]
-        text = "\n".join(lines)
-        words = ("inf", "nan")
-    # How a non-finite float prints. Searching the text is cheaper than testing
-    # every cell, which is done only on a hit (a text cell can hold the word).
-    if any(word in text for word in words):
-        check_finite(columns, rows)
-    return text + "\n"
+        # How a non-finite float prints. Searching the text is cheaper than testing
+        # every cell, which is done only on a hit (a text cell can hold the word).
+        if "Infinity" in text or "NaN" in text:
+            check_finite(records)
+        return text + "\n"
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
+    lines.append(",".join(columns))
+    spec = f"%.{precision}g"
+    templates: dict[tuple[type, ...], str] = {}   # one per pattern of cell types
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "%.0s" if kind is type(None) else spec if issubclass(kind, float) else "%s"
+                for kind in kinds)
+        line = template % tuple(row)
+        # Every non-finite float prints with an "n" (inf, nan), so only such a
+        # line has its cells tested (a text cell can hold the letter too).
+        if "n" in line:
+            check_finite([dict(zip(columns, row))])
+        lines.append(line)
+    lines.append("")
+    return "\n".join(lines)
 
 
-def _as(t: float | None) -> float | None:
-    """``t`` (au) in as; a non-finite ``t`` stays non-finite, for render to refuse."""
-    return None if t is None else t * CONSTANTS.au_time_in_attoseconds
+_AS = "(None if {0} is None else {0} * K)"     # the au time {0} in as
 
-
-# Every output column, once: its value from the atom, the evaluated point and the
-# drive's omega. The suffix is the unit: _au as computed, _as converted, none for
-# text and counts. None: not in this regime.
+# Every output column, once: its value as an expression over the atom ``a``, the
+# evaluated point ``p`` and the drive's omega ``w``, with the names of _NAMESPACE.
+# The suffix is the unit: _au as computed, _as converted, none for text and
+# counts. None: not in this regime.
 COLUMNS = {
-    "atom": lambda a, p, w: a.name,
-    "name": lambda a, p, w: a.name,
-    "source": lambda a, p, w: a.source,
-    "i_p_au": lambda a, p, w: a.ip,
-    "z_eff": lambda a, p, w: a.z_eff,
-    "f_a_au": lambda a, p, w: atomic_field_strength(a),
-    "i_a_au": lambda a, p, w: appearance_intensity(a),
-    "f_au": lambda a, p, w: p.f,
-    "regime": lambda a, p, w: p.regime.value,
-    "delta_z_au": lambda a, p, w: p.delta_z,
-    "delta_z_imag_au": lambda a, p, w: p.delta_z_imag,
-    "x_entrance_au": lambda a, p, w: p.x_entrance,
-    "x_peak_au": lambda a, p, w: p.x_peak,
-    "x_exit_au": lambda a, p, w: p.x_exit,
-    "x_classical_au": lambda a, p, w: p.x_classical,
-    "barrier_width_au": lambda a, p, w: p.barrier_width,
-    "d_b_au": lambda a, p, w: p.barrier_width,
-    "h_max_au": lambda a, p, w: p.h_max,
-    "tau_i_au": lambda a, p, w: p.tau_i,
-    "tau_i_as": lambda a, p, w: _as(p.tau_i),
-    "tau_d_au": lambda a, p, w: p.tau_d,
-    "tau_d_as": lambda a, p, w: _as(p.tau_d),
-    "tau_sym_au": lambda a, p, w: p.tau_sym,
-    "tau_sym_as": lambda a, p, w: _as(p.tau_sym),
-    "tau_unsy_au": lambda a, p, w: p.tau_unsy,
-    "tau_unsy_as": lambda a, p, w: _as(p.tau_unsy),
-    "tau_c_au": lambda a, p, w: p.tau_c,
-    "tau_c_as": lambda a, p, w: _as(p.tau_c),
-    "tau_t_au": lambda a, p, w: p.tau_t,
-    "tau_t_as": lambda a, p, w: _as(p.tau_t),
-    "tau_a_au": lambda a, p, w: p.tau_a,
-    "tau_a_as": lambda a, p, w: _as(p.tau_a),
-    "de_plus_au": lambda a, p, w: p.de_plus,
-    "de_minus_au": lambda a, p, w: p.de_minus,
+    "atom": "a.name",
+    "name": "a.name",
+    "source": "a.source",
+    "i_p_au": "a.ip",
+    "z_eff": "a.z_eff",
+    "f_a_au": "atomic_field_strength(a)",
+    "i_a_au": "appearance_intensity(a)",
+    "f_au": "p.f",
+    "regime": "p.regime.value",
+    "delta_z_au": "p.delta_z",
+    "delta_z_imag_au": "p.delta_z_imag",
+    "x_entrance_au": "p.x_entrance",
+    "x_peak_au": "p.x_peak",
+    "x_exit_au": "p.x_exit",
+    "x_classical_au": "p.x_classical",
+    "barrier_width_au": "p.barrier_width",
+    "d_b_au": "p.barrier_width",
+    "h_max_au": "p.h_max",
+    "tau_i_au": "p.tau_i",
+    "tau_i_as": _AS.format("p.tau_i"),
+    "tau_d_au": "p.tau_d",
+    "tau_d_as": _AS.format("p.tau_d"),
+    "tau_sym_au": "p.tau_sym",
+    "tau_sym_as": _AS.format("p.tau_sym"),
+    "tau_unsy_au": "p.tau_unsy",
+    "tau_unsy_as": _AS.format("p.tau_unsy"),
+    "tau_c_au": "p.tau_c",
+    "tau_c_as": _AS.format("p.tau_c"),
+    "tau_t_au": "p.tau_t",
+    "tau_t_as": _AS.format("p.tau_t"),
+    "tau_a_au": "p.tau_a",
+    "tau_a_as": _AS.format("p.tau_a"),
+    "de_plus_au": "p.de_plus",
+    "de_minus_au": "p.de_minus",
     # Light-traversal time of the barrier; None without a real barrier.
-    "light_as": lambda a, p, w: (_as(p.barrier_width / CONSTANTS.speed_of_light)
-                                 if p.regime is Regime.SUB_ATOMIC else None),
-    "tau_d_re_au": lambda a, p, w: p.tau_d_re,
-    "tau_d_im_au": lambda a, p, w: p.tau_d_im,
+    "light_as": "(p.barrier_width / C * K if p.regime is SUB_ATOMIC else None)",
+    "tau_d_re_au": "p.tau_d_re",
+    "tau_d_im_au": "p.tau_d_im",
     # The approach time is the conjugate; a zero imaginary part keeps its sign.
-    "tau_i_re_au": lambda a, p, w: p.tau_d_re,
-    "tau_i_im_au": lambda a, p, w: None if p.tau_d_im is None else -p.tau_d_im,
-    "omega_au": lambda a, p, w: w,
-    "gamma_k": lambda a, p, w: p.gamma,
+    "tau_i_re_au": "p.tau_d_re",
+    "tau_i_im_au": "(None if p.tau_d_im is None else -p.tau_d_im)",
+    "omega_au": "w",
+    "gamma_k": "p.gamma",
 }
+# Every name a COLUMNS expression reads, bound once; nothing else is in scope.
+_NAMESPACE = {
+    "__builtins__": {}, "K": CONSTANTS.au_time_in_attoseconds,
+    "C": CONSTANTS.speed_of_light, "SUB_ATOMIC": Regime.SUB_ATOMIC,
+    "atomic_field_strength": atomic_field_strength,
+    "appearance_intensity": appearance_intensity,
+}
+_ROW_FUNCTIONS: dict[tuple[str, ...], Callable[..., tuple]] = {}
 
 GEOMETRY_COLUMNS = (
     "atom", "source", "i_p_au", "z_eff", "f_au", "f_a_au", "i_a_au", "regime",
@@ -169,19 +185,27 @@ _FIGURE_COLUMNS = {
 CATALOG_COLUMNS = ("name", "source", "i_p_au", "z_eff", "f_a_au", "i_a_au")
 
 
-def table(columns: Sequence[str], atom: AtomModel, points: Sequence[Point | None],
-          omega: float | None = None) -> list[list[object]]:
-    """One list of cells per point, in ``columns`` order, each from its
-    :data:`COLUMNS` entry. Columns that read only the atom take None points."""
-    cells = [COLUMNS[name] for name in columns]
-    return [[cell(atom, p, omega) for cell in cells] for p in points]
+def table(columns: Sequence[str], atom: AtomModel, points: Iterable[Point | None],
+          omega: float | None = None) -> Iterator[tuple]:
+    """Lazily, one tuple of cells per point, in ``columns`` order, each from its
+    :data:`COLUMNS` entry. Columns that read only the atom take None points.
+
+    The entries are compiled into one row function per column tuple, the way
+    :func:`collections.namedtuple` builds its methods, and kept for reuse. Its
+    source holds only COLUMNS expressions, so an unknown name is a KeyError."""
+    columns = tuple(columns)
+    row = _ROW_FUNCTIONS.get(columns)
+    if row is None:
+        cells = "".join(f"{COLUMNS[name]}, " for name in columns)
+        row = _ROW_FUNCTIONS[columns] = eval(f"lambda a, p, w: ({cells})", _NAMESPACE)
+    return map(row, repeat(atom), points, repeat(omega))
 
 
-def run_sweep(atom: AtomModel, f_grid: Sequence[float],
-              omega: float | None = None) -> list[Point]:
-    """:func:`evaluate` at each field of a grid, which must be strictly
-    ascending and positive; ``omega`` gives every point its adiabaticity
-    parameter."""
+def iter_sweep(atom: AtomModel, f_grid: Sequence[float],
+               omega: float | None = None) -> Iterator[Point]:
+    """:func:`evaluate` lazily at each field of a grid. The whole grid is
+    checked first: it must be strictly ascending and positive. ``omega`` gives
+    every point its adiabaticity parameter."""
     if len(f_grid) == 0:
         raise ValueError("field grid is empty")
     for i, f in enumerate(f_grid):
@@ -189,7 +213,13 @@ def run_sweep(atom: AtomModel, f_grid: Sequence[float],
             raise ValueError(f"grid value {f!r} is not a positive finite field")
         if i and not f > f_grid[i - 1]:
             raise ValueError("field grid must be strictly ascending with no duplicates")
-    return [evaluate(atom, f, omega) for f in f_grid]
+    return map(evaluate, repeat(atom), f_grid, repeat(omega))
+
+
+def run_sweep(atom: AtomModel, f_grid: Sequence[float],
+              omega: float | None = None) -> list[Point]:
+    """Every point of :func:`iter_sweep`, as a list."""
+    return list(iter_sweep(atom, f_grid, omega))
 
 
 class MeasurementFormatError(ValueError):
@@ -209,6 +239,7 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
     yields an empty list. Rows out of field order are accepted with a
     warning.
     """
+    import csv
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -275,7 +306,7 @@ def compare(atom: AtomModel, estimator: str,
                 f"record at F={record.f} is above barrier suppression; "
                 f"{estimator} has no real value there; point skipped", stacklevel=2)
             continue
-        model = _as(value)
+        model = value * CONSTANTS.au_time_in_attoseconds
         if not math.isfinite(model):
             raise ValueError(f"record at F={record.f!r}: {estimator} is "
                              f"{model!r} as, not a finite number")
@@ -300,7 +331,7 @@ def compare(atom: AtomModel, estimator: str,
 
 
 def figure_table(atom: AtomModel, rows: Sequence[Point], figure: str,
-                 ) -> tuple[dict[str, str], tuple[str, ...], list[tuple[float, ...]]]:
+                 ) -> tuple[dict[str, str], tuple[str, ...], list[tuple]]:
     """Select and order the data behind one figure from ``atom``'s
     :func:`run_sweep` rows.
 
@@ -331,7 +362,7 @@ def figure_table(atom: AtomModel, rows: Sequence[Point], figure: str,
         "constants": CONSTANTS.version,
     }
     columns = _FIGURE_COLUMNS[figure]
-    return meta, columns, table(columns, atom, selected)
+    return meta, columns, list(table(columns, atom, selected))
 
 
 RESIDUAL_COLUMNS = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
@@ -353,7 +384,8 @@ def fit_width_relation(rows: Sequence[Point]) -> WidthFit:
     1 / (2 ip) for any window of rows, and approaches it linearly in
     1 - F/F_a as the window shrinks toward F_a.
     """
-    pts = [(p.barrier_width, _as(p.tau_d)) for p in rows if p.regime is Regime.SUB_ATOMIC]
+    k = CONSTANTS.au_time_in_attoseconds
+    pts = [(p.barrier_width, p.tau_d * k) for p in rows if p.regime is Regime.SUB_ATOMIC]
     if len(pts) < 2:
         raise ValueError("need at least two sub-atomic rows for a line fit")
     n = len(pts)

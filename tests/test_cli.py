@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -197,6 +198,21 @@ class TestAtomSelection:
 
 
 class TestSweepCommand:
+    def test_dump_holds_little_more_than_its_text(self, tmp_path):
+        # Points go lazily from the kernel into the text, so the peak is a small
+        # multiple of the bytes written (about 136 B per row here), not a point list.
+        out_path = tmp_path / "dump.csv"
+        argv = ["sweep", "--atom", "He:clementi", "--grid", "0.01:0.20999:1e-05",
+                "--wavelength", "800", "--out", str(out_path)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out_path.read_text().splitlines()) == 20001
+        assert peak <= 5 * out_path.stat().st_size
+
     def test_fig3_nine_rows(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--atom", "He:clementi",
                                "--grid", "0.03:0.11:0.01", "--figure", "fig3")
@@ -386,7 +402,6 @@ class TestArgparseBehavior:
     ("geometry --atom He:clementi --field 1e-320", "x_peak_au"),
     ("geometry --atom He:clementi --field 1e-320 --format json", "x_peak_au"),
     ("times --atom He:clementi --field 1e-308", "tau_d_as"),
-    ("times --atom He:clementi --f0 1e308 --ellipticity 1", "tau_d_im_au"),
     ("times --atom He:clementi --field 1e-310", "tau_d_au"),
     ("sweep --atom He:clementi --grid 1e-320,0.05", "x_peak_au"),
     ("sweep --atom He:clementi --grid 1e-320,0.05 --format json", "x_peak_au"),
@@ -406,6 +421,22 @@ def test_non_finite_output_exits_2(capsys, tmp_path, argv, named):
     code, out, err = run_cli(capsys, *argv.split(), "--out", str(out_path))
     assert code == 2 and out == "" and not out_path.exists()
     assert err.count("\n") == 1 and named in err and "finite" in err
+    # an existing --out file survives the refusal byte for byte
+    out_path.write_bytes(b"earlier output\r\n")
+    assert run_cli(capsys, *argv.split(), "--out", str(out_path)) == (code, out, err)
+    assert out_path.read_bytes() == b"earlier output\r\n"
+
+
+# 4 z_eff F overflows for He:clementi above F = 2.66e307; every cell stays finite.
+@pytest.mark.parametrize("argv", [
+    "times --atom He:clementi --field 1e308",
+    "times --atom He:clementi --f0 1e308 --ellipticity 1",
+    "geometry --atom He:clementi --field 1e308",
+])
+def test_huge_field_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split(), "--precision", "17")
+    assert code == 3 and err == ""
+    assert "super_atomic" in out and not NON_FINITE.search(out)
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -427,7 +458,9 @@ def test_module_entry_point():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    code = "import sys, attoclock.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
+    # nor json and csv, which only JSON output and measurement files need
+    code = ("import sys, attoclock.cli; "
+            "print({'dataclasses', 'inspect', 'json', 'csv'} & set(sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "set()\n"
 

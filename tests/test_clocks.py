@@ -1,13 +1,20 @@
 """Time estimators: frozen derived values, exact identities, limits at the
 critical field, and the complex decomposition above it."""
 
-import pytest
-from hypothesis import given
+import sys
+from decimal import Decimal
 
-from attoclock.atom import AtomModel
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from attoclock.atom import AtomModel, catalog_lookup
 from attoclock.barrier import atomic_field_strength
-from attoclock.clocks import evaluate
-from attoclock.units import au_time_to_attoseconds, wavelength_to_angular_frequency
+from attoclock.clocks import Point, evaluate
+from attoclock.harness import DRIVE_COLUMNS, GEOMETRY_COLUMNS, TIMES_COLUMNS, table
+from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
+                             wavelength_to_angular_frequency)
 from helpers import complex_parts, rel_err, subatomic_cases
 
 F06 = 0.06
@@ -236,3 +243,50 @@ class TestKeldyshGamma:
     def test_invalid_omega(self, he_clementi):
         with pytest.raises(ValueError, match="omega must be > 0"):
             evaluate(he_clementi, F06, 0.0)
+
+
+MAX = sys.float_info.max
+OMEGA_800 = wavelength_to_angular_frequency(800.0)
+
+
+def assert_matches_reference(atom, f, omega=None):
+    """Every Point field and every times and geometry cell is finite and
+    matches the Decimal reference: to 1e-14 relative where it is a normal
+    float, to two subnormal spacings below that."""
+    point = evaluate(atom, f, omega)
+    ref = reference.point(atom, f, omega)
+    for name, value in zip(Point._fields[2:], point[2:]):
+        assert reference.close(value, ref[name]), (name, value, ref[name])
+    columns = GEOMETRY_COLUMNS + TIMES_COLUMNS + DRIVE_COLUMNS
+    (cells,) = table(columns, atom, [point], omega)
+    k = Decimal(CONSTANTS.au_time_in_attoseconds)
+    for name, value in zip(columns, cells):
+        key = {"barrier_width_au": "barrier_width", "omega_au": None,
+               "gamma_k": "gamma"}.get(name, name[:-3])
+        if isinstance(value, float) and key in ref:
+            expected = ref[key]
+            ulps = 2.0
+            if expected is not None and name.endswith("_as"):
+                # an as cell is its au time times k, subnormal spacings included
+                expected, ulps = expected * k, 2.0 * 24.2 + 1.0
+            assert reference.close(value, expected, ulps=ulps), (name, value, expected)
+
+
+class TestHugeFields:
+    """Fields where 4 z_eff F, or twice it, overflows, up to the largest double."""
+
+    @pytest.mark.parametrize("spec", ["He:clementi", "He:kullie"])
+    @pytest.mark.parametrize("f", [3e307, 5e307, 7.0710678118654746e307, 9e307, 1e308,
+                                   1.5e308, MAX])
+    def test_catalog_atoms_match_decimal(self, spec, f):
+        assert_matches_reference(catalog_lookup(spec), f, OMEGA_800)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1e150), st.floats(1e-3, 1e3), st.floats(0.0, 1.0))
+    def test_random_atoms_match_decimal(self, ip, z_eff, u):
+        # log-uniform F from where 4 z_eff F nears overflow up to the largest double
+        atom = AtomModel(name="X", ip=ip, z_eff=z_eff)
+        lo = MAX / (16.0 * z_eff)
+        f = min(lo * (MAX / lo) ** u, MAX)
+        if f > atomic_field_strength(atom) * (1.0 + 1e-9):
+            assert_matches_reference(atom, f)

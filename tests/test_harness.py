@@ -101,6 +101,11 @@ class TestColumnRegistry:
             else:
                 assert as_cell == au_cell * CONSTANTS.au_time_in_attoseconds
 
+    def test_unknown_column_is_a_key_error(self, he_clementi):
+        # the row function's source holds only COLUMNS expressions
+        with pytest.raises(KeyError):
+            table(("f_au", "__import__('os')"), he_clementi, [])
+
 
 class TestLightTraversal:
     def test_f006_barrier(self, he_clementi, rows9):
@@ -367,6 +372,15 @@ class TestRender:
     def test_non_finite_cell_names_its_column(self, fmt, bad):
         with pytest.raises(ValueError, match="^x is .*finite"):
             render(None, self.COLUMNS, [("a", 0.5), ("b", bad)], fmt, 6)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_cell_in_last_lazy_row_is_refused(self, fmt, bad):
+        # the rows are consumed once, so the check cannot go back to them
+        rows = iter([("a", 0.5)] * 1000 + [("b", bad)])
+        with pytest.raises(ValueError, match="^x is .*finite"):
+            render(None, self.COLUMNS, rows, fmt, 6)
+        assert next(rows, None) is None
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_words_in_text_cells_are_not_errors(self, fmt):
