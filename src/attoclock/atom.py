@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import enum
 import math
 
 from .units import elliptical_peak_field, intensity_to_field
@@ -15,12 +14,6 @@ HE_IP_AU = 0.90357
 
 class AtomConfigError(ValueError):
     """Raised for malformed or invalid atom configuration input."""
-
-
-class FieldOrigin(enum.Enum):
-    DIRECT = "direct"
-    FROM_INTENSITY = "from_intensity"
-    FROM_F0_ELLIPTICITY = "from_f0_ellipticity"
 
 
 class AtomModel(collections.namedtuple("AtomModel", "name ip z_eff source")):
@@ -49,41 +42,30 @@ class AtomModel(collections.namedtuple("AtomModel", "name ip z_eff source")):
         return f"{self.name}:{self.source}" if self.source else self.name
 
 
-class LaserField(collections.namedtuple("LaserField", "f_peak ellipticity f0 origin")):
-    """Peak field strength (au) of the drive, with provenance of how it was set;
-    f0 is the major-axis amplitude when elliptical."""
+class LaserField(collections.namedtuple("LaserField", "f_peak origin")):
+    """Peak field strength (au) of the drive, F0 / sqrt(1 + eps^2) for an elliptical
+    pulse, and how it was set: "direct", "from_intensity" or "from_f0_ellipticity"."""
 
     __slots__ = ()
 
-    def __new__(cls, f_peak: float, ellipticity: float | None = None, f0: float | None = None,
-                origin: FieldOrigin = FieldOrigin.DIRECT) -> "LaserField":
+    def __new__(cls, f_peak: float, origin: str = "direct") -> "LaserField":
         if not (math.isfinite(f_peak) and f_peak > 0):
             raise ValueError(f"f_peak must be finite and > 0, got {f_peak!r}")
-        if ellipticity is not None and not 0.0 <= ellipticity <= 1.0:
-            raise ValueError(f"ellipticity must be in [0, 1], got {ellipticity!r}")
-        if origin is FieldOrigin.FROM_F0_ELLIPTICITY:
-            if f0 is None or ellipticity is None:
-                raise ValueError("elliptical origin requires f0 and ellipticity")
-            expected = elliptical_peak_field(f0, ellipticity)
-            if abs(f_peak - expected) > 1e-14 * expected:
-                raise ValueError("f_peak inconsistent with f0 / sqrt(1 + eps^2)")
-        return super().__new__(cls, f_peak, ellipticity, f0, origin)
+        return super().__new__(cls, f_peak, origin)
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))   # _replace validates too
 
     @classmethod
     def direct(cls, f_peak: float) -> "LaserField":
-        return cls(f_peak=f_peak, origin=FieldOrigin.DIRECT)
+        return cls(f_peak, "direct")
 
     @classmethod
     def from_intensity(cls, intensity_w_cm2: float) -> "LaserField":
-        return cls(f_peak=intensity_to_field(intensity_w_cm2),
-                   origin=FieldOrigin.FROM_INTENSITY)
+        return cls(intensity_to_field(intensity_w_cm2), "from_intensity")
 
     @classmethod
     def from_f0_ellipticity(cls, f0: float, ellipticity: float) -> "LaserField":
-        return cls(f_peak=elliptical_peak_field(f0, ellipticity), ellipticity=ellipticity,
-                   f0=f0, origin=FieldOrigin.FROM_F0_ELLIPTICITY)
+        return cls(elliptical_peak_field(f0, ellipticity), "from_f0_ellipticity")
 
 
 def builtin_catalog() -> tuple[AtomModel, ...]:

@@ -133,7 +133,7 @@ def solve_geometry(atom: AtomModel, f: float) -> Geometry:
     ip, z_eff = atom.ip, atom.z_eff
     z4f = 4.0 * z_eff * f
     x_peak = math.sqrt(z_eff / f)
-    if x_peak < 1.5e-154:           # z_eff / F may be subnormal, with bits lost
+    if not 1.5e-154 <= x_peak < math.inf:   # z_eff / F subnormal (bits lost) or overflowed
         x_peak = math.sqrt(z_eff) / math.sqrt(f)
     h_max = abs(-ip + math.sqrt(z4f))
     x_c = ip / f                      # classical exit, binding potential neglected

@@ -318,11 +318,15 @@ def compare(atom: AtomModel, estimator: str,
             f"every record lies above barrier suppression; {estimator} "
             "cannot be compared")
     n = len(residuals)
+    try:
+        sum_squares = math.fsum(r * r for _, _, _, r, _ in residuals)
+    except OverflowError:     # finite squares whose sum is not: render names rms_as
+        sum_squares = math.inf
     return ComparisonReport(
         model_id=f"{atom.label()}/{estimator}",
         estimator=estimator,
         residuals=tuple(residuals),
-        rms=math.sqrt(math.fsum(r * r for _, _, _, r, _ in residuals) / n),
+        rms=math.sqrt(sum_squares / n),
         max_abs=max(abs(r) for _, _, _, r, _ in residuals),
         fraction_within_bars=sum(w for _, _, _, _, w in residuals) / n,
         n_records=len(data),

@@ -2,7 +2,8 @@
 
 Every input float converts to Decimal exactly, so the reference is the exact
 value of each closed form to about 60 digits, whatever the field: nothing
-overflows or underflows in Decimal's exponent range.
+overflows or underflows in Decimal's exponent range, and the digits that
+ip - delta_z cancels at weak fields are carried as extra precision.
 """
 
 from decimal import Decimal, localcontext
@@ -18,6 +19,8 @@ def point(atom, f: float, omega: float | None = None) -> dict[str, Decimal | Non
     with localcontext() as ctx:
         ctx.prec = 60
         ip, z, big_f = Decimal(atom.ip), Decimal(atom.z_eff), Decimal(f)
+        # ip - delta_z cancels about log10(ip^2 / (4 z_eff F)) digits: carry them too
+        ctx.prec += max(0, (ip * ip).adjusted() - (4 * z * big_f).adjusted())
         z4f = 4 * z * big_f
         disc = ip * ip - z4f
         values = dict.fromkeys(Point._fields)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from attoclock.atom import (AtomConfigError, AtomModel, FieldOrigin, HE_IP_AU,
+from attoclock.atom import (AtomConfigError, AtomModel, HE_IP_AU,
                             LaserField, builtin_catalog, catalog_lookup)
 from attoclock.barrier import atomic_field_strength
 from helpers import rel_err
@@ -74,7 +74,8 @@ class TestAtomModelValidation:
 class TestLaserField:
     def test_direct(self):
         field = LaserField.direct(0.06)
-        assert field.f_peak == 0.06 and field.origin is FieldOrigin.DIRECT
+        assert field.f_peak == 0.06 and field.origin == "direct"
+        assert field == (0.06, "direct") and LaserField._fields == ("f_peak", "origin")
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
     def test_invalid_peak_rejected(self, bad):
@@ -84,22 +85,18 @@ class TestLaserField:
     def test_from_intensity(self):
         field = LaserField.from_intensity(2.0e14)
         assert rel_err(field.f_peak, 0.075491098560215116) < 1e-12
-        assert field.origin is FieldOrigin.FROM_INTENSITY
+        assert field.origin == "from_intensity"
 
     def test_from_f0_ellipticity(self):
         field = LaserField.from_f0_ellipticity(0.1, 0.87)
         assert rel_err(field.f_peak, 0.07544430785777147) < 1e-12
-        assert field.f0 == 0.1 and field.ellipticity == 0.87
-
-    def test_elliptical_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            LaserField(f_peak=0.1, f0=0.1, ellipticity=0.87,
-                       origin=FieldOrigin.FROM_F0_ELLIPTICITY)
+        assert field.origin == "from_f0_ellipticity"
 
     def test_ellipticity_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ellipticity must be in"):
             LaserField.from_f0_ellipticity(0.1, 1.5)
 
     def test_replace_validates(self):
-        with pytest.raises(ValueError, match="ellipticity must be in"):
-            LaserField.direct(0.06)._replace(ellipticity=1.5)
+        assert LaserField.direct(0.06)._replace(f_peak=0.07) == (0.07, "direct")
+        with pytest.raises(ValueError, match="f_peak must be finite and > 0"):
+            LaserField.direct(0.06)._replace(f_peak=-1.0)

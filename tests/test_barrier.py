@@ -2,11 +2,11 @@
 algebraic root identities, regime classification."""
 
 import math
-from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
 
+import reference
 from attoclock.atom import AtomModel
 from attoclock.barrier import (ATOMIC_BAND, Regime, RegimeError,
                                appearance_intensity, atomic_field_strength,
@@ -115,6 +115,12 @@ class TestBarrierPeak:
         fa = atomic_field_strength(he_clementi)
         assert rel_err(solve_geometry(he_clementi, fa).x_peak, X_A_CLEMENTI) < 1e-12
 
+    @pytest.mark.parametrize("f", [1e-320, 5e-324])
+    def test_tiny_field_against_decimal(self, he_clementi, f):
+        # z_eff / F overflows here, but its root (about 1e160) does not
+        assert reference.close(solve_geometry(he_clementi, f).x_peak,
+                               reference.point(he_clementi, f)["x_peak"])
+
 
 class TestAtomicFieldStrength:
     def test_both_he_models(self, he_clementi, he_kullie):
@@ -175,15 +181,9 @@ class TestExitPoints:
 
     @pytest.mark.parametrize("f", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14])
     def test_weak_field_entrance_against_decimal(self, he_clementi, f):
-        # (ip - delta_z) / (2F) in 60 digits from the exact binary inputs;
-        # the double-precision difference form loses up to 1e-3 here.
-        with localcontext() as ctx:
-            ctx.prec = 60
-            ip, z, big_f = Decimal(he_clementi.ip), Decimal(he_clementi.z_eff), Decimal(f)
-            dz = (ip * ip - 4 * z * big_f).sqrt()
-            reference = (ip - dz) / (2 * big_f)
+        # the double-precision difference form (ip - delta_z) / (2F) loses up to 1e-3 here
         x_minus = solve_geometry(he_clementi, f).x_entrance
-        assert abs(Decimal(x_minus) - reference) / reference <= Decimal("1e-15")
+        assert reference.close(x_minus, reference.point(he_clementi, f)["x_entrance"], rel=1e-15)
 
     @given(subatomic_cases())
     def test_vieta_identities_and_root_property(self, case):

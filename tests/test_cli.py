@@ -344,6 +344,7 @@ class TestCompareCommand:
         ("1e-310,45.0,8.0", "tau_d", ("1e-310", "tau_d")),     # model time overflows
         ("1e-310,45.0,8.0", "tau_sym", ("1e-310", "tau_sym")),
         ("1e-300,1e300,8.0", "tau_d", ("rms_as",)),            # residual squared overflows
+        ("0.05,1e154,8.0\n0.06,1e154,8.0", "tau_d", ("rms_as",)),  # the sum of squares does
     ])
     def test_non_finite_result_exits_2(self, capsys, tmp_path, record, estimator, named):
         path = tmp_path / "m.csv"
@@ -399,12 +400,13 @@ class TestArgparseBehavior:
 @pytest.mark.parametrize("argv,named", [
     ("times --atom He:clementi --field 1e-300 --wavelength 1e-20", "gamma_k"),
     ("times --atom He:clementi --field 1e-300 --wavelength 1e-20 --format json", "gamma_k"),
-    ("geometry --atom He:clementi --field 1e-320", "x_peak_au"),
-    ("geometry --atom He:clementi --field 1e-320 --format json", "x_peak_au"),
+    # sqrt(z_eff / F) is about 1.3e160 here; x_exit = (ip + delta_z) / (2F) overflows
+    ("geometry --atom He:clementi --field 1e-320", "x_exit_au"),
+    ("geometry --atom He:clementi --field 1e-320 --format json", "x_exit_au"),
     ("times --atom He:clementi --field 1e-308", "tau_d_as"),
     ("times --atom He:clementi --field 1e-310", "tau_d_au"),
-    ("sweep --atom He:clementi --grid 1e-320,0.05", "x_peak_au"),
-    ("sweep --atom He:clementi --grid 1e-320,0.05 --format json", "x_peak_au"),
+    ("sweep --atom He:clementi --grid 1e-320,0.05", "x_exit_au"),
+    ("sweep --atom He:clementi --grid 1e-320,0.05 --format json", "x_exit_au"),
     ("sweep --atom He:clementi --grid 1e-320,0.05 --figure fig4", "d_b_au"),
     ("sweep --atom He:clementi --grid 1e-310,0.05 --figure fig3 --format json",
      "tau_d_as"),
