@@ -1,7 +1,7 @@
 """Uncertainty-relation tunneling times for strong-field ionization.
 
 Library layout: ``units`` (conversions), ``atom`` (inputs), ``barrier``
-(regimes and the bisection reference), ``clocks`` (``evaluate``: geometry
+(regimes and the barrier geometry), ``clocks`` (``evaluate``: geometry
 and time estimators at one point), ``harness`` (sweeps, data comparison,
 figure tables), ``cli`` (command line).
 """

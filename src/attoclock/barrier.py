@@ -2,9 +2,8 @@
 
 The one-dimensional effective potential -z_eff/x - x*F forms a barrier between
 the bound level -ip and the continuum. This module gives the barrier-suppression
-field strength, classifies the field regime relative to it, solves the barrier
-in closed form, and locates the crossings by bisection as an independent check
-of that solution.
+field strength, classifies the field regime relative to it and solves the
+barrier in closed form.
 """
 
 from __future__ import annotations
@@ -39,14 +38,6 @@ Geometry = collections.namedtuple(
                 "barrier_width h_max")
 
 
-def signed_barrier_height(x: float, atom: AtomModel, f: float) -> float:
-    """Bound level minus effective potential at field ``f``, -ip - V(x);
-    negative inside the barrier, zero at the crossings."""
-    if not x > 0:
-        raise ValueError(f"x must be > 0, got {x!r}")
-    return -atom.ip + atom.z_eff / x + x * f
-
-
 def atomic_field_strength(atom: AtomModel) -> float:
     """Barrier-suppression field strength ip^2 / (4 z_eff)."""
     return atom.ip * atom.ip / (4.0 * atom.z_eff)
@@ -63,61 +54,6 @@ def classify_regime(atom: AtomModel, f: float) -> Regime:
     if abs(f - fa) <= ATOMIC_BAND * fa:
         return Regime.ATOMIC
     return Regime.SUB_ATOMIC if f < fa else Regime.SUPER_ATOMIC
-
-
-def _bisect(h, lo: float, hi: float, tol: float) -> float:
-    h_lo = h(lo)
-    if h_lo == 0.0:
-        return lo
-    if h(hi) == 0.0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        h_mid = h(mid)
-        if h_mid == 0.0:
-            return mid
-        if (h_mid > 0.0) == (h_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def exit_points_oracle(atom: AtomModel, f: float,
-                       tol: float = 1e-12) -> tuple[float, float]:
-    """Locate both barrier crossings by pure sign-change bisection.
-
-    Verification path for :func:`solve_geometry`: the roots of the
-    signed barrier height are bracketed on either side of the barrier peak
-    sqrt(z_eff / F) and bisected to ``tol``; the closed forms are never
-    consulted.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    if classify_regime(atom, f) is not Regime.SUB_ATOMIC:
-        raise RegimeError("oracle requires a sub-atomic field with two distinct crossings")
-
-    def h(x: float) -> float:
-        return signed_barrier_height(x, atom, f)
-
-    x_peak = math.sqrt(atom.z_eff / f)
-    if not h(x_peak) < 0.0:
-        raise RuntimeError(
-            "internal inconsistency: barrier peak not below the bound level "
-            "in a field classified sub-atomic")
-    lo = x_peak
-    for _ in range(2048):
-        lo *= 0.5
-        if h(lo) > 0.0:
-            break
-    else:
-        raise RuntimeError("internal inconsistency: failed to bracket the inner crossing")
-    hi = 1.5 * atom.ip / f   # outer crossing is below ip/F always
-    if not h(hi) > 0.0:
-        raise RuntimeError("internal inconsistency: failed to bracket the outer crossing")
-    return (_bisect(h, lo, x_peak, tol), _bisect(h, x_peak, hi, tol))
 
 
 def solve_geometry(atom: AtomModel, f: float) -> Geometry:

@@ -18,7 +18,7 @@ from .clocks import evaluate
 from .harness import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, ESTIMATORS,
                       FIGURES, GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS,
                       check_finite, compare, emit_figure_data, iter_sweep, load_measurements,
-                      render, run_sweep, table)
+                      render, table)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -131,10 +131,10 @@ def cmd_times(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     atom = _resolve_atom(args)
     grid = parse_grid(args.grid)
-    omega = _omega(args)
+    omega = _omega(args)          # a bad --wavelength exits 2 on both paths
     if args.figure:
-        return (emit_figure_data(atom, run_sweep(atom, grid, omega), args.figure,
-                                 args.precision, args.format), EXIT_OK)
+        return (emit_figure_data(atom, grid, args.figure, args.precision, args.format),
+                EXIT_OK)
     points = iter_sweep(atom, grid, omega)    # lazy: the dump holds only its text
     return render(None, DUMP_COLUMNS, table(DUMP_COLUMNS, atom, points, omega),
                   args.format, args.precision), EXIT_OK

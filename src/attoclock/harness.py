@@ -12,7 +12,7 @@ import collections
 import io
 import math
 import warnings
-from itertools import repeat
+from itertools import chain, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .atom import AtomModel
@@ -49,10 +49,6 @@ class MeasurementRecord(collections.namedtuple("MeasurementRecord",
 ComparisonReport = collections.namedtuple(
     "ComparisonReport", "model_id estimator residuals rms max_abs fraction_within_bars "
                         "n_records n_skipped")
-
-# Least-squares line through (barrier width, crossing time) points.
-WidthFit = collections.namedtuple("WidthFit",
-                                  "slope_as_per_au intercept_as r_squared n_points")
 
 
 def check_finite(records: Iterable[dict[str, object]]) -> None:
@@ -334,70 +330,37 @@ def compare(atom: AtomModel, estimator: str,
     )
 
 
-def figure_table(atom: AtomModel, rows: Sequence[Point], figure: str,
-                 ) -> tuple[dict[str, str], tuple[str, ...], list[tuple]]:
-    """Select and order the data behind one figure from ``atom``'s
-    :func:`run_sweep` rows.
-
-    Returns (metadata, column names, value rows). The width-vs-time table
-    (fig4) admits only rows below barrier suppression; the time-vs-field
-    tables (fig2, fig3) also admit the critical-field row.
-    """
-    if figure not in FIGURES:
-        raise ValueError(f"unknown figure {figure!r}; choose from {FIGURES}")
-    if not rows:
-        raise ValueError("no sweep rows given")
-    if figure == "fig4":
-        selected = [p for p in rows if p.regime is Regime.SUB_ATOMIC]
-        if not selected:
-            raise RegimeError("no real barrier in any sweep row; the width "
-                              "table needs fields below barrier suppression")
-    else:
-        selected = [p for p in rows if p.regime is not Regime.SUPER_ATOMIC]
-        if not selected:
-            raise RegimeError("all sweep rows lie above barrier suppression; "
-                              "the single-sided and crossing times are complex there")
-    meta = {
-        "atom": atom.name,
-        "source": atom.source,
-        "z_eff": f"{atom.z_eff:.12g}",
-        "i_p": f"{atom.ip:.12g}",
-        "grid": ",".join(f"{p.f:.12g}" for p in rows),
-        "constants": CONSTANTS.version,
-    }
-    columns = _FIGURE_COLUMNS[figure]
-    return meta, columns, list(table(columns, atom, selected))
-
-
 RESIDUAL_COLUMNS = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
 
 
-def emit_figure_data(atom: AtomModel, rows: Sequence[Point], figure: str,
+def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
                      precision: int = 12, fmt: str = "csv") -> str:
-    """One figure table as :func:`render` text. Columns are fixed per figure;
-    the metadata records the atom, grid and constants-table version."""
-    return render(*figure_table(atom, rows, figure), fmt, precision)
-
-
-def fit_width_relation(rows: Sequence[Point]) -> WidthFit:
-    """Least-squares line of the barrier-crossing time (as) vs width (au)
-    over the sub-atomic sweep rows.
-
-    This is a chord fit. On the sub-atomic branch tau_d is strictly convex
-    in the width, so the intercept lies below the zero-width limit
-    1 / (2 ip) for any window of rows, and approaches it linearly in
-    1 - F/F_a as the window shrinks toward F_a.
-    """
-    k = CONSTANTS.au_time_in_attoseconds
-    pts = [(p.barrier_width, p.tau_d * k) for p in rows if p.regime is Regime.SUB_ATOMIC]
-    if len(pts) < 2:
-        raise ValueError("need at least two sub-atomic rows for a line fit")
-    n = len(pts)
-    x_mean = math.fsum(x for x, _ in pts) / n
-    y_mean = math.fsum(y for _, y in pts) / n
-    sxx = math.fsum((x - x_mean) ** 2 for x, _ in pts)
-    syy = math.fsum((y - y_mean) ** 2 for _, y in pts)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in pts)
-    slope = sxy / sxx
-    return WidthFit(slope_as_per_au=slope, intercept_as=y_mean - slope * x_mean,
-                    r_squared=(sxy * sxy) / (sxx * syy), n_points=n)
+    """The data behind one figure, evaluated lazily over a field grid, as
+    :func:`render` text. Columns are fixed per figure; the metadata records the
+    atom, grid and constants-table version. The width-vs-time table (fig4)
+    admits only points below barrier suppression; the time-vs-field tables
+    (fig2, fig3) also admit the critical-field point."""
+    if figure not in FIGURES:
+        raise ValueError(f"unknown figure {figure!r}; choose from {FIGURES}")
+    points = iter_sweep(atom, f_grid)       # no figure column reads gamma
+    if figure == "fig4":
+        keep = lambda p: p.regime is Regime.SUB_ATOMIC
+        refusal = ("no real barrier in any sweep row; the width table needs "
+                   "fields below barrier suppression")
+    else:
+        keep = lambda p: p.regime is not Regime.SUPER_ATOMIC
+        refusal = ("all sweep rows lie above barrier suppression; the single-sided "
+                   "and crossing times are complex there")
+    # The grid ascends strictly and the regime is monotone in F (sub-atomic, then
+    # atomic, then super-atomic), so the admitted points are a prefix of the grid
+    # and evaluation stops at the first point left out. The first point is
+    # evaluated, not just classified, so that its evaluation errors come first.
+    first = next(points)
+    if not keep(first):
+        raise RegimeError(refusal)
+    meta = {"atom": atom.name, "source": atom.source, "z_eff": f"{atom.z_eff:.12g}",
+            "i_p": f"{atom.ip:.12g}", "grid": ",".join(f"{f:.12g}" for f in f_grid),
+            "constants": CONSTANTS.version}
+    columns = _FIGURE_COLUMNS[figure]
+    rows = table(columns, atom, takewhile(keep, chain((first,), points)))
+    return render(meta, columns, rows, fmt, precision)

@@ -1,14 +1,22 @@
-"""An independent reference: README's closed-form table in 60-digit Decimal.
+"""Independent references for the tests.
 
-Every input float converts to Decimal exactly, so the reference is the exact
-value of each closed form to about 60 digits, whatever the field: nothing
-overflows or underflows in Decimal's exponent range, and the digits that
-ip - delta_z cancels at weak fields are carried as extra precision.
+:func:`point` is README's closed-form table in 60-digit Decimal. Every input
+float converts to Decimal exactly, so it is the exact value of each closed
+form to about 60 digits, whatever the field: nothing overflows or underflows
+in Decimal's exponent range, and the digits that ip - delta_z cancels at weak
+fields are carried as extra precision.
+
+:func:`exit_points_oracle` finds the barrier crossings by bisection, without
+the closed forms, and :func:`fit_width_relation` fits a line to the fig4 curve.
 """
 
+import collections
+import math
 from decimal import Decimal, localcontext
 
+from attoclock.barrier import Regime, RegimeError, classify_regime
 from attoclock.clocks import Point
+from attoclock.units import CONSTANTS
 
 
 def point(atom, f: float, omega: float | None = None) -> dict[str, Decimal | None]:
@@ -63,3 +71,94 @@ def close(value: float | None, reference: Decimal | None, rel: float = 1e-14,
         if abs(reference) >= TINY:
             return error <= Decimal(rel) * abs(reference)
         return error <= Decimal(ulps) * SUBNORMAL_ULP
+
+
+def signed_barrier_height(x: float, atom, f: float) -> float:
+    """Bound level minus effective potential at field ``f``, -ip - V(x);
+    negative inside the barrier, zero at the crossings."""
+    if not x > 0:
+        raise ValueError(f"x must be > 0, got {x!r}")
+    return -atom.ip + atom.z_eff / x + x * f
+
+
+def _bisect(h, lo: float, hi: float, tol: float) -> float:
+    h_lo = h(lo)
+    if h_lo == 0.0:
+        return lo
+    if h(hi) == 0.0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        h_mid = h(mid)
+        if h_mid == 0.0:
+            return mid
+        if (h_mid > 0.0) == (h_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def exit_points_oracle(atom, f: float, tol: float = 1e-12) -> tuple[float, float]:
+    """Locate both barrier crossings by pure sign-change bisection.
+
+    Verification path for :func:`attoclock.barrier.solve_geometry`: the roots
+    of the signed barrier height are bracketed on either side of the barrier
+    peak sqrt(z_eff / F) and bisected to ``tol``; the closed forms are never
+    consulted.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if classify_regime(atom, f) is not Regime.SUB_ATOMIC:
+        raise RegimeError("oracle requires a sub-atomic field with two distinct crossings")
+
+    def h(x: float) -> float:
+        return signed_barrier_height(x, atom, f)
+
+    x_peak = math.sqrt(atom.z_eff / f)
+    if not h(x_peak) < 0.0:
+        raise RuntimeError(
+            "internal inconsistency: barrier peak not below the bound level "
+            "in a field classified sub-atomic")
+    lo = x_peak
+    for _ in range(2048):
+        lo *= 0.5
+        if h(lo) > 0.0:
+            break
+    else:
+        raise RuntimeError("internal inconsistency: failed to bracket the inner crossing")
+    hi = 1.5 * atom.ip / f   # outer crossing is below ip/F always
+    if not h(hi) > 0.0:
+        raise RuntimeError("internal inconsistency: failed to bracket the outer crossing")
+    return (_bisect(h, lo, x_peak, tol), _bisect(h, x_peak, hi, tol))
+
+
+# Least-squares line through (barrier width, crossing time) points.
+WidthFit = collections.namedtuple("WidthFit",
+                                  "slope_as_per_au intercept_as r_squared n_points")
+
+
+def fit_width_relation(points) -> WidthFit:
+    """Least-squares line of the barrier-crossing time (as) vs width (au)
+    over the sub-atomic points.
+
+    This is a chord fit. On the sub-atomic branch tau_d is strictly convex
+    in the width, so the intercept lies below the zero-width limit
+    1 / (2 ip) for any window of points, and approaches it linearly in
+    1 - F/F_a as the window shrinks toward F_a.
+    """
+    k = CONSTANTS.au_time_in_attoseconds
+    pts = [(p.barrier_width, p.tau_d * k) for p in points if p.regime is Regime.SUB_ATOMIC]
+    if len(pts) < 2:
+        raise ValueError("need at least two sub-atomic rows for a line fit")
+    n = len(pts)
+    x_mean = math.fsum(x for x, _ in pts) / n
+    y_mean = math.fsum(y for _, y in pts) / n
+    sxx = math.fsum((x - x_mean) ** 2 for x, _ in pts)
+    syy = math.fsum((y - y_mean) ** 2 for _, y in pts)
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in pts)
+    slope = sxy / sxx
+    return WidthFit(slope_as_per_au=slope, intercept_as=y_mean - slope * x_mean,
+                    r_squared=(sxy * sxy) / (sxx * syy), n_points=n)

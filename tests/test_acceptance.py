@@ -5,19 +5,19 @@ Each criterion prints one PASS/FAIL line (visible with ``pytest -s`` or on
 failure) and is enforced by plain asserts at its stated tolerance.
 """
 
+import json
 import time
 
 import numpy as np
 
 from attoclock.atom import AtomModel, catalog_lookup
-from attoclock.barrier import (atomic_field_strength, exit_points_oracle,
-                               signed_barrier_height)
+from attoclock.barrier import atomic_field_strength
 from attoclock.cli import main
 from attoclock.clocks import evaluate
-from attoclock.harness import (compare, emit_figure_data, figure_table,
-                               fit_width_relation, load_measurements, run_sweep)
+from attoclock.harness import compare, emit_figure_data, load_measurements, run_sweep
 from attoclock.units import au_time_to_attoseconds
 from helpers import complex_parts, rel_err
+from reference import exit_points_oracle, fit_width_relation, signed_barrier_height
 
 RNG_SEED = 20240614
 
@@ -248,10 +248,10 @@ def test_criterion_7b_width_fit_intercept():
 def test_criterion_7c_photon_baseline():
     ok = True
     for atom in he_models():
-        _, _, values = figure_table(atom, run_sweep(atom, FIT_GRID), "fig4")
-        ok = ok and len(values) == len(FIT_GRID)
-        for _, tau_d, light in values:
-            ok = ok and light < tau_d
+        rows = json.loads(emit_figure_data(atom, FIT_GRID, "fig4", fmt="json"))["rows"]
+        ok = ok and len(rows) == len(FIT_GRID)
+        for row in rows:
+            ok = ok and row["light_as"] < row["tau_d_as"]
     assert report("C7c photon baseline below crossing time", ok)
 
 
@@ -287,8 +287,8 @@ def test_criterion_9_harness_fixtures(tmp_path):
     offset_report = compare(atom, "tau_d",
                             load_measurements(write(tmp_path / "off.csv", 1.0, 2.0)))
     identical = all(
-        emit_figure_data(atom, run_sweep(atom, grid), fig).encode()
-        == emit_figure_data(atom, run_sweep(atom, grid), fig).encode()
+        emit_figure_data(atom, grid, fig).encode()
+        == emit_figure_data(atom, grid, fig).encode()
         for fig in ("fig2", "fig3", "fig4"))
     ok = (self_report.rms == 0.0 and self_report.fraction_within_bars == 1.0
           and abs(offset_report.rms - 1.0) <= 1e-9 and identical)

@@ -198,20 +198,35 @@ class TestAtomSelection:
 
 
 class TestSweepCommand:
-    def test_dump_holds_little_more_than_its_text(self, tmp_path):
-        # Points go lazily from the kernel into the text, so the peak is a small
-        # multiple of the bytes written (about 136 B per row here), not a point list.
+    @staticmethod
+    def sweep_peak(tmp_path, *figure):
+        """Lines written and tracemalloc's peak over a 20,000-point sweep to a
+        file, as a multiple of the bytes written."""
         out_path = tmp_path / "dump.csv"
         argv = ["sweep", "--atom", "He:clementi", "--grid", "0.01:0.20999:1e-05",
-                "--wavelength", "800", "--out", str(out_path)]
+                "--wavelength", "800", *figure, "--out", str(out_path)]
         tracemalloc.start()
         try:
             assert main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(out_path.read_text().splitlines()) == 20001
-        assert peak <= 5 * out_path.stat().st_size
+        return len(out_path.read_text().splitlines()), peak / out_path.stat().st_size
+
+    def test_dump_holds_little_more_than_its_text(self, tmp_path):
+        # Points go lazily from the kernel into the text, so the peak is a small
+        # multiple of the bytes written (about 136 B per row here), not a point list.
+        lines, ratio = self.sweep_peak(tmp_path)
+        assert lines == 20001
+        assert ratio <= 5
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_figure_holds_little_more_than_its_text(self, tmp_path, figure):
+        # A figure streams the same way and evaluates no point past its last
+        # row: 6 metadata lines, the header and the 11,096 fields below F_a.
+        lines, ratio = self.sweep_peak(tmp_path, "--figure", figure)
+        assert lines == 6 + 1 + 11096
+        assert ratio <= 10
 
     def test_fig3_nine_rows(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--atom", "He:clementi",
@@ -416,6 +431,9 @@ class TestArgparseBehavior:
     # 4 z_eff F underflows to 0
     ("times --ip 1e-12 --z-eff 1e-300 --field 5e-324", "F=5e-324"),
     ("sweep --ip 1e-12 --z-eff 1e-300 --grid 5e-324", "F=5e-324"),
+    # above F_a (ip^2 underflows), so a figure must evaluate its first point
+    # to report this before refusing the regime
+    ("sweep --ip 1e-170 --z-eff 1e-300 --grid 1e-300 --figure fig3", "F=1e-300"),
     ("sweep --ip 1e-12 --z-eff 5e-324 --grid 0.02:0.16:0.01", "F=0.02"),
 ])
 def test_non_finite_output_exits_2(capsys, tmp_path, argv, named):

@@ -4,16 +4,19 @@ table renderer."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from attoclock.barrier import Regime, RegimeError, atomic_field_strength
+from attoclock.atom import catalog_lookup
+from attoclock.barrier import ATOMIC_BAND, Regime, RegimeError, atomic_field_strength
 from attoclock import harness
 from attoclock.harness import (COLUMNS, DUMP_COLUMNS, MeasurementFormatError,
                                MeasurementRecord, compare, emit_figure_data,
-                               figure_table, fit_width_relation,
                                load_measurements, render, run_sweep, table)
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
 from helpers import rel_err
+from reference import fit_width_relation
 
 GRID_9 = [0.03 + 0.01 * k for k in range(9)]   # 0.03 .. 0.11
 
@@ -22,9 +25,13 @@ def tau_d_as(point):
     return au_time_to_attoseconds(point.tau_d)
 
 
+def figure_json(atom, grid, figure):
+    return json.loads(emit_figure_data(atom, grid, figure, fmt="json"))
+
+
 def light_as(atom, point):
-    _, _, ((_, _, light),) = figure_table(atom, [point], "fig4")
-    return light
+    (row,) = figure_json(atom, [point.f], "fig4")["rows"]
+    return row["light_as"]
 
 
 @pytest.fixture
@@ -108,9 +115,9 @@ class TestColumnRegistry:
 
 
 class TestLightTraversal:
-    def test_f006_barrier(self, he_clementi, rows9):
-        _, _, values = figure_table(he_clementi, rows9, "fig4")
-        light = values[3][2]                        # F = 0.06
+    def test_f006_barrier(self, he_clementi):
+        row = figure_json(he_clementi, GRID_9, "fig4")["rows"][3]      # F = 0.06
+        light = row["light_as"]
         assert rel_err(light, 1.8870428972824028) < 1e-12
 
 
@@ -282,8 +289,8 @@ class TestCompare:
 
 
 class TestEmitFigureData:
-    def test_fig3_columns_and_rows(self, he_clementi, rows9):
-        text = emit_figure_data(he_clementi, rows9, "fig3")
+    def test_fig3_columns_and_rows(self, he_clementi):
+        text = emit_figure_data(he_clementi, GRID_9, "fig3")
         lines = text.splitlines()
         meta = [l for l in lines if l.startswith("#")]
         body = [l for l in lines if not l.startswith("#")]
@@ -295,8 +302,8 @@ class TestEmitFigureData:
         assert any(l.startswith("# constants=codata2018") for l in meta)
         assert any(l.startswith("# grid=0.03,") for l in meta)
 
-    def test_fig4_row_at_f006(self, he_clementi, rows9):
-        text = emit_figure_data(he_clementi, rows9, "fig4", precision=6)
+    def test_fig4_row_at_f006(self, he_clementi):
+        text = emit_figure_data(he_clementi, GRID_9, "fig4", precision=6)
         row = text.splitlines()[7 + 3]          # 6 meta lines + header, F=0.06 is 4th
         d_b, tau_d, light = (float(c) for c in row.split(","))
         assert abs(d_b - 10.6906) < 5e-4
@@ -305,51 +312,108 @@ class TestEmitFigureData:
 
     def test_fig3_critical_field_row(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        rows = run_sweep(he_clementi, [fa])
-        text = emit_figure_data(he_clementi, rows, "fig3", precision=6)
+        text = emit_figure_data(he_clementi, [fa], "fig3", precision=6)
         row = text.splitlines()[-1].split(",")
         assert abs(float(row[1]) - 13.3852) < 5e-4
         assert abs(float(row[2]) - 26.7703) < 5e-4
 
-    def test_fig2_and_fig3_share_symmetric_column(self, he_clementi, rows9):
+    def test_fig2_and_fig3_share_symmetric_column(self, he_clementi):
         fig2 = [l.split(",") for l in
-                emit_figure_data(he_clementi, rows9, "fig2").splitlines()
+                emit_figure_data(he_clementi, GRID_9, "fig2").splitlines()
                 if not l.startswith("#")][1:]
         fig3 = [l.split(",") for l in
-                emit_figure_data(he_clementi, rows9, "fig3").splitlines()
+                emit_figure_data(he_clementi, GRID_9, "fig3").splitlines()
                 if not l.startswith("#")][1:]
         assert [r[0] for r in fig2] == [r[0] for r in fig3]
         assert [r[2] for r in fig2] == [r[2] for r in fig3]
 
     def test_emission_is_deterministic(self, he_clementi):
-        first = emit_figure_data(he_clementi, run_sweep(he_clementi, GRID_9), "fig4")
-        second = emit_figure_data(he_clementi, run_sweep(he_clementi, GRID_9), "fig4")
+        first = emit_figure_data(he_clementi, GRID_9, "fig4")
+        second = emit_figure_data(he_clementi, GRID_9, "fig4")
         assert first.encode() == second.encode()
 
     def test_fig4_excludes_non_subatomic_rows(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        rows = run_sweep(he_clementi, [0.06, fa])
-        _, _, values = figure_table(he_clementi, rows, "fig4")
-        assert len(values) == 1
+        assert len(figure_json(he_clementi, [0.06, fa], "fig4")["rows"]) == 1
 
     def test_fig4_with_no_real_barrier_is_regime_error(self, he_clementi):
-        rows = run_sweep(he_clementi, [0.15])
         with pytest.raises(RegimeError):
-            emit_figure_data(he_clementi, rows, "fig4")
+            emit_figure_data(he_clementi, [0.15], "fig4")
 
     def test_empty_rows_rejected(self, he_clementi):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="field grid is empty"):
             emit_figure_data(he_clementi, [], "fig2")
 
-    def test_unknown_figure_rejected(self, he_clementi, rows9):
+    def test_unknown_figure_rejected(self, he_clementi):
         with pytest.raises(ValueError, match="fig1"):
-            emit_figure_data(he_clementi, rows9, "fig1")
+            emit_figure_data(he_clementi, GRID_9, "fig1")
 
     def test_json_is_meta_and_rows(self, he_clementi, rows9):
-        meta, columns, values = figure_table(he_clementi, rows9, "fig3")
-        payload = json.loads(emit_figure_data(he_clementi, rows9, "fig3", fmt="json"))
-        assert payload == {"meta": meta,
-                           "rows": [dict(zip(columns, v)) for v in values]}
+        # the CSV's metadata lines and the table of the evaluated points
+        meta = dict(line[2:].split("=", 1)
+                    for line in emit_figure_data(he_clementi, GRID_9, "fig3").splitlines()
+                    if line.startswith("# "))
+        columns = harness._FIGURE_COLUMNS["fig3"]
+        values = table(columns, he_clementi, rows9)
+        assert figure_json(he_clementi, GRID_9, "fig3") == {
+            "meta": meta, "rows": [dict(zip(columns, v)) for v in values]}
+
+
+def old_figure_data(atom, grid, figure, precision, fmt):
+    """A figure as it was built before it streamed: evaluate the whole grid,
+    then keep the points of the figure's regimes."""
+    points = run_sweep(atom, grid)
+    keep = ((lambda p: p.regime is Regime.SUB_ATOMIC) if figure == "fig4"
+            else (lambda p: p.regime is not Regime.SUPER_ATOMIC))
+    selected = [p for p in points if keep(p)]
+    if not selected:
+        raise RegimeError("no point admitted")
+    meta = {"atom": atom.name, "source": atom.source, "z_eff": f"{atom.z_eff:.12g}",
+            "i_p": f"{atom.ip:.12g}", "grid": ",".join(f"{p.f:.12g}" for p in points),
+            "constants": CONSTANTS.version}
+    columns = harness._FIGURE_COLUMNS[figure]
+    text = render(meta, columns, table(columns, atom, selected), fmt, precision)
+    # the streamed table evaluates the admitted prefix and the first point left out
+    return text, min(len(selected) + 1, len(points))
+
+
+@st.composite
+def grids_across_f_a(draw):
+    """A He model and a strictly ascending grid: fields below F_a (maybe
+    none), one inside the critical band, and at least one above."""
+    atom = catalog_lookup(draw(st.sampled_from(("He:clementi", "He:kullie"))))
+    fa = atomic_field_strength(atom)
+    below = draw(st.lists(st.floats(0.01, 0.999), max_size=6))
+    band = draw(st.floats(-0.5, 0.5))
+    above = draw(st.lists(st.floats(1.001, 4.0), min_size=1, max_size=6))
+    grid = sorted({fa * frac for frac in below + above} | {fa * (1 + band * ATOMIC_BAND)})
+    return atom, grid
+
+
+class TestFigureStreaming:
+    @settings(max_examples=60, deadline=None)
+    @given(grids_across_f_a(), st.sampled_from(harness.FIGURES),
+           st.integers(1, 17), st.sampled_from(("csv", "json")))
+    def test_matches_whole_grid_selection(self, case, figure, precision, fmt):
+        atom, grid = case
+        calls, evaluate = [], harness.evaluate
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        try:
+            expected, n_evaluated = old_figure_data(atom, grid, figure, precision, fmt)
+        except RegimeError:
+            expected, n_evaluated = RegimeError, 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "evaluate", counted)
+            if expected is RegimeError:
+                with pytest.raises(RegimeError):
+                    emit_figure_data(atom, grid, figure, precision, fmt)
+            else:
+                assert emit_figure_data(atom, grid, figure, precision, fmt) == expected
+        assert len(calls) == n_evaluated
 
 
 class TestRender:
