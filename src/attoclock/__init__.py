@@ -7,7 +7,7 @@ figure tables), ``cli`` (command line).
 """
 
 from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
-from .barrier import Regime, RegimeError, atomic_field_strength
+from .barrier import RegimeError, atomic_field_strength
 from .clocks import Point, evaluate
 from .harness import (ComparisonReport, MeasurementRecord, compare,
                       emit_figure_data, load_measurements, run_sweep)
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomModel", "LaserField", "builtin_catalog", "catalog_lookup",
-    "Regime", "RegimeError", "atomic_field_strength", "Point", "evaluate",
+    "RegimeError", "atomic_field_strength", "Point", "evaluate",
     "ComparisonReport", "MeasurementRecord", "compare",
     "emit_figure_data", "load_measurements", "run_sweep",
     "CONSTANTS", "PhysicalConstants", "__version__",

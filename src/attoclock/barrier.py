@@ -9,7 +9,6 @@ barrier in closed form.
 from __future__ import annotations
 
 import collections
-import enum
 import math
 
 from .atom import AtomModel
@@ -18,12 +17,6 @@ from .atom import AtomModel
 # treated as exactly critical: the discriminant crosses zero there and an
 # exact equality test would be meaningless in floating point.
 ATOMIC_BAND = 1e-12
-
-
-class Regime(enum.Enum):
-    SUB_ATOMIC = "sub_atomic"
-    ATOMIC = "atomic"
-    SUPER_ATOMIC = "super_atomic"
 
 
 class RegimeError(Exception):
@@ -49,11 +42,13 @@ def appearance_intensity(atom: AtomModel) -> float:
     return fa * fa
 
 
-def classify_regime(atom: AtomModel, f: float) -> Regime:
+def classify_regime(atom: AtomModel, f: float) -> str:
+    """``"sub_atomic"``, ``"atomic"`` or ``"super_atomic"``: where ``f`` lies
+    against the barrier-suppression field, as the ``regime`` column prints it."""
     fa = atomic_field_strength(atom)
     if abs(f - fa) <= ATOMIC_BAND * fa:
-        return Regime.ATOMIC
-    return Regime.SUB_ATOMIC if f < fa else Regime.SUPER_ATOMIC
+        return "atomic"
+    return "sub_atomic" if f < fa else "super_atomic"
 
 
 def solve_geometry(atom: AtomModel, f: float) -> Geometry:
@@ -74,7 +69,7 @@ def solve_geometry(atom: AtomModel, f: float) -> Geometry:
     h_max = abs(-ip + math.sqrt(z4f))
     x_c = ip / f                      # classical exit, binding potential neglected
     disc = ip * ip - z4f
-    if regime is Regime.SUPER_ATOMIC:
+    if regime == "super_atomic":
         if z4f == math.inf:
             # 4 z_eff F overflows, but not its root s: delta_z'' = sqrt((s - ip)(s + ip)).
             s = 2.0 * math.sqrt(z_eff) * math.sqrt(f)
@@ -82,7 +77,7 @@ def solve_geometry(atom: AtomModel, f: float) -> Geometry:
                             x_peak, None, x_c, None, s - ip)
         return Geometry(f, regime, 0.0, math.sqrt(max(-disc, 0.0)), None, x_peak, None,
                         x_c, None, h_max)
-    if regime is Regime.ATOMIC:
+    if regime == "atomic":
         return Geometry(f, regime, 0.0, 0.0, x_peak, x_peak, x_peak, x_c, 0.0, h_max)
     dz = math.sqrt(max(disc, 0.0))
     ip_plus = ip + dz

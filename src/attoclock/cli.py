@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .atom import (AtomConfigError, AtomModel, LaserField, builtin_catalog,
                    catalog_lookup)
-from .barrier import Regime, RegimeError, solve_geometry
+from .barrier import RegimeError, solve_geometry
 from .clocks import evaluate
 from .harness import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, ESTIMATORS,
                       FIGURES, GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS,
@@ -102,7 +102,7 @@ def parse_grid(spec: str) -> list[float]:
 
 
 def _omega(args: argparse.Namespace) -> float | None:
-    if getattr(args, "wavelength", None) is None:
+    if args.wavelength is None:
         return None
     return wavelength_to_angular_frequency(args.wavelength)
 
@@ -110,11 +110,10 @@ def _omega(args: argparse.Namespace) -> float | None:
 def cmd_geometry(args: argparse.Namespace) -> tuple[str, int]:
     atom = _resolve_atom(args)
     field = _resolve_field(args)
-    _omega(args)                 # rejects a bad --wavelength, which geometry ignores
     geometry = solve_geometry(atom, field.f_peak)
     (values,) = table(GEOMETRY_COLUMNS, atom, [geometry])
     return (_render_record(GEOMETRY_COLUMNS, values, args),
-            EXIT_REGIME if geometry.regime is Regime.SUPER_ATOMIC else EXIT_OK)
+            EXIT_REGIME if geometry.regime == "super_atomic" else EXIT_OK)
 
 
 def cmd_times(args: argparse.Namespace) -> tuple[str, int]:
@@ -125,7 +124,7 @@ def cmd_times(args: argparse.Namespace) -> tuple[str, int]:
     columns = TIMES_COLUMNS if omega is None else TIMES_COLUMNS + DRIVE_COLUMNS
     (values,) = table(columns, atom, [point], omega)
     return (_render_record(columns, values, args),
-            EXIT_REGIME if point.regime is Regime.SUPER_ATOMIC else EXIT_OK)
+            EXIT_REGIME if point.regime == "super_atomic" else EXIT_OK)
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
@@ -146,14 +145,14 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     if not records:
         raise ValueError(f"{args.data}: no measurement records")
     report = compare(atom, args.estimator, records)
-    columns = ("model_id", "estimator", "n_records", "n_used", "n_skipped", "rms_as",
-               "max_abs_as", "fraction_within_bars")
-    values = [report.model_id, report.estimator, report.n_records, len(report.residuals),
-              report.n_skipped, report.rms, report.max_abs, report.fraction_within_bars]
-    text = _render_record(columns, values, args)
+    # The report's fields, residuals aside, are the summary's columns in printed order.
+    columns, summary = report._fields[:-1], report[:-1]
+    if args.residuals and args.format == "json":     # one document, shaped like a figure
+        return render(dict(zip(columns, summary)), RESIDUAL_COLUMNS, report.residuals,
+                      "json", args.precision), EXIT_OK
+    text = _render_record(columns, summary, args)
     if args.residuals:
-        text += render(None, RESIDUAL_COLUMNS, report.residuals, args.format,
-                       args.precision)
+        text += render(None, RESIDUAL_COLUMNS, report.residuals, "csv", args.precision)
     return text, EXIT_OK
 
 
@@ -202,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo = sub.add_parser("geometry", help="barrier geometry at one field strength")
     _add_atom_flags(p_geo)
     _add_field_flags(p_geo)
-    p_geo.add_argument("--wavelength", type=float, metavar="NM")
     _add_output_flags(p_geo)
     p_geo.set_defaults(func=cmd_geometry)
 

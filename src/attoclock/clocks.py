@@ -13,7 +13,7 @@ import collections
 import math
 
 from .atom import AtomModel
-from .barrier import Geometry, Regime, solve_geometry
+from .barrier import Geometry, solve_geometry
 
 # One point, in au: its Geometry, then the times. None marks what it lacks: above
 # barrier suppression the real-only times and energy uncertainties; at or below
@@ -51,7 +51,7 @@ def compute_clocks(atom: AtomModel, geometry: Geometry,
     # carries the effective charge, ip / (2 z_eff F).
     tau_c = ip / f * 0.5              # halved last: 2F can overflow
     tau_a = 1.0 / ip
-    if regime is Regime.SUPER_ATOMIC:
+    if regime == "super_atomic":
         den = 2.0 * (ip * ip + dzi * dzi)
         if den == math.inf:
             # 2 (ip^2 + dzi^2) = 2 (4 z_eff F) overflows, but not s = sqrt(4 z_eff F).

@@ -16,7 +16,7 @@ from itertools import chain, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .atom import AtomModel
-from .barrier import Regime, RegimeError, appearance_intensity, atomic_field_strength
+from .barrier import RegimeError, appearance_intensity, atomic_field_strength
 from .clocks import Point, evaluate
 from .units import CONSTANTS
 
@@ -44,11 +44,12 @@ class MeasurementRecord(collections.namedtuple("MeasurementRecord",
     _make = classmethod(lambda cls, iterable: cls(*iterable))   # _replace validates too
 
 
-# Residual statistics of a model curve against measured points, with one
-# residual row per used record in RESIDUAL_COLUMNS order.
+# Residual statistics of a model curve against measured points: compare's
+# summary columns in printed order, then one residual row per used record in
+# RESIDUAL_COLUMNS order.
 ComparisonReport = collections.namedtuple(
-    "ComparisonReport", "model_id estimator residuals rms max_abs fraction_within_bars "
-                        "n_records n_skipped")
+    "ComparisonReport", "model_id estimator n_records n_used n_skipped rms_as max_abs_as "
+                        "fraction_within_bars residuals")
 
 
 def check_finite(records: Iterable[dict[str, object]]) -> None:
@@ -59,12 +60,12 @@ def check_finite(records: Iterable[dict[str, object]]) -> None:
                 raise ValueError(f"{column} is {value!r}, not a finite number")
 
 
-def render(meta: dict[str, str] | None, columns: Sequence[str],
+def render(meta: dict[str, object] | None, columns: Sequence[str],
            rows: Iterable[Sequence[object]], fmt: str, precision: int) -> str:
     """One table as CSV (``# key=value`` metadata lines, header, rows) or
     JSON (a list of row objects, or ``{"meta": ..., "rows": [...]}`` with
-    metadata). ``rows`` is consumed once, so it may be lazy. A float cell
-    that is not finite is an error naming its column."""
+    metadata). ``rows`` is consumed once, so it may be lazy. A float cell or
+    metadata value that is not finite is an error naming its column or key."""
     if fmt == "json":
         import json
         records = [dict(zip(columns, row)) for row in rows]
@@ -72,7 +73,7 @@ def render(meta: dict[str, str] | None, columns: Sequence[str],
         # How a non-finite float prints. Searching the text is cheaper than testing
         # every cell, which is done only on a hit (a text cell can hold the word).
         if "Infinity" in text or "NaN" in text:
-            check_finite(records)
+            check_finite([meta or {}, *records])
         return text + "\n"
     lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
@@ -110,7 +111,7 @@ COLUMNS = {
     "f_a_au": "atomic_field_strength(a)",
     "i_a_au": "appearance_intensity(a)",
     "f_au": "p.f",
-    "regime": "p.regime.value",
+    "regime": "p.regime",
     "delta_z_au": "p.delta_z",
     "delta_z_imag_au": "p.delta_z_imag",
     "x_entrance_au": "p.x_entrance",
@@ -137,7 +138,7 @@ COLUMNS = {
     "de_plus_au": "p.de_plus",
     "de_minus_au": "p.de_minus",
     # Light-traversal time of the barrier; None without a real barrier.
-    "light_as": "(p.barrier_width / C * K if p.regime is SUB_ATOMIC else None)",
+    "light_as": "(p.barrier_width / C * K if p.regime == 'sub_atomic' else None)",
     "tau_d_re_au": "p.tau_d_re",
     "tau_d_im_au": "p.tau_d_im",
     # The approach time is the conjugate; a zero imaginary part keeps its sign.
@@ -149,7 +150,7 @@ COLUMNS = {
 # Every name a COLUMNS expression reads, bound once; nothing else is in scope.
 _NAMESPACE = {
     "__builtins__": {}, "K": CONSTANTS.au_time_in_attoseconds,
-    "C": CONSTANTS.speed_of_light, "SUB_ATOMIC": Regime.SUB_ATOMIC,
+    "C": CONSTANTS.speed_of_light,
     "atomic_field_strength": atomic_field_strength,
     "appearance_intensity": appearance_intensity,
 }
@@ -233,7 +234,8 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
     the symmetric-bar form ``field_au,time_as,err_as[,source]``. A leading
     UTF-8 byte-order mark is ignored. A file that is empty after the header
     yields an empty list. Rows out of field order are accepted with a
-    warning.
+    warning. A malformed line is a MeasurementFormatError naming the file
+    and the line.
     """
     import csv
     try:
@@ -242,37 +244,31 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
     except UnicodeDecodeError as exc:
         raise MeasurementFormatError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
+    records = []
     try:
         header = [c.strip() for c in next(reader)]
+        if header in (_HEADER_4, _HEADER_4 + ["source"]):
+            symmetric = False
+        elif header in (_HEADER_3, _HEADER_3 + ["source"]):
+            symmetric = True
+        else:
+            expected = f"{','.join(_HEADER_4)}[,source] or {','.join(_HEADER_3)}[,source]"
+            raise ValueError(f"bad header {','.join(header)!r}; expected {expected}")
+        named = header[-1] == "source"
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+            values = [float(c) for c in row[: len(header) - named]]
+            if symmetric:
+                values.append(values[2])      # one bar for both sides
+            records.append(MeasurementRecord(*values, row[-1].strip() if named else ""))
     except StopIteration:
         raise MeasurementFormatError(f"{path}: missing header line") from None
-    if header in (_HEADER_4, _HEADER_4 + ["source"]):
-        symmetric = False
-    elif header in (_HEADER_3, _HEADER_3 + ["source"]):
-        symmetric = True
-    else:
-        expected = f"{','.join(_HEADER_4)}[,source] or {','.join(_HEADER_3)}[,source]"
-        raise MeasurementFormatError(
-            f"{path}: line 1: bad header {','.join(header)!r}; expected {expected}")
-    records = []
-    for row in reader:
-        line = reader.line_num
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise MeasurementFormatError(
-                f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
-        try:
-            values = [float(c) for c in row[: len(header) - (header[-1] == "source")]]
-        except ValueError as exc:
-            raise MeasurementFormatError(f"{path}: line {line}: {exc}") from None
-        source = row[-1].strip() if header[-1] == "source" else ""
-        if symmetric:
-            values.append(values[2])      # one bar for both sides
-        try:
-            records.append(MeasurementRecord(*values, source))
-        except ValueError as exc:
-            raise MeasurementFormatError(f"{path}: line {line}: {exc}") from None
+    # csv.Error: a NUL byte (before Python 3.11) or a cell over the csv field limit
+    except (csv.Error, ValueError) as exc:
+        raise MeasurementFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if any(b.f <= a.f for a, b in zip(records, records[1:])):
         warnings.warn(f"{path}: field values are not strictly increasing; "
                       "records were re-sorted", stacklevel=2)
@@ -319,15 +315,11 @@ def compare(atom: AtomModel, estimator: str,
     except OverflowError:     # finite squares whose sum is not: render names rms_as
         sum_squares = math.inf
     return ComparisonReport(
-        model_id=f"{atom.label()}/{estimator}",
-        estimator=estimator,
-        residuals=tuple(residuals),
-        rms=math.sqrt(sum_squares / n),
-        max_abs=max(abs(r) for _, _, _, r, _ in residuals),
+        model_id=f"{atom.label()}/{estimator}", estimator=estimator, n_records=len(data),
+        n_used=n, n_skipped=len(data) - n, rms_as=math.sqrt(sum_squares / n),
+        max_abs_as=max(abs(r) for _, _, _, r, _ in residuals),
         fraction_within_bars=sum(w for _, _, _, _, w in residuals) / n,
-        n_records=len(data),
-        n_skipped=len(data) - n,
-    )
+        residuals=tuple(residuals))
 
 
 RESIDUAL_COLUMNS = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
@@ -344,11 +336,11 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
         raise ValueError(f"unknown figure {figure!r}; choose from {FIGURES}")
     points = iter_sweep(atom, f_grid)       # no figure column reads gamma
     if figure == "fig4":
-        keep = lambda p: p.regime is Regime.SUB_ATOMIC
+        keep = lambda p: p.regime == "sub_atomic"
         refusal = ("no real barrier in any sweep row; the width table needs "
                    "fields below barrier suppression")
     else:
-        keep = lambda p: p.regime is not Regime.SUPER_ATOMIC
+        keep = lambda p: p.regime != "super_atomic"
         refusal = ("all sweep rows lie above barrier suppression; the single-sided "
                    "and crossing times are complex there")
     # The grid ascends strictly and the regime is monotone in F (sub-atomic, then

@@ -14,7 +14,7 @@ import collections
 import math
 from decimal import Decimal, localcontext
 
-from attoclock.barrier import Regime, RegimeError, classify_regime
+from attoclock.barrier import RegimeError, classify_regime
 from attoclock.clocks import Point
 from attoclock.units import CONSTANTS
 
@@ -111,7 +111,7 @@ def exit_points_oracle(atom, f: float, tol: float = 1e-12) -> tuple[float, float
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    if classify_regime(atom, f) is not Regime.SUB_ATOMIC:
+    if classify_regime(atom, f) != "sub_atomic":
         raise RegimeError("oracle requires a sub-atomic field with two distinct crossings")
 
     def h(x: float) -> float:
@@ -150,7 +150,7 @@ def fit_width_relation(points) -> WidthFit:
     1 - F/F_a as the window shrinks toward F_a.
     """
     k = CONSTANTS.au_time_in_attoseconds
-    pts = [(p.barrier_width, p.tau_d * k) for p in points if p.regime is Regime.SUB_ATOMIC]
+    pts = [(p.barrier_width, p.tau_d * k) for p in points if p.regime == "sub_atomic"]
     if len(pts) < 2:
         raise ValueError("need at least two sub-atomic rows for a line fit")
     n = len(pts)

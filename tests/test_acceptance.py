@@ -290,10 +290,10 @@ def test_criterion_9_harness_fixtures(tmp_path):
         emit_figure_data(atom, grid, fig).encode()
         == emit_figure_data(atom, grid, fig).encode()
         for fig in ("fig2", "fig3", "fig4"))
-    ok = (self_report.rms == 0.0 and self_report.fraction_within_bars == 1.0
-          and abs(offset_report.rms - 1.0) <= 1e-9 and identical)
+    ok = (self_report.rms_as == 0.0 and self_report.fraction_within_bars == 1.0
+          and abs(offset_report.rms_as - 1.0) <= 1e-9 and identical)
     assert report("C9 harness fixtures", ok,
-                  f"self rms {self_report.rms!r}, offset rms {offset_report.rms!r}")
+                  f"self rms {self_report.rms_as!r}, offset rms {offset_report.rms_as!r}")
 
 
 def test_criterion_10_cli_end_to_end(tmp_path, capsys):

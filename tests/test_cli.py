@@ -71,11 +71,11 @@ class TestGeometryCommand:
         assert payload["z_eff"] == 1.375
         assert abs(payload["x_classical_au"] - 15.0595) < 1e-3
 
-    def test_wavelength_must_be_positive(self, capsys):
+    def test_wavelength_is_not_an_option(self, capsys):
         code, out, err = run_cli(capsys, "geometry", "--atom", "He:clementi",
-                                 "--field", "0.06", "--wavelength", "-735")
+                                 "--field", "0.06", "--wavelength", "735")
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "wavelength" in err
+        assert "unrecognized arguments: --wavelength 735" in err
 
 
 class TestTimesCommand:
@@ -124,6 +124,12 @@ class TestTimesCommand:
         record = parse_record(out)
         assert code == 0
         assert abs(float(record["gamma_k"]) - 1.3889) < 5e-5
+
+    def test_wavelength_must_be_positive(self, capsys):
+        code, out, err = run_cli(capsys, "times", "--atom", "He:clementi",
+                                 "--field", "0.06", "--wavelength", "-735")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "wavelength" in err
 
     def test_overflowing_wavelength_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "times", "--atom", "He:clementi",
@@ -346,6 +352,9 @@ class TestCompareCommand:
         ("", "no measurement records"),           # header only
         ("nan,45.0,8.0\n", "line 2"),
         ("0.06,inf,8.0\n", "line 2"),
+        # each a csv.Error at the reader, the NUL byte only before Python 3.11
+        pytest.param("0.06,45.0," + "8" * 131_073 + "\n", "line 2", id="oversized-cell"),
+        pytest.param("0.06,45.0,8.0\x00\n", "line 2", id="nul-byte"),
     ])
     def test_unusable_file_exits_2(self, capsys, tmp_path, body, named):
         path = tmp_path / "m.csv"
@@ -369,6 +378,15 @@ class TestCompareCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert all(word in err for word in named) and "finite" in err
+
+    def test_non_finite_summary_exits_2_in_json(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("field_au,time_as,err_as\n0.05,1e154,8.0\n0.06,1e154,8.0\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--atom", "He:clementi", "--estimator",
+                                 "tau_d", "--residuals", "--format", "json", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "rms_as" in err
 
     def test_all_superatomic_exits_3(self, capsys, tmp_path):
         path = tmp_path / "sup.csv"
@@ -526,7 +544,7 @@ OUTPUT = (_flag("--format", st.sampled_from(("csv", "json"))),
           _flag("--precision", _either(("1", "6", "17"), ("0", "18", "x"))))
 # Per command: the parts always drawn, then the optional ones.
 COMMANDS = {
-    "geometry": ((ATOM, FIELD), (NAME, WAVELENGTH)),
+    "geometry": ((ATOM, FIELD), (NAME,)),
     "times": ((ATOM, FIELD), (NAME, WAVELENGTH)),
     "sweep": ((ATOM, _flag("--grid", GRID)),
               (NAME, WAVELENGTH, _flag("--figure", _either(("fig2", "fig3", "fig4"),
@@ -571,7 +589,9 @@ def test_cli_fuzz(argv):
     if code == 2:
         assert text == ""
     assert not NON_FINITE.search(text)
-    if text and "json" not in argv:
+    if text and "json" in argv:
+        json.loads(text)            # one document
+    elif text:
         lines = [line for line in text.splitlines() if not line.startswith("#")]
         # compare --residuals prints its summary record, then the residual table
         tables = [lines[:2], lines[2:]] if "--residuals" in argv else [lines]

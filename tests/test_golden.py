@@ -24,7 +24,8 @@ MANIFEST = GOLDEN / "manifest.json"
 F_A_CLEMENTI = "0.12095388813333334"
 
 # (name, field argv): sub-atomic, atomic and super-atomic fields through
-# every way of setting the field, plus a very weak field.
+# every way of setting the field, plus a very weak field. ``times`` also takes
+# the drive of DRIVES; ``geometry`` has no --wavelength.
 FIELDS = (
     ("sub_field", ["--atom", "He:clementi", "--field", "0.06"]),
     ("atomic_field", ["--atom", "He:clementi", "--field", F_A_CLEMENTI]),
@@ -33,10 +34,11 @@ FIELDS = (
     ("sub_intensity", ["--atom", "He:kullie", "--field-from-intensity", "2.0e14"]),
     ("super_intensity", ["--atom", "He:kullie", "--field-from-intensity", "1e15"]),
     ("sub_ellipticity", ["--atom", "He:clementi", "--f0", "0.1",
-                         "--ellipticity", "0.87", "--wavelength", "735"]),
+                         "--ellipticity", "0.87"]),
     ("super_ellipticity", ["--ip", "0.5", "--z-eff", "1.0", "--name", "H",
                            "--f0", "0.2", "--ellipticity", "0.3"]),
 )
+DRIVES = {"sub_ellipticity": ["--wavelength", "735"]}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -45,8 +47,9 @@ def _cases() -> dict[str, list[str]]:
         for field_name, field_argv in FIELDS:
             for fmt in ("csv", "json"):
                 for precision in ("6", "17"):
+                    drive = DRIVES.get(field_name, []) if command == "times" else []
                     cases[f"{command}_{field_name}_{fmt}_p{precision}"] = [
-                        command, *field_argv, "--format", fmt,
+                        command, *field_argv, *drive, "--format", fmt,
                         "--precision", precision]
     straddle = ["sweep", "--atom", "He:clementi", "--grid", "0.1:0.13:0.005",
                 "--wavelength", "735"]
@@ -91,6 +94,11 @@ def test_replay_is_byte_identical(name):
     code, out = run(case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _manifest() if "_json" in n))
+def test_json_golden_is_one_document(name):
+    json.loads((GOLDEN / f"{name}.out").read_text(encoding="utf-8"))
 
 
 def regenerate() -> None:
