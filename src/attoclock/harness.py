@@ -11,6 +11,7 @@ from __future__ import annotations
 import collections
 import io
 import math
+import operator
 import warnings
 from itertools import chain, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
@@ -33,13 +34,14 @@ class MeasurementRecord(collections.namedtuple("MeasurementRecord",
 
     def __new__(cls, f: float, t: float, err_lo: float, err_hi: float,
                 source: str = "") -> "MeasurementRecord":
-        if not (math.isfinite(f) and f > 0):
+        # Each chained comparison is false for NaN as well as out of range.
+        if not 0.0 < f < math.inf:
             raise ValueError(f"field must be finite and > 0, got {f!r}")
-        if not math.isfinite(t):
+        if not -math.inf < t < math.inf:
             raise ValueError(f"time must be finite, got {t!r}")
-        if not all(math.isfinite(e) and e >= 0 for e in (err_lo, err_hi)):
+        if not (0.0 <= err_lo < math.inf and 0.0 <= err_hi < math.inf):
             raise ValueError("error bars must be finite and >= 0")
-        return super().__new__(cls, f, t, err_lo, err_hi, source)
+        return tuple.__new__(cls, (f, t, err_lo, err_hi, source))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))   # _replace validates too
 
@@ -233,9 +235,10 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
     Accepted headers: ``field_au,time_as,err_lo_as,err_hi_as[,source]`` or
     the symmetric-bar form ``field_au,time_as,err_as[,source]``. A leading
     UTF-8 byte-order mark is ignored. A file that is empty after the header
-    yields an empty list. Rows out of field order are accepted with a
-    warning. A malformed line is a MeasurementFormatError naming the file
-    and the line.
+    yields an empty list, and blank rows are skipped. Rows out of field order
+    or with a repeated field are accepted with a warning and stably sorted, so
+    equal fields keep file order. A malformed line is a MeasurementFormatError
+    naming the file and the line.
     """
     import csv
     try:
@@ -248,31 +251,40 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
     try:
         header = [c.strip() for c in next(reader)]
         if header in (_HEADER_4, _HEADER_4 + ["source"]):
-            symmetric = False
+            hi = 3                      # the column of the upper bar
         elif header in (_HEADER_3, _HEADER_3 + ["source"]):
-            symmetric = True
+            hi = 2                      # the one bar serves both sides
         else:
             expected = f"{','.join(_HEADER_4)}[,source] or {','.join(_HEADER_3)}[,source]"
             raise ValueError(f"bad header {','.join(header)!r}; expected {expected}")
-        named = header[-1] == "source"
+        width, named = len(header), header[-1] == "source"
+        previous, ordered = -math.inf, True
         for row in reader:
-            if not row or all(not c.strip() for c in row):
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} columns, got {len(row)}")
+                f = float(row[0])
+                record = MeasurementRecord(f, float(row[1]), float(row[2]), float(row[hi]),
+                                           row[-1].strip() if named else "")
+            except ValueError:
+                # Any blank cell fails float(), so only a failed row can be blank
+                # (no cells, or only blank ones), and a blank row is skipped.
+                if "".join(row).strip():
+                    raise
                 continue
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} columns, got {len(row)}")
-            values = [float(c) for c in row[: len(header) - named]]
-            if symmetric:
-                values.append(values[2])      # one bar for both sides
-            records.append(MeasurementRecord(*values, row[-1].strip() if named else ""))
+            if f <= previous:
+                ordered = False
+            previous = f
+            records.append(record)
     except StopIteration:
         raise MeasurementFormatError(f"{path}: missing header line") from None
     # csv.Error: a NUL byte (before Python 3.11) or a cell over the csv field limit
     except (csv.Error, ValueError) as exc:
         raise MeasurementFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if any(b.f <= a.f for a, b in zip(records, records[1:])):
+    if not ordered:
         warnings.warn(f"{path}: field values are not strictly increasing; "
                       "records were re-sorted", stacklevel=2)
-    records.sort(key=lambda r: r.f)
+        records.sort(key=operator.itemgetter(0))     # stable: ties keep file order
     return records
 
 
@@ -290,35 +302,36 @@ def compare(atom: AtomModel, estimator: str,
         raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
     if not data:
         raise ValueError("no measurement records given")
+    value_of, to_as = operator.attrgetter(estimator), CONSTANTS.au_time_in_attoseconds
     residuals = []
-    for record in data:
-        value = getattr(evaluate(atom, record.f), estimator)
+    for f, t, err_lo, err_hi, _ in data:
+        value = value_of(evaluate(atom, f))
         if value is None:
             warnings.warn(
-                f"record at F={record.f} is above barrier suppression; "
+                f"record at F={f} is above barrier suppression; "
                 f"{estimator} has no real value there; point skipped", stacklevel=2)
             continue
-        model = value * CONSTANTS.au_time_in_attoseconds
+        model = value * to_as
         if not math.isfinite(model):
-            raise ValueError(f"record at F={record.f!r}: {estimator} is "
+            raise ValueError(f"record at F={f!r}: {estimator} is "
                              f"{model!r} as, not a finite number")
-        residual = model - record.t
-        residuals.append((record.f, model, record.t, residual,
-                          int(abs(residual) <= max(record.err_lo, record.err_hi))))
+        residual = model - t
+        residuals.append((f, model, t, residual,
+                          int(abs(residual) <= (err_lo if err_lo > err_hi else err_hi))))
     if not residuals:
         raise RegimeError(
             f"every record lies above barrier suppression; {estimator} "
             "cannot be compared")
     n = len(residuals)
+    _, _, _, res, within = zip(*residuals)
     try:
-        sum_squares = math.fsum(r * r for _, _, _, r, _ in residuals)
+        sum_squares = math.fsum(map(operator.mul, res, res))
     except OverflowError:     # finite squares whose sum is not: render names rms_as
         sum_squares = math.inf
     return ComparisonReport(
         model_id=f"{atom.label()}/{estimator}", estimator=estimator, n_records=len(data),
         n_used=n, n_skipped=len(data) - n, rms_as=math.sqrt(sum_squares / n),
-        max_abs_as=max(abs(r) for _, _, _, r, _ in residuals),
-        fraction_within_bars=sum(w for _, _, _, _, w in residuals) / n,
+        max_abs_as=max(map(abs, res)), fraction_within_bars=sum(within) / n,
         residuals=tuple(residuals))
 
 

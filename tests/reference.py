@@ -8,14 +8,20 @@ fields are carried as extra precision.
 
 :func:`exit_points_oracle` finds the barrier crossings by bisection, without
 the closed forms, and :func:`fit_width_relation` fits a line to the fig4 curve.
+:func:`load_measurements_oracle` reads a measurement CSV row by row, the
+straightforward way, with its own copy of the record checks.
 """
 
 import collections
+import csv
+import io
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 from attoclock.barrier import RegimeError, classify_regime
 from attoclock.clocks import Point
+from attoclock.harness import MeasurementFormatError
 from attoclock.units import CONSTANTS
 
 
@@ -162,3 +168,57 @@ def fit_width_relation(points) -> WidthFit:
     slope = sxy / sxx
     return WidthFit(slope_as_per_au=slope, intercept_as=y_mean - slope * x_mean,
                     r_squared=(sxy * sxy) / (sxx * syy), n_points=n)
+
+
+def load_measurements_oracle(path: str) -> list[tuple]:
+    """:func:`attoclock.harness.load_measurements`, one plain step per row.
+
+    Each row is tested for blankness, then for its width, then converted cell
+    by cell and checked; the field order is tested over the finished list,
+    which is then sorted stably. Records are ``(f, t, err_lo, err_hi, source)``
+    tuples, and the warnings and MeasurementFormatError texts are the
+    library's."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MeasurementFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    four = ["field_au", "time_as", "err_lo_as", "err_hi_as"]
+    three = ["field_au", "time_as", "err_as"]
+    records = []
+    try:
+        header = [c.strip() for c in next(reader)]
+        if header in (four, four + ["source"]):
+            symmetric = False
+        elif header in (three, three + ["source"]):
+            symmetric = True
+        else:
+            expected = f"{','.join(four)}[,source] or {','.join(three)}[,source]"
+            raise ValueError(f"bad header {','.join(header)!r}; expected {expected}")
+        named = header[-1] == "source"
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+            values = [float(c) for c in row[: len(header) - named]]
+            if symmetric:
+                values.append(values[2])
+            f, t, err_lo, err_hi = values
+            if not (math.isfinite(f) and f > 0):
+                raise ValueError(f"field must be finite and > 0, got {f!r}")
+            if not math.isfinite(t):
+                raise ValueError(f"time must be finite, got {t!r}")
+            if not all(math.isfinite(e) and e >= 0 for e in (err_lo, err_hi)):
+                raise ValueError("error bars must be finite and >= 0")
+            records.append((f, t, err_lo, err_hi, row[-1].strip() if named else ""))
+    except StopIteration:
+        raise MeasurementFormatError(f"{path}: missing header line") from None
+    except (csv.Error, ValueError) as exc:
+        raise MeasurementFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    if any(b[0] <= a[0] for a, b in zip(records, records[1:])):
+        warnings.warn(f"{path}: field values are not strictly increasing; "
+                      "records were re-sorted", stacklevel=2)
+    records.sort(key=lambda r: r[0])
+    return records

@@ -53,6 +53,12 @@ class TestAtomModelValidation:
         with pytest.raises(ValueError):
             AtomModel(name="X", ip=ip, z_eff=z)
 
+    # F_a = ip^2 / (4 z_eff) overflows: from ip^2, or from the division by a tiny z_eff
+    @pytest.mark.parametrize("ip,z", [(1e200, 1.0), (1e154, 1e-10)])
+    def test_overflowing_critical_field_rejected(self, ip, z):
+        with pytest.raises(AtomConfigError, match=r"^ip\^2 / \(4 z_eff\) overflows; model rejected$"):
+            AtomModel(name="X", ip=ip, z_eff=z)
+
     @pytest.mark.parametrize("name,source", [("a,b", ""), ('a"b', ""), ("a\rb", ""),
                                              ("X", "a\nb"), ("X", "a,b")])
     def test_label_that_breaks_csv_rejected(self, name, source):

@@ -182,6 +182,13 @@ class TestAtomSelection:
         code, _, _ = run_cli(capsys, "geometry", "--field", "0.06")
         assert code == 2
 
+    @pytest.mark.parametrize("half", [["--ip", "0.9"], ["--z-eff", "1.6875"]])
+    def test_half_an_inline_atom_exits_2(self, capsys, half):
+        # a TypeError from the atom record would escape main as a traceback
+        code, out, err = run_cli(capsys, "times", *half, "--field", "0.05")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: atom not specified")
+
     @pytest.mark.parametrize("argv", [
         ["times", "--ip", "0.5", "--z-eff", "1", "--name", "a,b", "--field", "0.01"],
         ["sweep", "--ip", "0.5", "--z-eff", "1", "--name", "a\nb",
@@ -242,6 +249,14 @@ class TestSweepCommand:
         assert code == 0
         assert body[0] == "f_au,tau_d_as,tau_sym_as"
         assert len(body) == 10
+
+    def test_one_point_range_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--atom", "He:clementi",
+                               "--grid", "0.05:0.05:0.01", "--figure", "fig3")
+        body = [l for l in out.splitlines() if not l.startswith("#")]
+        assert code == 0
+        assert body[0] == "f_au,tau_d_as,tau_sym_as" and len(body) == 2
+        assert body[1].startswith("0.05,")
 
     def test_reruns_byte_identical(self, capsys):
         args = ("sweep", "--atom", "He:clementi", "--grid", "0.03:0.11:0.01",

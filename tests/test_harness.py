@@ -2,6 +2,11 @@
 table renderer."""
 
 import json
+import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +21,7 @@ from attoclock.harness import (COLUMNS, DUMP_COLUMNS, MeasurementFormatError,
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
 from helpers import rel_err
-from reference import fit_width_relation
+from reference import fit_width_relation, load_measurements_oracle
 
 GRID_9 = [0.03 + 0.01 * k for k in range(9)]   # 0.03 .. 0.11
 
@@ -217,6 +222,121 @@ class TestLoadMeasurements:
     def test_record_replace_validates(self):
         with pytest.raises(ValueError, match="error bars must be finite and >= 0"):
             MeasurementRecord(f=0.06, t=45.0, err_lo=8.0, err_hi=8.0)._replace(err_lo=-1.0)
+
+    @pytest.mark.parametrize("lines", [
+        # ascending in file order, with a tie
+        ["0.06,45.0,1.0,1.0,first", "0.06,40.0,1.0,1.0,second", "0.08,31.0,1.0,1.0,third"],
+        # out of order, with a tie
+        ["0.08,31.0,1.0,1.0,third", "0.06,45.0,1.0,1.0,first", "0.06,40.0,1.0,1.0,second"],
+    ])
+    def test_equal_fields_warn_and_keep_file_order(self, tmp_path, lines):
+        # A sort on more than the field would put "second" (t=40) first.
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(["field_au,time_as,err_lo_as,err_hi_as,source", *lines]),
+                        encoding="utf-8")
+        with pytest.warns(UserWarning, match="not strictly increasing"):
+            records = load_measurements(str(path))
+        assert [r.source for r in records] == ["first", "second", "third"]
+
+
+_FIELD = "field must be finite and > 0, got {!r}"
+_TIME = "time must be finite, got {!r}"
+_BARS = "error bars must be finite and >= 0"
+
+
+class TestMeasurementRecord:
+    GOOD = {"f": 0.06, "t": 45.0, "err_lo": 8.0, "err_hi": 8.0}
+
+    # Each check alone, at the library: the CLI's field check and the kernel's
+    # would otherwise catch what a broken record check lets through.
+    @pytest.mark.parametrize("name, value, message", [
+        *[("f", v, _FIELD) for v in (math.nan, math.inf, -math.inf, 0.0, -0.0, -0.06)],
+        *[("t", v, _TIME) for v in (math.nan, math.inf, -math.inf)],
+        ("t", 0.0, None), ("t", -45.0, None),
+        *[(name, v, _BARS) for name in ("err_lo", "err_hi")
+          for v in (math.nan, math.inf, -math.inf, -1.0, -5e-324)],
+        *[(name, v, None) for name in ("err_lo", "err_hi") for v in (0.0, -0.0, 1e308)],
+    ])
+    def test_each_check_alone(self, name, value, message):
+        builds = (lambda: MeasurementRecord(**{**self.GOOD, name: value}),
+                  lambda: MeasurementRecord(**self.GOOD)._replace(**{name: value}))
+        for build in builds:
+            if message is None:
+                record = build()
+                assert getattr(record, name) is value
+                assert tuple(record) == tuple({**self.GOOD, name: value, "source": ""}.values())
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+                    build()
+
+
+HEADER_FORMS = ("field_au,time_as,err_lo_as,err_hi_as", "field_au,time_as,err_lo_as,err_hi_as,source",
+                "field_au,time_as,err_as", "field_au,time_as,err_as,source")
+FIELD_CELLS = ("0.03", "0.05", "0.06", "0.08", "1e-3")       # few, so fields repeat
+TIME_CELLS = ("45.0", "0", "-3", "1e3")
+BAR_CELLS = ("0", "-0", "2.5", "8")
+# Cells each column refuses, by position: field, time, then the bars.
+BAD_CELLS = (("0", "-0", "-0.06", "nan", "inf", "1e999", "oops", "", "0x1p-3"),
+             ("nan", "inf", "-inf", "-1e999", "oops", " "),
+             ("-1", "-5e-324", "nan", "inf", "1e999", "oops", ""))
+PADS = ("", " ", "\t", "  ")
+
+
+@st.composite
+def measurement_files(draw):
+    """A measurement CSV in one of the four header forms: records with padded
+    cells and repeated, unordered fields, blank and whitespace-only rows, rows
+    of blank cells, and now and then a bad cell or a row of the wrong width."""
+    form = draw(st.sampled_from(HEADER_FORMS))
+    width, named = form.count(",") + 1, form.endswith(",source")
+    pad = lambda cell: draw(st.sampled_from(PADS)) + cell + draw(st.sampled_from(PADS))
+    lines = [draw(st.sampled_from(("", "\ufeff"))) + form]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("record",) * 6 + ("blank", "spaces", "blank cells",
+                                                        "bad cell", "bad width")))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from((" ", "\t", " \t "))))
+            continue
+        if kind == "blank cells":
+            n = draw(st.integers(width - 1, width + 1))
+            lines.append(",".join(draw(st.sampled_from(("", " ", "\t"))) for _ in range(n)))
+            continue
+        cells = [draw(st.sampled_from(FIELD_CELLS)), draw(st.sampled_from(TIME_CELLS))]
+        cells += [draw(st.sampled_from(BAR_CELLS)) for _ in range(width - 2 - named)]
+        cells += [draw(st.sampled_from(("", "lab", "lab 2")))] if named else []
+        if kind == "bad cell":
+            i = draw(st.integers(0, width - 1 - named))
+            cells[i] = draw(st.sampled_from(BAD_CELLS[min(i, 2)]))
+        elif kind == "bad width":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        lines.append(",".join(map(pad, cells)))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + draw(st.sampled_from(("", end)))
+
+
+def ingest(load, path):
+    """Records as tuples, or the refusal's text; and each warning's text and
+    the line it names, which is this function's call line for both loaders."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [tuple(record) for record in load(path)]
+        except MeasurementFormatError as exc:
+            result = str(exc)
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+class TestIngestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(measurement_files())
+    def test_same_records_warning_and_refusal(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = str(Path(directory) / "m.csv")
+            Path(path).write_text(text, encoding="utf-8", newline="")
+            assert ingest(load_measurements, path) == ingest(load_measurements_oracle, path)
 
 
 class TestCompare:
