@@ -71,6 +71,10 @@ def _cases() -> dict[str, list[str]]:
     cases["compare_tau_d_json"] = [
         "compare", "--atom", "He:kullie", "--estimator", "tau_d", "--residuals",
         "--format", "json", "--precision", "17", "{golden}/measurements.csv"]
+    summary = ["compare", "--atom", "He:clementi", "--estimator", "tau_d",
+               "{golden}/measurements.csv"]
+    cases["compare_tau_d_summary_csv"] = summary
+    cases["compare_tau_d_summary_json"] = [*summary, "--format", "json"]
     cases["catalog_csv"] = ["catalog"]
     cases["catalog_json"] = ["catalog", "--format", "json"]
     return cases
