@@ -17,8 +17,8 @@ from .barrier import RegimeError, solve_geometry
 from .clocks import evaluate
 from .harness import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, ESTIMATORS,
                       FIGURES, GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS,
-                      check_finite, compare, emit_figure_data, iter_sweep, load_measurements,
-                      render, table)
+                      compare, emit_figure_data, iter_sweep, load_measurements, render,
+                      table)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -34,25 +34,19 @@ def _write_output(text: str, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _render_record(columns: Sequence[str], values: list, args: argparse.Namespace) -> str:
-    if args.format == "json":
-        import json
-        record = dict(zip(columns, values))
-        check_finite([record])
-        return json.dumps(record, indent=2) + "\n"
-    return render(None, columns, [values], "csv", args.precision)
-
-
 def _resolve_atom(args: argparse.Namespace) -> AtomModel:
     inline = args.ip is not None or args.z_eff is not None
     if args.atom and inline:
         raise AtomConfigError("give either --atom or --ip/--z-eff, not both")
     if args.atom:
+        if args.name is not None:
+            raise AtomConfigError("--name labels an inline --ip/--z-eff atom, not --atom")
         return catalog_lookup(args.atom)
     if args.ip is None or args.z_eff is None:
         raise AtomConfigError("atom not specified: use --atom NAME[:MODEL] "
                               "or both --ip and --z-eff")
-    return AtomModel(name=args.name, ip=args.ip, z_eff=args.z_eff, source="cli")
+    return AtomModel(name="custom" if args.name is None else args.name, ip=args.ip,
+                     z_eff=args.z_eff, source="cli")
 
 
 def _resolve_field(args: argparse.Namespace) -> LaserField:
@@ -112,7 +106,7 @@ def cmd_geometry(args: argparse.Namespace) -> tuple[str, int]:
     field = _resolve_field(args)
     geometry = solve_geometry(atom, field.f_peak)
     (values,) = table(GEOMETRY_COLUMNS, atom, [geometry])
-    return (_render_record(GEOMETRY_COLUMNS, values, args),
+    return (render(dict(zip(GEOMETRY_COLUMNS, values)), (), None, args.format, args.precision),
             EXIT_REGIME if geometry.regime == "super_atomic" else EXIT_OK)
 
 
@@ -123,7 +117,7 @@ def cmd_times(args: argparse.Namespace) -> tuple[str, int]:
     point = evaluate(atom, field.f_peak, omega)
     columns = TIMES_COLUMNS if omega is None else TIMES_COLUMNS + DRIVE_COLUMNS
     (values,) = table(columns, atom, [point], omega)
-    return (_render_record(columns, values, args),
+    return (render(dict(zip(columns, values)), (), None, args.format, args.precision),
             EXIT_REGIME if point.regime == "super_atomic" else EXIT_OK)
 
 
@@ -132,6 +126,8 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     grid = parse_grid(args.grid)
     omega = _omega(args)          # a bad --wavelength exits 2 on both paths
     if args.figure:
+        if omega is not None:
+            raise ValueError("--wavelength has no column in a --figure table")
         return (emit_figure_data(atom, grid, args.figure, args.precision, args.format),
                 EXIT_OK)
     points = iter_sweep(atom, grid, omega)    # lazy: the dump holds only its text
@@ -146,11 +142,11 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError(f"{args.data}: no measurement records")
     report = compare(atom, args.estimator, records)
     # The report's fields, residuals aside, are the summary's columns in printed order.
-    columns, summary = report._fields[:-1], report[:-1]
+    summary = dict(zip(report._fields[:-1], report))
     if args.residuals and args.format == "json":     # one document, shaped like a figure
-        return render(dict(zip(columns, summary)), RESIDUAL_COLUMNS, report.residuals,
-                      "json", args.precision), EXIT_OK
-    text = _render_record(columns, summary, args)
+        return render(summary, RESIDUAL_COLUMNS, report.residuals, "json",
+                      args.precision), EXIT_OK
+    text = render(summary, (), None, args.format, args.precision)
     if args.residuals:
         text += render(None, RESIDUAL_COLUMNS, report.residuals, "csv", args.precision)
     return text, EXIT_OK
@@ -176,8 +172,7 @@ def _add_atom_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ip", type=float, help="ionization potential in au")
     parser.add_argument("--z-eff", dest="z_eff", type=float,
                         help="effective nuclear charge")
-    parser.add_argument("--name", default="custom",
-                        help="label for an inline --ip/--z-eff atom")
+    parser.add_argument("--name", help="label for an inline --ip/--z-eff atom")
 
 
 def _add_field_flags(parser: argparse.ArgumentParser) -> None:

@@ -54,29 +54,33 @@ ComparisonReport = collections.namedtuple(
                         "fraction_within_bars residuals")
 
 
-def check_finite(records: Iterable[dict[str, object]]) -> None:
+def _check_finite(cells: Iterable[tuple[str, object]]) -> None:
     """Refuse a float cell that is not finite, naming its column."""
-    for record in records:
-        for column, value in record.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{column} is {value!r}, not a finite number")
+    for column, value in cells:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{column} is {value!r}, not a finite number")
 
 
 def render(meta: dict[str, object] | None, columns: Sequence[str],
-           rows: Iterable[Sequence[object]], fmt: str, precision: int) -> str:
+           rows: Iterable[Sequence[object]] | None, fmt: str, precision: int) -> str:
     """One table as CSV (``# key=value`` metadata lines, header, rows) or
     JSON (a list of row objects, or ``{"meta": ..., "rows": [...]}`` with
-    metadata). ``rows`` is consumed once, so it may be lazy. A float cell or
-    metadata value that is not finite is an error naming its column or key."""
+    metadata). With ``rows`` None, ``meta`` is one record: a JSON object, or a
+    CSV header of its keys and one row of its values. ``rows`` is consumed once,
+    so it may be lazy. A float cell or metadata value that is not finite is an
+    error naming its column or key."""
     if fmt == "json":
         import json
-        records = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps({"meta": meta, "rows": records} if meta else records, indent=2)
+        records = [] if rows is None else [dict(zip(columns, row)) for row in rows]
+        doc = meta if rows is None else {"meta": meta, "rows": records} if meta else records
+        text = json.dumps(doc, indent=2)
         # How a non-finite float prints. Searching the text is cheaper than testing
         # every cell, which is done only on a hit (a text cell can hold the word).
         if "Infinity" in text or "NaN" in text:
-            check_finite([meta or {}, *records])
+            _check_finite(chain.from_iterable(map(dict.items, [meta or {}, *records])))
         return text + "\n"
+    if rows is None:
+        meta, columns, rows = None, meta.keys(), [meta.values()]
     lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
     spec = f"%.{precision}g"
@@ -92,7 +96,7 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
         # Every non-finite float prints with an "n" (inf, nan), so only such a
         # line has its cells tested (a text cell can hold the letter too).
         if "n" in line:
-            check_finite([dict(zip(columns, row))])
+            _check_finite(zip(columns, row))
         lines.append(line)
     lines.append("")
     return "\n".join(lines)

@@ -229,6 +229,14 @@ class TestBarrierWidth:
         assert solve_geometry(he_clementi, 0.15).barrier_width is None
 
 
+class TestFieldCheck:
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+    def test_bad_field_rejected(self, he_clementi, f):
+        # solve_geometry's own check, reached without LaserField in front of it
+        with pytest.raises(ValueError, match="f_peak must be finite and > 0"):
+            solve_geometry(he_clementi, f)
+
+
 class TestExitPointsOracle:
     @pytest.mark.parametrize("frac", [0.1, 0.4960, 0.9, 1 - 1e-6])
     def test_matches_closed_form(self, he_clementi, frac):

@@ -168,6 +168,19 @@ class TestAtomSelection:
         record = parse_record(out)
         assert code == 0
         assert float(record["f_a_au"]) == 0.0625
+        assert record["atom"] == "custom"            # the label without --name
+
+    def test_empty_name_keeps_its_empty_label(self, capsys):
+        code, out, _ = run_cli(capsys, "times", "--ip", "0.5", "--z-eff", "1", "--name", "",
+                               "--field", "0.01")
+        assert code == 0 and parse_record(out)["atom"] == ""
+
+    def test_name_with_catalog_atom_exits_2(self, capsys):
+        # a catalog atom has its own name, so --name would be dropped unread
+        code, out, err = run_cli(capsys, "times", "--atom", "He:clementi", "--name", "Foo",
+                                 "--field", "0.06")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "--name" in err
 
     def test_bare_ambiguous_name(self, capsys):
         code, _, err = run_cli(capsys, "geometry", "--atom", "He", "--field", "0.06")
@@ -212,12 +225,12 @@ class TestAtomSelection:
 
 class TestSweepCommand:
     @staticmethod
-    def sweep_peak(tmp_path, *figure):
+    def sweep_peak(tmp_path, *extra):
         """Lines written and tracemalloc's peak over a 20,000-point sweep to a
         file, as a multiple of the bytes written."""
         out_path = tmp_path / "dump.csv"
         argv = ["sweep", "--atom", "He:clementi", "--grid", "0.01:0.20999:1e-05",
-                "--wavelength", "800", *figure, "--out", str(out_path)]
+                *extra, "--out", str(out_path)]
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -229,7 +242,7 @@ class TestSweepCommand:
     def test_dump_holds_little_more_than_its_text(self, tmp_path):
         # Points go lazily from the kernel into the text, so the peak is a small
         # multiple of the bytes written (about 136 B per row here), not a point list.
-        lines, ratio = self.sweep_peak(tmp_path)
+        lines, ratio = self.sweep_peak(tmp_path, "--wavelength", "800")
         assert lines == 20001
         assert ratio <= 5
 
@@ -249,6 +262,14 @@ class TestSweepCommand:
         assert code == 0
         assert body[0] == "f_au,tau_d_as,tau_sym_as"
         assert len(body) == 10
+
+    def test_wavelength_with_figure_exits_2(self, capsys):
+        # no figure table has a gamma_k column, so the wavelength would go unread
+        code, out, err = run_cli(capsys, "sweep", "--atom", "He:clementi",
+                                 "--grid", "0.05,0.06", "--figure", "fig3",
+                                 "--wavelength", "800")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "--wavelength" in err
 
     def test_one_point_range_grid(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--atom", "He:clementi",

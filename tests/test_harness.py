@@ -85,11 +85,19 @@ class TestRunSweep:
         (point,) = run_sweep(he_clementi, [0.06], omega=omega)
         assert rel_err(point.gamma, 1.3889064083278631) < 1e-12
 
-    @pytest.mark.parametrize("bad_grid", [[], [0.06, 0.05], [0.05, 0.05],
-                                          [-0.01], [0.0], [float("nan")]])
+    @pytest.mark.parametrize("bad_grid", [
+        ([], "field grid is empty"),
+        ([0.06, 0.05], "strictly ascending with no duplicates"),
+        ([0.05, 0.05], "strictly ascending with no duplicates"),
+        ([-0.01], "is not a positive finite field"),
+        ([0.0], "is not a positive finite field"),
+        ([float("nan")], "is not a positive finite field"),
+    ])
     def test_invalid_grids_rejected(self, he_clementi, bad_grid):
-        with pytest.raises(ValueError):
-            run_sweep(he_clementi, bad_grid)
+        # each (grid, message) pair: the grid check's own message, not the kernel's
+        grid, message = bad_grid
+        with pytest.raises(ValueError, match=message):
+            run_sweep(he_clementi, grid)
 
 
 class TestColumnRegistry:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
 
-# SHA-256 of each file at the default grid, wavelength and precision.
+# SHA-256 of each file at the script's grid, wavelength and precision.
 DIGESTS = {
     "fig2_clementi.csv": "297f6a99b9c60c9c94d4046354270e3834bb299ddecda65592b0a78469bd7fcc",
     "fig2_kullie.csv": "f5493ec6266fa3c544573027261f762fb3bf6aaafa04d676c7c1b20a5427ae4e",
