@@ -10,8 +10,8 @@ from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import RegimeError, atomic_field_strength
 from .clocks import Point, evaluate
 from .harness import (ComparisonReport, MeasurementRecord, compare,
-                      emit_figure_data, load_measurements, run_sweep)
-from .units import CONSTANTS, PhysicalConstants
+                      emit_figure_data, load_measurements)
+from .units import CONSTANTS
 
 __version__ = "0.1.0"
 
@@ -19,6 +19,5 @@ __all__ = [
     "AtomModel", "LaserField", "builtin_catalog", "catalog_lookup",
     "RegimeError", "atomic_field_strength", "Point", "evaluate",
     "ComparisonReport", "MeasurementRecord", "compare",
-    "emit_figure_data", "load_measurements", "run_sweep",
-    "CONSTANTS", "PhysicalConstants", "__version__",
+    "emit_figure_data", "load_measurements", "CONSTANTS", "__version__",
 ]

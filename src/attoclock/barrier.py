@@ -68,6 +68,7 @@ def solve_geometry(atom: AtomModel, f: float) -> Geometry:
         x_peak = math.sqrt(z_eff) / math.sqrt(f)
     h_max = abs(-ip + math.sqrt(z4f))
     x_c = ip / f                      # classical exit, binding potential neglected
+    # F < F_a = fl(ip^2 / 4 z_eff) gives fl(4 z_eff F) <= ip^2: never the wrong sign.
     disc = ip * ip - z4f
     if regime == "super_atomic":
         if z4f == math.inf:
@@ -75,11 +76,11 @@ def solve_geometry(atom: AtomModel, f: float) -> Geometry:
             s = 2.0 * math.sqrt(z_eff) * math.sqrt(f)
             return Geometry(f, regime, 0.0, math.sqrt(s - ip) * math.sqrt(s + ip), None,
                             x_peak, None, x_c, None, s - ip)
-        return Geometry(f, regime, 0.0, math.sqrt(max(-disc, 0.0)), None, x_peak, None,
-                        x_c, None, h_max)
+        return Geometry(f, regime, 0.0, math.sqrt(-disc), None, x_peak, None, x_c, None,
+                        h_max)
     if regime == "atomic":
         return Geometry(f, regime, 0.0, 0.0, x_peak, x_peak, x_peak, x_c, 0.0, h_max)
-    dz = math.sqrt(max(disc, 0.0))
+    dz = math.sqrt(disc)
     ip_plus = ip + dz
     return Geometry(f, regime, dz, 0.0, 2.0 * z_eff / ip_plus, x_peak, ip_plus / (2.0 * f),
                     x_c, dz / f, h_max)

@@ -101,21 +101,13 @@ def _omega(args: argparse.Namespace) -> float | None:
     return wavelength_to_angular_frequency(args.wavelength)
 
 
-def cmd_geometry(args: argparse.Namespace) -> tuple[str, int]:
-    atom = _resolve_atom(args)
-    field = _resolve_field(args)
-    geometry = solve_geometry(atom, field.f_peak)
-    (values,) = table(GEOMETRY_COLUMNS, atom, [geometry])
-    return (render(dict(zip(GEOMETRY_COLUMNS, values)), (), None, args.format, args.precision),
-            EXIT_REGIME if geometry.regime == "super_atomic" else EXIT_OK)
-
-
-def cmd_times(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_point(args: argparse.Namespace) -> tuple[str, int]:
+    """geometry or times: one record of the stage and columns its subparser set."""
     atom = _resolve_atom(args)
     field = _resolve_field(args)
     omega = _omega(args)
-    point = evaluate(atom, field.f_peak, omega)
-    columns = TIMES_COLUMNS if omega is None else TIMES_COLUMNS + DRIVE_COLUMNS
+    point = args.stage(atom, field.f_peak)
+    columns = args.columns if omega is None else args.columns + DRIVE_COLUMNS
     (values,) = table(columns, atom, [point], omega)
     return (render(dict(zip(columns, values)), (), None, args.format, args.precision),
             EXIT_REGIME if point.regime == "super_atomic" else EXIT_OK)
@@ -130,7 +122,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
             raise ValueError("--wavelength has no column in a --figure table")
         return (emit_figure_data(atom, grid, args.figure, args.precision, args.format),
                 EXIT_OK)
-    points = iter_sweep(atom, grid, omega)    # lazy: the dump holds only its text
+    points = iter_sweep(atom, grid)    # lazy: the dump holds only its text
     return render(None, DUMP_COLUMNS, table(DUMP_COLUMNS, atom, points, omega),
                   args.format, args.precision), EXIT_OK
 
@@ -197,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_atom_flags(p_geo)
     _add_field_flags(p_geo)
     _add_output_flags(p_geo)
-    p_geo.set_defaults(func=cmd_geometry)
+    p_geo.set_defaults(func=cmd_point, stage=solve_geometry, columns=GEOMETRY_COLUMNS,
+                       wavelength=None)
 
     p_times = sub.add_parser("times", help="all time estimators at one field strength")
     _add_atom_flags(p_times)
@@ -205,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_times.add_argument("--wavelength", type=float, metavar="NM",
                          help="laser wavelength for the adiabaticity parameter")
     _add_output_flags(p_times)
-    p_times.set_defaults(func=cmd_times)
+    p_times.set_defaults(func=cmd_point, stage=evaluate, columns=TIMES_COLUMNS)
 
     p_sweep = sub.add_parser("sweep", help="evaluate over a field-strength grid")
     _add_atom_flags(p_sweep)

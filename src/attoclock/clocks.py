@@ -15,34 +15,30 @@ import math
 from .atom import AtomModel
 from .barrier import Geometry, solve_geometry
 
-# One point, in au: its Geometry, then the times. None marks what it lacks: above
-# barrier suppression the real-only times and energy uncertainties; at or below
-# it the complex crossing time tau_d_re + i tau_d_im (the approach time is its
-# conjugate); without omega, the adiabaticity parameter gamma.
+# One point, in au: its Geometry, then the times, all functions of (atom, F)
+# alone. None marks what it lacks: above barrier suppression the real-only times
+# and energy uncertainties; at or below it the complex crossing time tau_d_re +
+# i tau_d_im (the approach time is its conjugate). The drive's gamma_k is an
+# output column of harness.COLUMNS, not a field.
 Point = collections.namedtuple(
     "Point", Geometry._fields + ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c",
                                  "tau_t", "tau_a", "de_plus", "de_minus", "tau_d_re",
-                                 "tau_d_im", "gamma"))
+                                 "tau_d_im"))
 
 
-def evaluate(atom: AtomModel, f: float, omega: float | None = None) -> Point:
-    """Every quantity of README's closed-form table at field ``f`` (au), and
-    the adiabaticity parameter omega sqrt(2 ip) / F when ``omega`` is given."""
-    return compute_clocks(atom, solve_geometry(atom, f), omega)
+def evaluate(atom: AtomModel, f: float) -> Point:
+    """Every quantity of README's closed-form table at field ``f`` (au)."""
+    return compute_clocks(atom, solve_geometry(atom, f))
 
 
-def compute_clocks(atom: AtomModel, geometry: Geometry,
-                   omega: float | None = None) -> Point:
-    """The point of a solved geometry: every time estimator, and gamma. The gap
+def compute_clocks(atom: AtomModel, geometry: Geometry) -> Point:
+    """The point of a solved geometry: every time estimator. The gap
     ip - delta_z is taken as 4 z_eff F / (ip + delta_z), which weak fields do not
     cancel away; above barrier suppression the crossing time is
     1 / (2 (ip - i |delta_z|)), taken through sqrt(4 z_eff F) where 4 z_eff F
     overflows. 4 z_eff F or the gap underflowing to 0 is an error."""
     f, regime, dz, dzi = geometry[:4]
     ip = atom.ip
-    if not (omega is None or omega > 0):
-        raise ValueError(f"omega must be > 0, got {omega!r}")
-    gamma = None if omega is None else omega * math.sqrt(2.0 * ip) / f
     z4f = 4.0 * atom.z_eff * f
     if z4f == 0.0:
         raise ValueError(f"at F={f!r} au 4 z_eff F underflows to 0, so tau_sym is not finite")
@@ -58,9 +54,9 @@ def compute_clocks(atom: AtomModel, geometry: Geometry,
             s = 2.0 * math.sqrt(atom.z_eff) * math.sqrt(f)
             return Point._make(geometry + (None, None, ip / s / s, None, tau_c, None,
                                            tau_a, None, None, 0.5 * (ip / s) / s,
-                                           0.5 * (dzi / s) / s, gamma))
+                                           0.5 * (dzi / s) / s))
         return Point._make(geometry + (None, None, tau_sym, None, tau_c, None, tau_a,
-                                       None, None, ip / den, dzi / den, gamma))
+                                       None, None, ip / den, dzi / den))
     ip_plus = ip + dz
     gap = ip if dz == 0.0 else z4f / ip_plus
     if gap == 0.0:
@@ -68,4 +64,4 @@ def compute_clocks(atom: AtomModel, geometry: Geometry,
                          "underflows to 0, so tau_d is not finite")
     return Point._make(geometry + (0.5 / ip_plus, 0.5 / gap, tau_sym, 1.0 / gap, tau_c,
                                    0.5 * (1.0 / ip + 1.0 / gap), tau_a, 0.5 * gap,
-                                   0.5 * ip_plus, None, None, gamma))
+                                   0.5 * ip_plus, None, None))

@@ -151,12 +151,13 @@ COLUMNS = {
     "tau_i_re_au": "p.tau_d_re",
     "tau_i_im_au": "(None if p.tau_d_im is None else -p.tau_d_im)",
     "omega_au": "w",
-    "gamma_k": "p.gamma",
+    # Keldysh's adiabaticity parameter omega sqrt(2 ip) / F; None without a drive.
+    "gamma_k": "(None if w is None else w * sqrt(2.0 * a.ip) / p.f)",
 }
 # Every name a COLUMNS expression reads, bound once; nothing else is in scope.
 _NAMESPACE = {
     "__builtins__": {}, "K": CONSTANTS.au_time_in_attoseconds,
-    "C": CONSTANTS.speed_of_light,
+    "C": CONSTANTS.speed_of_light, "sqrt": math.sqrt,
     "atomic_field_strength": atomic_field_strength,
     "appearance_intensity": appearance_intensity,
 }
@@ -204,11 +205,9 @@ def table(columns: Sequence[str], atom: AtomModel, points: Iterable[Point | None
     return map(row, repeat(atom), points, repeat(omega))
 
 
-def iter_sweep(atom: AtomModel, f_grid: Sequence[float],
-               omega: float | None = None) -> Iterator[Point]:
+def iter_sweep(atom: AtomModel, f_grid: Sequence[float]) -> Iterator[Point]:
     """:func:`evaluate` lazily at each field of a grid. The whole grid is
-    checked first: it must be strictly ascending and positive. ``omega`` gives
-    every point its adiabaticity parameter."""
+    checked first: it must be strictly ascending and positive."""
     if len(f_grid) == 0:
         raise ValueError("field grid is empty")
     for i, f in enumerate(f_grid):
@@ -216,13 +215,12 @@ def iter_sweep(atom: AtomModel, f_grid: Sequence[float],
             raise ValueError(f"grid value {f!r} is not a positive finite field")
         if i and not f > f_grid[i - 1]:
             raise ValueError("field grid must be strictly ascending with no duplicates")
-    return map(evaluate, repeat(atom), f_grid, repeat(omega))
+    return map(evaluate, repeat(atom), f_grid)
 
 
-def run_sweep(atom: AtomModel, f_grid: Sequence[float],
-              omega: float | None = None) -> list[Point]:
+def run_sweep(atom: AtomModel, f_grid: Sequence[float]) -> list[Point]:
     """Every point of :func:`iter_sweep`, as a list."""
-    return list(iter_sweep(atom, f_grid, omega))
+    return list(iter_sweep(atom, f_grid))
 
 
 class MeasurementFormatError(ValueError):
@@ -351,7 +349,7 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
     (fig2, fig3) also admit the critical-field point."""
     if figure not in FIGURES:
         raise ValueError(f"unknown figure {figure!r}; choose from {FIGURES}")
-    points = iter_sweep(atom, f_grid)       # no figure column reads gamma
+    points = iter_sweep(atom, f_grid)
     if figure == "fig4":
         keep = lambda p: p.regime == "sub_atomic"
         refusal = ("no real barrier in any sweep row; the width table needs "

@@ -27,7 +27,8 @@ from attoclock.units import CONSTANTS
 
 def point(atom, f: float, omega: float | None = None) -> dict[str, Decimal | None]:
     """Every field of :class:`attoclock.clocks.Point` at field ``f`` (au), by
-    its closed form; None where the point's regime lacks the quantity. The
+    its closed form, and ``gamma`` (the gamma_k cell, None without ``omega``);
+    None where the point's regime lacks the quantity. The
     regime is taken from the sign of the exact discriminant, so points inside
     the critical-field band are not covered."""
     with localcontext() as ctx:

@@ -4,7 +4,8 @@ algebraic root identities, regime classification."""
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reference
 from attoclock.atom import AtomModel
@@ -280,6 +281,51 @@ class TestRegimeClassification:
         assert classify_regime(he_clementi, below) == "sub_atomic"
         above = fa * (1 + 1e-9)
         assert classify_regime(he_clementi, above) == "super_atomic"
+
+
+def ulps_from(x: float, k: int) -> float:
+    """The float ``k`` steps above ``x`` (below it for negative ``k``)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+class TestDiscriminantSign:
+    """disc = ip^2 - 4 z_eff F never has the wrong sign for its regime, so
+    solve_geometry takes its root without clamping it at 0. Below F_a the
+    regime needs F < fl(ip^2 / 4 z_eff), hence F < ip^2 / (4 z_eff) exactly (F_a
+    is rounded to nearest), hence 4 z_eff F < ip^2 and fl(4 z_eff F) <= ip^2.
+    Above F_a the same steps give >=. Equality can happen, where F_a is
+    subnormal and the band around it holds F_a alone."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.floats(-161.6, -153.9), st.floats(-153.9, 154.1)),
+           st.floats(-320.0, 307.6), st.integers(-60, 60))
+    def test_sign_matches_regime_near_critical_field(self, log_ip, log_z_eff, k):
+        # log-uniform ip (ip^2 subnormal on the first range) and z_eff, so F_a is
+        # subnormal often enough that F, k ulps from it, leaves the band
+        ip, z_eff = 10.0 ** log_ip, 10.0 ** log_z_eff
+        assume(ip * ip > 0.0 and math.isfinite(ip * ip / (4.0 * z_eff)))
+        atom = AtomModel(name="X", ip=ip, z_eff=z_eff)
+        f = ulps_from(atomic_field_strength(atom), k)
+        assume(0.0 < f < math.inf)
+        z4f = 4.0 * z_eff * f
+        disc = ip * ip - z4f
+        geom = solve_geometry(atom, f)
+        if geom.regime == "sub_atomic":
+            assert disc >= 0.0 and geom.delta_z == math.sqrt(disc)
+        elif geom.regime == "super_atomic" and z4f < math.inf:
+            assert disc <= 0.0 and abs(geom.delta_z_imag) == math.sqrt(-disc)
+
+    def test_zero_discriminant_on_both_sides_of_subnormal_critical_field(self):
+        # ip^2 = 1000 and F_a = 100000 subnormal spacings: F one spacing off F_a
+        # moves 4 z_eff F by 0.01 of one, which rounds back to ip^2
+        atom = AtomModel(name="X", ip=7.0289803374404635e-161, z_eff=0.0025)
+        fa = atomic_field_strength(atom)
+        below, above = (solve_geometry(atom, math.nextafter(fa, x)) for x in (0.0, 1.0))
+        assert (below.regime, below.delta_z, below.delta_z_imag) == ("sub_atomic", 0.0, 0.0)
+        assert (above.regime, above.delta_z) == ("super_atomic", 0.0)
+        assert above.delta_z_imag == 0.0 and math.copysign(1.0, above.delta_z_imag) == -1.0
 
 
 class TestSolveGeometry:

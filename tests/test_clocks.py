@@ -12,7 +12,8 @@ import reference
 from attoclock.atom import AtomModel, catalog_lookup
 from attoclock.barrier import atomic_field_strength
 from attoclock.clocks import Point, evaluate
-from attoclock.harness import DRIVE_COLUMNS, GEOMETRY_COLUMNS, TIMES_COLUMNS, table
+from attoclock.harness import (DRIVE_COLUMNS, GEOMETRY_COLUMNS, TIMES_COLUMNS, iter_sweep,
+                               table)
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
 from helpers import complex_parts, rel_err, subatomic_cases
@@ -228,21 +229,25 @@ class TestComplexRegime:
         assert clocks.tau_sym > 0 and clocks.tau_a > 0
 
 
+def gamma_cells(atom, grid, omega):
+    """The gamma_k cell of each point of a sweep driven at ``omega``."""
+    return [cell for (cell,) in table(("gamma_k",), atom, iter_sweep(atom, grid), omega)]
+
+
 class TestKeldyshGamma:
     def test_experiment_wavelength(self, he_clementi):
         omega = wavelength_to_angular_frequency(735.0)
-        assert rel_err(evaluate(he_clementi, F06, omega).gamma,
-                       GAMMA_735_F006) < 1e-12
-        assert rel_err(evaluate(he_clementi, 0.12, omega).gamma,
-                       GAMMA_735_F012) < 1e-12
+        g06, g12 = gamma_cells(he_clementi, [F06, 0.12], omega)
+        assert rel_err(g06, GAMMA_735_F006) < 1e-12
+        assert rel_err(g12, GAMMA_735_F012) < 1e-12
 
     def test_vanishes_for_strong_fields(self, he_clementi):
         omega = wavelength_to_angular_frequency(735.0)
-        assert evaluate(he_clementi, 1e6, omega).gamma < 1e-6
+        (gamma,) = gamma_cells(he_clementi, [1e6], omega)
+        assert gamma < 1e-6
 
-    def test_invalid_omega(self, he_clementi):
-        with pytest.raises(ValueError, match="omega must be > 0"):
-            evaluate(he_clementi, F06, 0.0)
+    def test_no_drive_no_gamma(self, he_clementi):
+        assert gamma_cells(he_clementi, [F06, 0.15], None) == [None, None]
 
 
 MAX = sys.float_info.max
@@ -253,7 +258,7 @@ def assert_matches_reference(atom, f, omega=None):
     """Every Point field and every times and geometry cell is finite and
     matches the Decimal reference: to 1e-14 relative where it is a normal
     float, to two subnormal spacings below that."""
-    point = evaluate(atom, f, omega)
+    point = evaluate(atom, f)
     ref = reference.point(atom, f, omega)
     for name, value in zip(Point._fields[2:], point[2:]):
         assert reference.close(value, ref[name]), (name, value, ref[name])

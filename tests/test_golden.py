@@ -1,8 +1,11 @@
-"""Golden CLI outputs: every captured argv replays to the same bytes and exit code.
+"""Golden CLI outputs: every captured argv replays to the same bytes, exit
+code, ``error:`` lines and warnings.
 
-``tests/golden/manifest.json`` maps each case name to its argv and exit
-code; ``tests/golden/<name>.out`` holds the exact stdout. ``{golden}`` in an
-argv stands for the golden directory (the measurement fixture lives there).
+``tests/golden/manifest.json`` maps each case name to its argv, exit code,
+the CLI's ``error:`` lines on stderr and the message text of each warning;
+``tests/golden/<name>.out`` holds the exact stdout. argparse's usage text is
+not pinned: it differs across Python versions. ``{golden}`` in an argv or a
+message stands for the golden directory (the measurement fixture lives there).
 
 Regenerate after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -77,15 +80,27 @@ def _cases() -> dict[str, list[str]]:
     cases["compare_tau_d_summary_json"] = [*summary, "--format", "json"]
     cases["catalog_csv"] = ["catalog"]
     cases["catalog_json"] = ["catalog", "--format", "json"]
+    # The drive path's refusals: a bad wavelength, and a gamma_k that overflows.
+    cases["times_wavelength_zero"] = ["times", "--atom", "He:clementi", "--field", "0.06",
+                                      "--wavelength", "0"]
+    cases["sweep_dump_wavelength_overflow"] = ["sweep", "--atom", "He:clementi", "--grid",
+                                               "0.1:0.13:0.005", "--wavelength", "1e-310"]
+    cases["times_gamma_overflow"] = ["times", "--atom", "He:clementi", "--field", "1e-300",
+                                     "--wavelength", "1e-20"]
     return cases
 
 
-def run(argv: list[str]) -> tuple[int, bytes]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main([a.replace("{golden}", str(GOLDEN)) for a in argv])
-    return code, out.getvalue().encode("utf-8")
+def run(argv: list[str]) -> tuple[int, bytes, list[str], list[str]]:
+    """Exit code, stdout, the ``error:`` lines and each warning's message."""
+    out, err, here = io.StringIO(), io.StringIO(), str(GOLDEN)
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = main([a.replace("{golden}", here) for a in argv])
+    errors = [line.replace(here, "{golden}") for line in err.getvalue().splitlines()
+              if line.startswith("error:")]
+    messages = [str(w.message).replace(here, "{golden}") for w in caught]
+    return code, out.getvalue().encode("utf-8"), errors, messages
 
 
 def _manifest() -> dict:
@@ -95,8 +110,8 @@ def _manifest() -> dict:
 @pytest.mark.parametrize("name", sorted(_manifest()))
 def test_replay_is_byte_identical(name):
     case = _manifest()[name]
-    code, out = run(case["argv"])
-    assert code == case["exit"]
+    code, out, errors, messages = run(case["argv"])
+    assert (code, errors, messages) == (case["exit"], case["errors"], case["warnings"])
     assert out == (GOLDEN / f"{name}.out").read_bytes()
 
 
@@ -108,9 +123,10 @@ def test_json_golden_is_one_document(name):
 def regenerate() -> None:
     manifest = {}
     for name, argv in _cases().items():
-        code, out = run(argv)
+        code, out, errors, messages = run(argv)
         (GOLDEN / f"{name}.out").write_bytes(out)
-        manifest[name] = {"argv": argv, "exit": code}
+        manifest[name] = {"argv": argv, "exit": code, "errors": errors,
+                          "warnings": messages}
     lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in manifest.items()]
     MANIFEST.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 

@@ -17,7 +17,7 @@ from attoclock.barrier import ATOMIC_BAND, RegimeError, atomic_field_strength
 from attoclock import harness
 from attoclock.harness import (COLUMNS, DUMP_COLUMNS, MeasurementFormatError,
                                MeasurementRecord, compare, emit_figure_data,
-                               load_measurements, render, run_sweep, table)
+                               iter_sweep, load_measurements, render, run_sweep, table)
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
 from helpers import rel_err
@@ -82,8 +82,9 @@ class TestRunSweep:
 
     def test_gamma_column(self, he_clementi):
         omega = wavelength_to_angular_frequency(735.0)
-        (point,) = run_sweep(he_clementi, [0.06], omega=omega)
-        assert rel_err(point.gamma, 1.3889064083278631) < 1e-12
+        ((gamma,),) = table(("gamma_k",), he_clementi, iter_sweep(he_clementi, [0.06]),
+                            omega)
+        assert rel_err(gamma, 1.3889064083278631) < 1e-12
 
     @pytest.mark.parametrize("bad_grid", [
         ([], "field grid is empty"),
