@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import collections
 import math
+import sys
 
 from .units import elliptical_peak_field, intensity_to_field
 
 # Default He ionization potential in au (24.587 eV over the Hartree energy).
 # Overridable in every constructor and with the CLI's --ip.
 HE_IP_AU = 0.90357
-
-
-class AtomConfigError(ValueError):
-    """Raised for malformed or invalid atom configuration input."""
 
 
 class AtomModel(collections.namedtuple("AtomModel", "name ip z_eff source")):
@@ -25,15 +22,23 @@ class AtomModel(collections.namedtuple("AtomModel", "name ip z_eff source")):
     def __new__(cls, name: str, ip: float, z_eff: float, source: str = "") -> "AtomModel":
         self = super().__new__(cls, name, ip, z_eff, source)
         if not (math.isfinite(ip) and ip > 0):
-            raise AtomConfigError(f"ip must be finite and > 0, got {ip!r}")
+            raise ValueError(f"ip must be finite and > 0, got {ip!r}")
         if not (math.isfinite(z_eff) and z_eff > 0):
-            raise AtomConfigError(f"z_eff must be finite and > 0, got {z_eff!r}")
-        if not math.isfinite(ip * ip / (4.0 * z_eff)):
-            raise AtomConfigError("ip^2 / (4 z_eff) overflows; model rejected")
+            raise ValueError(f"z_eff must be finite and > 0, got {z_eff!r}")
+        ip2 = ip * ip
+        f_a = ip2 / (4.0 * z_eff)
+        if not math.isfinite(f_a):
+            raise ValueError("ip^2 / (4 z_eff) overflows; model rejected")
+        # Below the normal range they have lost bits: 4 z_eff F can round to ip^2
+        # outside the band around F_a, and the barrier width to 0.
+        if ip2 < sys.float_info.min:
+            raise ValueError("ip^2 underflows; model rejected")
+        if f_a < sys.float_info.min:
+            raise ValueError("ip^2 / (4 z_eff) underflows; model rejected")
         if any(ch in name + source for ch in ',"\r\n'):   # they are CSV cells
-            raise AtomConfigError(f"comma, quote or line break in atom {self.label()!r}")
+            raise ValueError(f"comma, quote or line break in atom {self.label()!r}")
         if name.startswith("#"):   # it starts data rows, where '#' marks metadata
-            raise AtomConfigError(f"atom name {name!r} starts with '#'")
+            raise ValueError(f"atom name {name!r} starts with '#'")
         return self
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))   # _replace validates too
@@ -48,7 +53,7 @@ class LaserField(collections.namedtuple("LaserField", "f_peak origin")):
 
     __slots__ = ()
 
-    def __new__(cls, f_peak: float, origin: str = "direct") -> "LaserField":
+    def __new__(cls, f_peak: float, origin: str) -> "LaserField":
         if not (math.isfinite(f_peak) and f_peak > 0):
             raise ValueError(f"f_peak must be finite and > 0, got {f_peak!r}")
         return super().__new__(cls, f_peak, origin)
@@ -92,8 +97,8 @@ def catalog_lookup(spec: str) -> AtomModel:
         matches = [a for a in matches if a.source.lower() == model.strip().lower()]
     if not matches:
         known = ", ".join(a.label() for a in builtin_catalog())
-        raise AtomConfigError(f"unknown atom {spec!r}; catalog: {known}")
+        raise ValueError(f"unknown atom {spec!r}; catalog: {known}")
     if len(matches) > 1:
         options = ", ".join(a.label() for a in matches)
-        raise AtomConfigError(f"ambiguous atom {spec!r}; qualify as one of: {options}")
+        raise ValueError(f"ambiguous atom {spec!r}; qualify as one of: {options}")
     return matches[0]

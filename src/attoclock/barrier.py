@@ -36,12 +36,6 @@ def atomic_field_strength(atom: AtomModel) -> float:
     return atom.ip * atom.ip / (4.0 * atom.z_eff)
 
 
-def appearance_intensity(atom: AtomModel) -> float:
-    """Intensity (au) at which the barrier maximum reaches the bound level."""
-    fa = atomic_field_strength(atom)
-    return fa * fa
-
-
 def classify_regime(atom: AtomModel, f: float) -> str:
     """``"sub_atomic"``, ``"atomic"`` or ``"super_atomic"``: where ``f`` lies
     against the barrier-suppression field, as the ``regime`` column prints it."""

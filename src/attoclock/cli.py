@@ -9,10 +9,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from typing import Sequence
 
-from .atom import (AtomConfigError, AtomModel, LaserField, builtin_catalog,
-                   catalog_lookup)
+from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import RegimeError, solve_geometry
 from .clocks import evaluate
 from .harness import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, ESTIMATORS,
@@ -27,7 +27,7 @@ EXIT_REGIME = 3
 
 
 def _write_output(text: str, args: argparse.Namespace) -> None:
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -37,14 +37,14 @@ def _write_output(text: str, args: argparse.Namespace) -> None:
 def _resolve_atom(args: argparse.Namespace) -> AtomModel:
     inline = args.ip is not None or args.z_eff is not None
     if args.atom and inline:
-        raise AtomConfigError("give either --atom or --ip/--z-eff, not both")
+        raise ValueError("give either --atom or --ip/--z-eff, not both")
     if args.atom:
         if args.name is not None:
-            raise AtomConfigError("--name labels an inline --ip/--z-eff atom, not --atom")
+            raise ValueError("--name labels an inline --ip/--z-eff atom, not --atom")
         return catalog_lookup(args.atom)
     if args.ip is None or args.z_eff is None:
-        raise AtomConfigError("atom not specified: use --atom NAME[:MODEL] "
-                              "or both --ip and --z-eff")
+        raise ValueError("atom not specified: use --atom NAME[:MODEL] "
+                         "or both --ip and --z-eff")
     return AtomModel(name="custom" if args.name is None else args.name, ip=args.ip,
                      z_eff=args.z_eff, source="cli")
 
@@ -231,6 +231,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:   # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    # A warning prints as one line, like an error: no source file, line or code.
+    saved = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         text, code = args.func(args)     # evaluate, then render
         _write_output(text, args)
@@ -241,7 +244,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    finally:
+        warnings.formatwarning = saved

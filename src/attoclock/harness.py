@@ -17,7 +17,7 @@ from itertools import chain, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .atom import AtomModel
-from .barrier import RegimeError, appearance_intensity, atomic_field_strength
+from .barrier import RegimeError, atomic_field_strength
 from .clocks import Point, evaluate
 from .units import CONSTANTS
 
@@ -115,7 +115,8 @@ COLUMNS = {
     "i_p_au": "a.ip",
     "z_eff": "a.z_eff",
     "f_a_au": "atomic_field_strength(a)",
-    "i_a_au": "appearance_intensity(a)",
+    # F_a^2: intensity at which the barrier top reaches -ip (** 2 can round differently).
+    "i_a_au": "atomic_field_strength(a) * atomic_field_strength(a)",
     "f_au": "p.f",
     "regime": "p.regime",
     "delta_z_au": "p.delta_z",
@@ -159,7 +160,6 @@ _NAMESPACE = {
     "__builtins__": {}, "K": CONSTANTS.au_time_in_attoseconds,
     "C": CONSTANTS.speed_of_light, "sqrt": math.sqrt,
     "atomic_field_strength": atomic_field_strength,
-    "appearance_intensity": appearance_intensity,
 }
 _ROW_FUNCTIONS: dict[tuple[str, ...], Callable[..., tuple]] = {}
 
@@ -223,10 +223,6 @@ def run_sweep(atom: AtomModel, f_grid: Sequence[float]) -> list[Point]:
     return list(iter_sweep(atom, f_grid))
 
 
-class MeasurementFormatError(ValueError):
-    """Raised for malformed measurement CSV input."""
-
-
 _HEADER_4 = ["field_au", "time_as", "err_lo_as", "err_hi_as"]
 _HEADER_3 = ["field_au", "time_as", "err_as"]
 
@@ -239,15 +235,15 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
     UTF-8 byte-order mark is ignored. A file that is empty after the header
     yields an empty list, and blank rows are skipped. Rows out of field order
     or with a repeated field are accepted with a warning and stably sorted, so
-    equal fields keep file order. A malformed line is a MeasurementFormatError
-    naming the file and the line.
+    equal fields keep file order. A malformed line is a ValueError naming the
+    file and the line.
     """
     import csv
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise MeasurementFormatError(f"{path}: not UTF-8 text: {exc}") from None
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     records = []
     try:
@@ -279,10 +275,10 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
             previous = f
             records.append(record)
     except StopIteration:
-        raise MeasurementFormatError(f"{path}: missing header line") from None
+        raise ValueError(f"{path}: missing header line") from None
     # csv.Error: a NUL byte (before Python 3.11) or a cell over the csv field limit
     except (csv.Error, ValueError) as exc:
-        raise MeasurementFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not ordered:
         warnings.warn(f"{path}: field values are not strictly increasing; "
                       "records were re-sorted", stacklevel=2)
@@ -360,8 +356,7 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
                    "and crossing times are complex there")
     # The grid ascends strictly and the regime is monotone in F (sub-atomic, then
     # atomic, then super-atomic), so the admitted points are a prefix of the grid
-    # and evaluation stops at the first point left out. The first point is
-    # evaluated, not just classified, so that its evaluation errors come first.
+    # and evaluation stops at the first point left out.
     first = next(points)
     if not keep(first):
         raise RegimeError(refusal)

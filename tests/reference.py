@@ -21,7 +21,6 @@ from decimal import Decimal, localcontext
 
 from attoclock.barrier import RegimeError, classify_regime
 from attoclock.clocks import Point
-from attoclock.harness import MeasurementFormatError
 from attoclock.units import CONSTANTS
 
 
@@ -177,13 +176,12 @@ def load_measurements_oracle(path: str) -> list[tuple]:
     Each row is tested for blankness, then for its width, then converted cell
     by cell and checked; the field order is tested over the finished list,
     which is then sorted stably. Records are ``(f, t, err_lo, err_hi, source)``
-    tuples, and the warnings and MeasurementFormatError texts are the
-    library's."""
+    tuples, and the warnings and ValueError texts are the library's."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise MeasurementFormatError(f"{path}: not UTF-8 text: {exc}") from None
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     four = ["field_au", "time_as", "err_lo_as", "err_hi_as"]
     three = ["field_au", "time_as", "err_as"]
@@ -215,9 +213,9 @@ def load_measurements_oracle(path: str) -> list[tuple]:
                 raise ValueError("error bars must be finite and >= 0")
             records.append((f, t, err_lo, err_hi, row[-1].strip() if named else ""))
     except StopIteration:
-        raise MeasurementFormatError(f"{path}: missing header line") from None
+        raise ValueError(f"{path}: missing header line") from None
     except (csv.Error, ValueError) as exc:
-        raise MeasurementFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if any(b[0] <= a[0] for a, b in zip(records, records[1:])):
         warnings.warn(f"{path}: field values are not strictly increasing; "
                       "records were re-sorted", stacklevel=2)

@@ -1,11 +1,12 @@
 """Atom/laser input models: catalog contents and validation."""
 
 import math
+import sys
 
 import pytest
 
-from attoclock.atom import (AtomConfigError, AtomModel, HE_IP_AU,
-                            LaserField, builtin_catalog, catalog_lookup)
+from attoclock.atom import (AtomModel, HE_IP_AU, LaserField, builtin_catalog,
+                            catalog_lookup)
 from attoclock.barrier import atomic_field_strength
 from helpers import rel_err
 
@@ -38,11 +39,11 @@ class TestCatalog:
         assert catalog_lookup("He:clementi").z_eff == 1.6875
 
     def test_bare_name_with_two_models_is_ambiguous(self):
-        with pytest.raises(AtomConfigError, match="ambiguous"):
+        with pytest.raises(ValueError, match="ambiguous"):
             catalog_lookup("He")
 
     def test_unknown_atom(self):
-        with pytest.raises(AtomConfigError, match="unknown"):
+        with pytest.raises(ValueError, match="unknown"):
             catalog_lookup("Xe")
 
 
@@ -56,24 +57,42 @@ class TestAtomModelValidation:
     # F_a = ip^2 / (4 z_eff) overflows: from ip^2, or from the division by a tiny z_eff
     @pytest.mark.parametrize("ip,z", [(1e200, 1.0), (1e154, 1e-10)])
     def test_overflowing_critical_field_rejected(self, ip, z):
-        with pytest.raises(AtomConfigError, match=r"^ip\^2 / \(4 z_eff\) overflows; model rejected$"):
+        with pytest.raises(ValueError, match=r"^ip\^2 / \(4 z_eff\) overflows; model rejected$"):
             AtomModel(name="X", ip=ip, z_eff=z)
+
+    # ip^2 or F_a below the smallest normal double: both must be normal
+    @pytest.mark.parametrize("ip,z,quantity", [
+        (1e-170, 1.0, r"ip\^2"),                          # ip^2 is 0
+        (1e-160, 1e-300, r"ip\^2"),                       # F_a normal, ip^2 not
+        (1e-150, 1e10, r"ip\^2 / \(4 z_eff\)"),           # ip^2 normal, F_a not
+        (1.0, 1e308, r"ip\^2 / \(4 z_eff\)"),             # 4 z_eff overflows: F_a is 0
+    ])
+    def test_underflowing_critical_field_rejected(self, ip, z, quantity):
+        with pytest.raises(ValueError, match=rf"^{quantity} underflows; model rejected$"):
+            AtomModel(name="X", ip=ip, z_eff=z)
+
+    def test_smallest_normal_critical_field_accepted(self):
+        ip = math.sqrt(sys.float_info.min)        # ip^2 and F_a are the smallest normal
+        atom = AtomModel(name="X", ip=ip, z_eff=0.25)
+        assert ip * ip == atomic_field_strength(atom) == sys.float_info.min
+        with pytest.raises(ValueError, match=r"^ip\^2 underflows"):
+            atom._replace(ip=math.nextafter(ip, 0.0))
 
     @pytest.mark.parametrize("name,source", [("a,b", ""), ('a"b', ""), ("a\rb", ""),
                                              ("X", "a\nb"), ("X", "a,b")])
     def test_label_that_breaks_csv_rejected(self, name, source):
-        with pytest.raises(AtomConfigError, match="line break"):
+        with pytest.raises(ValueError, match="line break"):
             AtomModel(name=name, ip=0.5, z_eff=1.0, source=source)
 
     @pytest.mark.parametrize("name", ["#H", "# atom=He"])
     def test_name_that_reads_as_metadata_rejected(self, name):
         # a data row that starts with '#' is dropped as a metadata line
-        with pytest.raises(AtomConfigError, match="starts with '#'"):
+        with pytest.raises(ValueError, match="starts with '#'"):
             AtomModel(name=name, ip=0.5, z_eff=1.0)
 
     def test_replace_validates(self, he_clementi):
         assert he_clementi._replace(source="X") == AtomModel("He", HE_IP_AU, 1.6875, "X")
-        with pytest.raises(AtomConfigError, match="ip must be finite and > 0"):
+        with pytest.raises(ValueError, match="ip must be finite and > 0"):
             he_clementi._replace(ip=-1.0)
 
 

@@ -2,6 +2,7 @@
 algebraic root identities, regime classification."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 import reference
 from attoclock.atom import AtomModel
-from attoclock.barrier import (ATOMIC_BAND, RegimeError,
-                               appearance_intensity, atomic_field_strength,
+from attoclock.barrier import (ATOMIC_BAND, RegimeError, atomic_field_strength,
                                classify_regime, solve_geometry)
+from attoclock.harness import table
 from helpers import rel_err, subatomic_cases
 from reference import exit_points_oracle, signed_barrier_height
 
@@ -133,7 +134,7 @@ class TestAtomicFieldStrength:
 
     def test_appearance_intensity_is_square(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        assert appearance_intensity(he_clementi) == fa * fa
+        assert next(table(("i_a_au",), he_clementi, [None])) == (fa * fa,)
 
     def test_h_max_vanishes_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
@@ -291,41 +292,41 @@ def ulps_from(x: float, k: int) -> float:
 
 
 class TestDiscriminantSign:
-    """disc = ip^2 - 4 z_eff F never has the wrong sign for its regime, so
-    solve_geometry takes its root without clamping it at 0. Below F_a the
-    regime needs F < fl(ip^2 / 4 z_eff), hence F < ip^2 / (4 z_eff) exactly (F_a
-    is rounded to nearest), hence 4 z_eff F < ip^2 and fl(4 z_eff F) <= ip^2.
-    Above F_a the same steps give >=. Equality can happen, where F_a is
-    subnormal and the band around it holds F_a alone."""
+    """disc = ip^2 - 4 z_eff F has the sign of its regime and is never 0 outside
+    the band, so solve_geometry takes its root without clamping it at 0. Below
+    F_a the regime needs F < fl(ip^2 / 4 z_eff), hence F < ip^2 / (4 z_eff)
+    exactly (F_a is rounded to nearest), hence 4 z_eff F < ip^2 and
+    fl(4 z_eff F) <= ip^2. Above F_a the same steps give >=. AtomModel keeps
+    ip^2 and F_a normal, so the band spans about 10^4 ulps of each, and outside
+    it 4 z_eff F differs from ip^2 by more than rounding can close."""
 
     @settings(max_examples=1000, deadline=None)
-    @given(st.one_of(st.floats(-161.6, -153.9), st.floats(-153.9, 154.1)),
-           st.floats(-320.0, 307.6), st.integers(-60, 60))
-    def test_sign_matches_regime_near_critical_field(self, log_ip, log_z_eff, k):
-        # log-uniform ip (ip^2 subnormal on the first range) and z_eff, so F_a is
-        # subnormal often enough that F, k ulps from it, leaves the band
-        ip, z_eff = 10.0 ** log_ip, 10.0 ** log_z_eff
-        assume(ip * ip > 0.0 and math.isfinite(ip * ip / (4.0 * z_eff)))
+    @given(st.floats(-153.8, 154.1), st.floats(0.0, 1.0),
+           st.sampled_from((-1.0, 0.0, 1.0)), st.floats(-12.0, -0.1), st.integers(-60, 60))
+    def test_sign_matches_regime_near_critical_field(self, log_ip, t, side, u, k):
+        # log-uniform ip with ip^2 normal, and log-uniform z_eff over the range that
+        # keeps F_a = ip^2 / (4 z_eff) normal and 4 z_eff finite
+        lo, hi = max(2.0 * log_ip - 308.8, -323.0), min(2.0 * log_ip + 307.0, 307.6)
+        ip, z_eff = 10.0 ** log_ip, 10.0 ** (lo + t * (hi - lo))
+        assume(sys.float_info.min <= ip * ip / (4.0 * z_eff) < math.inf)
         atom = AtomModel(name="X", ip=ip, z_eff=z_eff)
-        f = ulps_from(atomic_field_strength(atom), k)
+        # k ulps from F_a, which stays in the band, or from F_a (1 +- 10^u) outside it
+        f = ulps_from(atomic_field_strength(atom) * (1.0 + side * 10.0 ** u), k)
         assume(0.0 < f < math.inf)
         z4f = 4.0 * z_eff * f
         disc = ip * ip - z4f
         geom = solve_geometry(atom, f)
         if geom.regime == "sub_atomic":
-            assert disc >= 0.0 and geom.delta_z == math.sqrt(disc)
+            assert disc > 0.0 and geom.delta_z == math.sqrt(disc)
         elif geom.regime == "super_atomic" and z4f < math.inf:
-            assert disc <= 0.0 and abs(geom.delta_z_imag) == math.sqrt(-disc)
+            assert disc < 0.0 and geom.delta_z_imag == math.sqrt(-disc)
 
-    def test_zero_discriminant_on_both_sides_of_subnormal_critical_field(self):
+    def test_subnormal_critical_field_is_rejected(self):
         # ip^2 = 1000 and F_a = 100000 subnormal spacings: F one spacing off F_a
-        # moves 4 z_eff F by 0.01 of one, which rounds back to ip^2
-        atom = AtomModel(name="X", ip=7.0289803374404635e-161, z_eff=0.0025)
-        fa = atomic_field_strength(atom)
-        below, above = (solve_geometry(atom, math.nextafter(fa, x)) for x in (0.0, 1.0))
-        assert (below.regime, below.delta_z, below.delta_z_imag) == ("sub_atomic", 0.0, 0.0)
-        assert (above.regime, above.delta_z) == ("super_atomic", 0.0)
-        assert above.delta_z_imag == 0.0 and math.copysign(1.0, above.delta_z_imag) == -1.0
+        # moved 4 z_eff F by 0.01 of one, which rounded back to ip^2, so disc was
+        # 0 outside the band
+        with pytest.raises(ValueError, match=r"^ip\^2 underflows; model rejected$"):
+            AtomModel(name="X", ip=7.0289803374404635e-161, z_eff=0.0025)
 
 
 class TestSolveGeometry:

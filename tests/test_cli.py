@@ -465,6 +465,11 @@ class TestArgparseBehavior:
         assert code == 0
         assert out_path.read_text().startswith("# atom=He")
 
+    def test_empty_out_path_exits_2(self, capsys):
+        # an empty PATH names no file; it does not mean stdout
+        assert run_cli(capsys, "catalog", "--out", "") == (
+            2, "", "error: [Errno 2] No such file or directory: ''\n")
+
 
 @pytest.mark.parametrize("argv,named", [
     ("times --atom He:clementi --field 1e-300 --wavelength 1e-20", "gamma_k"),
@@ -485,9 +490,6 @@ class TestArgparseBehavior:
     # 4 z_eff F underflows to 0
     ("times --ip 1e-12 --z-eff 1e-300 --field 5e-324", "F=5e-324"),
     ("sweep --ip 1e-12 --z-eff 1e-300 --grid 5e-324", "F=5e-324"),
-    # above F_a (ip^2 underflows), so a figure must evaluate its first point
-    # to report this before refusing the regime
-    ("sweep --ip 1e-170 --z-eff 1e-300 --grid 1e-300 --figure fig3", "F=1e-300"),
     ("sweep --ip 1e-12 --z-eff 5e-324 --grid 0.02:0.16:0.01", "F=0.02"),
 ])
 def test_non_finite_output_exits_2(capsys, tmp_path, argv, named):
@@ -516,12 +518,50 @@ def test_huge_field_exits_3(capsys, argv):
 @pytest.mark.parametrize("argv, exit_code", [
     ("geometry --ip 1 --z-eff 1e-25 --field 1e-300", 0),          # 4 z_eff F is 0
     ("geometry --ip 1e10 --z-eff 1e-20 --field 1e-298", 0),       # the gap is 0
-    ("geometry --ip 1e-170 --z-eff 1e-300 --field 1e-300", 3),    # both, above F_a
 ])
 def test_geometry_needs_no_finite_times(capsys, argv, exit_code):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == exit_code and err == ""
     assert len(out.splitlines()) == 2
+
+
+# ip^2 underflows (to 0, or to a subnormal): the atom is refused before any field
+# is read. Accepted, the last case printed barrier_width 0 beside x_exit 7.1e157.
+@pytest.mark.parametrize("argv", [
+    "geometry --ip 1e-170 --z-eff 1e-300 --field 1e-300",
+    "sweep --ip 1e-170 --z-eff 1e-300 --grid 1e-300 --figure fig3",
+    "geometry --ip 7.0289803374404635e-161 --z-eff 0.0025 --field 4.94e-319",
+])
+def test_subnormal_critical_field_atom_exits_2(capsys, argv):
+    assert run_cli(capsys, *argv.split()) == (
+        2, "", "error: ip^2 underflows; model rejected\n")
+
+
+def test_warnings_print_one_line_each(tmp_path):
+    # In process pytest records warnings, so only a subprocess shows how they print:
+    # one "warning:" line each, with no source file, line or code.
+    path = tmp_path / "m.csv"
+    path.write_text("field_au,time_as,err_as\n0.16,12.0,2.0\n0.06,45.0,4.0\n",
+                    encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "attoclock", "compare", "--atom",
+                           "He:kullie", "--estimator", "tau_d", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.startswith("model_id,")
+    assert proc.stderr == (
+        f"warning: {path}: field values are not strictly increasing; records were "
+        "re-sorted\nwarning: record at F=0.16 is above barrier suppression; tau_d has "
+        "no real value there; point skipped\n")
+
+
+@pytest.mark.parametrize("data, code", [("measurements.csv", 0), ("missing.csv", 2)])
+def test_warning_format_is_restored(capsys, data, code):
+    before = warnings.formatwarning
+    path = Path(__file__).resolve().parent / "golden" / data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["compare", "--atom", "He:kullie", "--estimator", "tau_d",
+                     str(path)]) == code
+    assert warnings.formatwarning is before
 
 
 def test_module_entry_point():

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from attoclock.atom import catalog_lookup
 from attoclock.barrier import ATOMIC_BAND, RegimeError, atomic_field_strength
 from attoclock import harness
-from attoclock.harness import (COLUMNS, DUMP_COLUMNS, MeasurementFormatError,
-                               MeasurementRecord, compare, emit_figure_data,
-                               iter_sweep, load_measurements, render, run_sweep, table)
+from attoclock.harness import (COLUMNS, DUMP_COLUMNS, MeasurementRecord, compare,
+                               emit_figure_data, iter_sweep, load_measurements, render,
+                               run_sweep, table)
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
 from helpers import rel_err
@@ -173,39 +173,39 @@ class TestLoadMeasurements:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(MeasurementFormatError, match="header"):
+        with pytest.raises(ValueError, match="header"):
             load_measurements(str(path))
 
     def test_bad_header_names_expected_columns(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("field,time\n0.06,45\n", encoding="utf-8")
-        with pytest.raises(MeasurementFormatError, match="err_lo_as"):
+        with pytest.raises(ValueError, match="err_lo_as"):
             load_measurements(str(path))
 
     def test_malformed_row_carries_line_number(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("field_au,time_as,err_as\n0.06,45.0,8.0\n0.07,oops,8.0\n",
                         encoding="utf-8")
-        with pytest.raises(MeasurementFormatError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3"):
             load_measurements(str(path))
 
     def test_wrong_column_count_carries_line_number(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("field_au,time_as,err_as\n0.06,45.0\n", encoding="utf-8")
-        with pytest.raises(MeasurementFormatError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             load_measurements(str(path))
 
     def test_negative_error_bar_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("field_au,time_as,err_as\n0.06,45.0,-1.0\n", encoding="utf-8")
-        with pytest.raises(MeasurementFormatError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             load_measurements(str(path))
 
     def test_infinite_error_bar_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("field_au,time_as,err_lo_as,err_hi_as\n0.06,45.0,1.0,inf\n",
                         encoding="utf-8")
-        with pytest.raises(MeasurementFormatError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             load_measurements(str(path))
 
     def test_byte_order_mark_accepted(self, tmp_path):
@@ -225,7 +225,7 @@ class TestLoadMeasurements:
     def test_non_utf8_file_is_named(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(b"field_au,time_as,err_as\n0.06,45.0,8.0\xff\n")
-        with pytest.raises(MeasurementFormatError, match=r"m\.csv: not UTF-8"):
+        with pytest.raises(ValueError, match=r"m\.csv: not UTF-8"):
             load_measurements(str(path))
 
     def test_record_replace_validates(self):
@@ -333,7 +333,7 @@ def ingest(load, path):
         warnings.simplefilter("always")
         try:
             result = [tuple(record) for record in load(path)]
-        except MeasurementFormatError as exc:
+        except ValueError as exc:
             result = str(exc)
     return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
