@@ -1,7 +1,5 @@
 """Atom and laser-drive input models plus the built-in effective-charge catalog."""
 
-from __future__ import annotations
-
 import collections
 import math
 import sys

@@ -6,8 +6,6 @@ field strength, classifies the field regime relative to it and solves the
 barrier in closed form.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 

@@ -4,13 +4,11 @@ Exit codes: 0 success, 2 usage/config/parse error, 3 field-regime error
 (requested real quantities do not exist at the given field strength).
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys
 import warnings
-from typing import Sequence
+from collections.abc import Sequence
 
 from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import RegimeError, solve_geometry
@@ -241,7 +239,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, Warning) as exc:     # Warning: raised under -W error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -7,8 +7,6 @@ the barrier-crossing and approach times acquire conjugate imaginary parts
 while their sum stays real.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 

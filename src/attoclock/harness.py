@@ -6,15 +6,13 @@ the barrier-crossing time vs barrier width with a light-traversal baseline.
 It also scores model curves against measured points and renders every table.
 """
 
-from __future__ import annotations
-
 import collections
 import io
 import math
 import operator
 import warnings
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, repeat, takewhile
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .atom import AtomModel
 from .barrier import RegimeError, atomic_field_strength

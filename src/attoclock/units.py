@@ -4,8 +4,6 @@ All internal physics is done in Hartree atomic units; attoseconds and
 W/cm^2 appear only when reading laser parameters or printing results.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import attoclock
 from attoclock.cli import MAX_GRID_POINTS, main
 from attoclock.barrier import atomic_field_strength
 from attoclock.atom import catalog_lookup
@@ -553,6 +555,29 @@ def test_warnings_print_one_line_each(tmp_path):
         "no real value there; point skipped\n")
 
 
+@pytest.mark.parametrize("flags, extra_env", [(["-W", "error"], {}),
+                                              ([], {"PYTHONWARNINGS": "error"})],
+                         ids=["W-error", "PYTHONWARNINGS"])
+@pytest.mark.parametrize("unsorted", [False, True], ids=["skipped", "unsorted"])
+def test_warning_raised_as_error_exits_2_with_one_line(tmp_path, flags, extra_env,
+                                                       unsorted):
+    # A subprocess again: only there do -W error and PYTHONWARNINGS=error raise.
+    path = tmp_path / "m.csv"
+    if unsorted:
+        path.write_text("field_au,time_as,err_as\n0.08,30.0,4.0\n0.06,45.0,4.0\n",
+                        encoding="utf-8")
+        expected = (f"error: {path}: field values are not strictly increasing; "
+                    "records were re-sorted")
+    else:
+        path = Path(__file__).resolve().parent / "golden" / "measurements.csv"
+        expected = ("error: record at F=0.16 is above barrier suppression; tau_d has "
+                    "no real value there; point skipped")
+    proc = subprocess.run([sys.executable, *flags, "-m", "attoclock", "compare", "--atom",
+                           "He:kullie", "--estimator", "tau_d", str(path)],
+                          capture_output=True, text=True, env={**os.environ, **extra_env})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected + "\n")
+
+
 @pytest.mark.parametrize("data, code", [("measurements.csv", 0), ("missing.csv", 2)])
 def test_warning_format_is_restored(capsys, data, code):
     before = warnings.formatwarning
@@ -571,12 +596,16 @@ def test_module_entry_point():
     assert "Clementi" in proc.stdout
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # nor json and csv, which only JSON output and measurement files need
-    code = ("import sys, attoclock.cli; "
-            "print({'dataclasses', 'inspect', 'json', 'csv'} & set(sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout == "set()\n"
+def test_bare_cli_import_loads_no_typing_and_no_lazy_module():
+    # Under -S with only src/ on the path, no site .pth or editable-install hook
+    # preloads anything. typing, __future__ and contextlib are not needed at all;
+    # json and csv only for JSON output and measurement files.
+    code = ("import sys, attoclock.cli; print(sorted({'typing', '__future__', "
+            "'contextlib', 'dataclasses', 'inspect', 'json', 'csv'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(attoclock.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 # CLI fuzz: argv built from the real subcommands and flags. Every value is
