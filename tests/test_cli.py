@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import attoclock
-from attoclock.cli import MAX_GRID_POINTS, main
+from attoclock.cli import MAX_GRID_POINTS, build_parser, main
 from attoclock.barrier import atomic_field_strength
 from attoclock.atom import catalog_lookup
 
@@ -471,6 +471,37 @@ class TestArgparseBehavior:
         # an empty PATH names no file; it does not mean stdout
         assert run_cli(capsys, "catalog", "--out", "") == (
             2, "", "error: [Errno 2] No such file or directory: ''\n")
+
+
+# Every help text and usage error: top level, each command, and each way a
+# command's arguments can fail to parse.
+HELP_AND_USAGE = [
+    [], ["--help"], ["-h"], ["bogus"], ["--atom", "He"],
+    *([command, "--help"] for command in ("geometry", "times", "sweep", "compare",
+                                          "catalog")),
+    ["times", "--bogus"], ["times", "--field"],
+    ["times", "--atom", "He:clementi", "--field", "0.05", "extra"],
+    ["sweep", "--atom", "He:clementi"], ["compare", "--atom", "He:clementi"],
+    ["catalog", "--precision", "0"],
+    ["sweep", "--atom", "He:clementi", "--grid", "0.06", "--figure", "fig9"],
+    ["catalog", "--format", "xml"], ["compare", "--estimator", "tau_x", "f.csv"],
+    ["times", "--fi", "0.05"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE, ids=lambda argv: " ".join(argv) or "-")
+def test_help_and_usage_match_the_parser_with_every_command(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")     # the width argparse wraps help text to
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    expected = (int(exc.value.code or 0), *capsys.readouterr())
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_unrecognized_argument_usage_names_every_command(capsys):
+    assert run_cli(capsys, "times", "--bogus") == (
+        2, "", "usage: attoclock [-h] {geometry,times,sweep,compare,catalog} ...\n"
+               "attoclock: error: unrecognized arguments: --bogus\n")
 
 
 @pytest.mark.parametrize("argv,named", [
