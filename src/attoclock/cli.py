@@ -13,10 +13,8 @@ from collections.abc import Sequence
 from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import RegimeError, solve_geometry
 from .clocks import evaluate
-from .harness import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, ESTIMATORS,
-                      FIGURES, GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS,
-                      compare, emit_figure_data, iter_sweep, load_measurements, render,
-                      table)
+from .tables import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, GEOMETRY_COLUMNS,
+                     TIMES_COLUMNS, render, table)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -112,6 +110,7 @@ def cmd_point(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
+    from .harness import emit_figure_data, iter_sweep
     atom = _resolve_atom(args)
     grid = parse_grid(args.grid)
     omega = _omega(args)          # a bad --wavelength exits 2 on both paths
@@ -126,6 +125,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
+    from .harness import RESIDUAL_COLUMNS, compare, load_measurements
     atom = _resolve_atom(args)
     records = load_measurements(args.data)
     if not records:
@@ -176,57 +176,67 @@ def _add_field_flags(parser: argparse.ArgumentParser) -> None:
                         help="polarization ellipticity in [0, 1]")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("geometry", "times", "sweep", "compare", "catalog")
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser with only the subparser ``argv[0]`` names, else with all five."""
     parser = argparse.ArgumentParser(
         prog="attoclock",
         description="Barrier geometry and uncertainty-relation tunneling times "
                     "for strong-field ionization.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    built = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    # A top-level usage line lists every command. When all are built argparse lists
+    # them, and a metavar would change its "required" and "invalid choice" errors.
+    metavar = None if built is _COMMANDS else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p_geo = sub.add_parser("geometry", help="barrier geometry at one field strength")
-    _add_atom_flags(p_geo)
-    _add_field_flags(p_geo)
-    _add_output_flags(p_geo)
-    p_geo.set_defaults(func=cmd_point, stage=solve_geometry, columns=GEOMETRY_COLUMNS,
-                       wavelength=None)
-
-    p_times = sub.add_parser("times", help="all time estimators at one field strength")
-    _add_atom_flags(p_times)
-    _add_field_flags(p_times)
-    p_times.add_argument("--wavelength", type=float, metavar="NM",
-                         help="laser wavelength for the adiabaticity parameter")
-    _add_output_flags(p_times)
-    p_times.set_defaults(func=cmd_point, stage=evaluate, columns=TIMES_COLUMNS)
-
-    p_sweep = sub.add_parser("sweep", help="evaluate over a field-strength grid")
-    _add_atom_flags(p_sweep)
-    p_sweep.add_argument("--grid", required=True, metavar="MIN:MAX:STEP|F1,F2,...")
-    p_sweep.add_argument("--figure", choices=FIGURES, default=None,
-                         help="emit one figure table instead of the full dump")
-    p_sweep.add_argument("--wavelength", type=float, metavar="NM")
-    _add_output_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_cmp = sub.add_parser("compare", help="score a model against measured points")
-    _add_atom_flags(p_cmp)
-    p_cmp.add_argument("--estimator", choices=ESTIMATORS, required=True)
-    p_cmp.add_argument("--residuals", action="store_true",
-                       help="also print the per-point residual table")
-    p_cmp.add_argument("data", metavar="CSV", help="measurement CSV path")
-    _add_output_flags(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_cat = sub.add_parser("catalog", help="list built-in atom models")
-    _add_output_flags(p_cat)
-    p_cat.set_defaults(func=cmd_catalog)
+    if "geometry" in built:
+        p_geo = sub.add_parser("geometry", help="barrier geometry at one field strength")
+        _add_atom_flags(p_geo)
+        _add_field_flags(p_geo)
+        _add_output_flags(p_geo)
+        p_geo.set_defaults(func=cmd_point, stage=solve_geometry,
+                           columns=GEOMETRY_COLUMNS, wavelength=None)
+    if "times" in built:
+        p_times = sub.add_parser("times", help="all time estimators at one field strength")
+        _add_atom_flags(p_times)
+        _add_field_flags(p_times)
+        p_times.add_argument("--wavelength", type=float, metavar="NM",
+                             help="laser wavelength for the adiabaticity parameter")
+        _add_output_flags(p_times)
+        p_times.set_defaults(func=cmd_point, stage=evaluate, columns=TIMES_COLUMNS)
+    if "sweep" in built:
+        from .harness import FIGURES
+        p_sweep = sub.add_parser("sweep", help="evaluate over a field-strength grid")
+        _add_atom_flags(p_sweep)
+        p_sweep.add_argument("--grid", required=True, metavar="MIN:MAX:STEP|F1,F2,...")
+        p_sweep.add_argument("--figure", choices=FIGURES, default=None,
+                             help="emit one figure table instead of the full dump")
+        p_sweep.add_argument("--wavelength", type=float, metavar="NM")
+        _add_output_flags(p_sweep)
+        p_sweep.set_defaults(func=cmd_sweep)
+    if "compare" in built:
+        from .harness import ESTIMATORS
+        p_cmp = sub.add_parser("compare", help="score a model against measured points")
+        _add_atom_flags(p_cmp)
+        p_cmp.add_argument("--estimator", choices=ESTIMATORS, required=True)
+        p_cmp.add_argument("--residuals", action="store_true",
+                           help="also print the per-point residual table")
+        p_cmp.add_argument("data", metavar="CSV", help="measurement CSV path")
+        _add_output_flags(p_cmp)
+        p_cmp.set_defaults(func=cmd_compare)
+    if "catalog" in built:
+        p_cat = sub.add_parser("catalog", help="list built-in atom models")
+        _add_output_flags(p_cat)
+        p_cat.set_defaults(func=cmd_catalog)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     except SystemExit as exc:   # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     # A warning prints as one line, like an error: no source file, line or code.

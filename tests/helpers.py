@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from attoclock.atom import AtomModel
 from attoclock.barrier import atomic_field_strength
-from attoclock.harness import table
+from attoclock.tables import table
 
 
 def rel_err(value: float, reference: float) -> float:

@@ -12,7 +12,7 @@ import reference
 from attoclock.atom import AtomModel
 from attoclock.barrier import (ATOMIC_BAND, RegimeError, atomic_field_strength,
                                classify_regime, solve_geometry)
-from attoclock.harness import table
+from attoclock.tables import table
 from helpers import rel_err, subatomic_cases
 from reference import exit_points_oracle, signed_barrier_height
 

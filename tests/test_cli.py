@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -630,13 +631,41 @@ def test_module_entry_point():
 def test_bare_cli_import_loads_no_typing_and_no_lazy_module():
     # Under -S with only src/ on the path, no site .pth or editable-install hook
     # preloads anything. typing, __future__ and contextlib are not needed at all;
-    # json and csv only for JSON output and measurement files.
-    code = ("import sys, attoclock.cli; print(sorted({'typing', '__future__', "
-            "'contextlib', 'dataclasses', 'inspect', 'json', 'csv'} & set(sys.modules)))")
+    # json and csv only for JSON output and measurement files. The package loads
+    # its modules on first use, and times runs without the harness.
+    code = textwrap.dedent("""\
+        import sys
+        def report(*names):
+            print(sorted(set(names) & set(sys.modules)), file=sys.stderr)
+        import attoclock
+        print([m for m in sys.modules if m.startswith("attoclock.")], file=sys.stderr)
+        from attoclock.cli import main
+        report("typing", "__future__", "contextlib", "dataclasses", "inspect", "json",
+               "csv")
+        main(["times", "--atom", "He:clementi", "--field", "0.05"])
+        report("attoclock.harness", "csv", "json")
+        main(["sweep", "--atom", "He:clementi", "--grid", "0.06", "--figure", "fig3"])
+        report("attoclock.harness")
+        names = {}
+        exec("from attoclock import *", names)
+        del names["__builtins__"]
+        # each name is its defining module's object
+        found = [vars(m) for k, m in sys.modules.items() if k.startswith("attoclock.")]
+        print(len(names), sorted(names) == sorted(attoclock.__all__), all(
+            any(module.get(name) is value for module in found)
+            for name, value in names.items() if name != "__version__"), file=sys.stderr)
+        try:
+            attoclock.no_such_name
+        except AttributeError as exc:
+            print(exc, file=sys.stderr)
+        """)
     env = {**os.environ, "PYTHONPATH": str(Path(attoclock.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=env)
-    assert proc.returncode == 0 and proc.stdout == "[]\n"
+    assert proc.returncode == 0 and proc.stdout.startswith("atom,source,")
+    assert proc.stderr.splitlines() == [
+        "[]", "[]", "[]", "['attoclock.harness']", "14 True True",
+        "module 'attoclock' has no attribute 'no_such_name'"]
 
 
 # CLI fuzz: argv built from the real subcommands and flags. Every value is

@@ -12,8 +12,8 @@ import reference
 from attoclock.atom import AtomModel, catalog_lookup
 from attoclock.barrier import atomic_field_strength
 from attoclock.clocks import Point, evaluate
-from attoclock.harness import (DRIVE_COLUMNS, GEOMETRY_COLUMNS, TIMES_COLUMNS, iter_sweep,
-                               table)
+from attoclock.harness import iter_sweep
+from attoclock.tables import DRIVE_COLUMNS, GEOMETRY_COLUMNS, TIMES_COLUMNS, table
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
 from helpers import complex_parts, rel_err, subatomic_cases

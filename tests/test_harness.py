@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from attoclock.atom import catalog_lookup
 from attoclock.barrier import ATOMIC_BAND, RegimeError, atomic_field_strength
-from attoclock import harness
-from attoclock.harness import (COLUMNS, DUMP_COLUMNS, MeasurementRecord, compare,
-                               emit_figure_data, iter_sweep, load_measurements, render,
-                               run_sweep, table)
+from attoclock import harness, tables
+from attoclock.harness import (MeasurementRecord, compare, emit_figure_data, iter_sweep,
+                               load_measurements, run_sweep)
+from attoclock.tables import COLUMNS, DUMP_COLUMNS, render, table
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
 from helpers import rel_err
@@ -102,8 +102,8 @@ class TestRunSweep:
 
 
 class TestColumnRegistry:
-    TUPLES = (harness.GEOMETRY_COLUMNS, harness.TIMES_COLUMNS, harness.DRIVE_COLUMNS,
-              DUMP_COLUMNS, *harness._FIGURE_COLUMNS.values(), harness.CATALOG_COLUMNS)
+    TUPLES = (tables.GEOMETRY_COLUMNS, tables.TIMES_COLUMNS, tables.DRIVE_COLUMNS,
+              DUMP_COLUMNS, *harness._FIGURE_COLUMNS.values(), tables.CATALOG_COLUMNS)
 
     def test_every_tuple_name_is_registered_and_every_entry_used(self):
         used = {name for columns in self.TUPLES for name in columns}
