@@ -24,3 +24,7 @@ def __getattr__(name: str) -> object:
     from importlib import import_module
     module = import_module(f".{_EXPORTS[name]}", __name__)
     return globals().setdefault(name, getattr(module, name))   # found once
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -22,14 +22,6 @@ EXIT_USAGE = 2
 EXIT_REGIME = 3
 
 
-def _write_output(text: str, args: argparse.Namespace) -> None:
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _resolve_atom(args: argparse.Namespace) -> AtomModel:
     inline = args.ip is not None or args.z_eff is not None
     if args.atom and inline:
@@ -244,7 +236,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         text, code = args.func(args)     # evaluate, then render
-        _write_output(text, args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         return code
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

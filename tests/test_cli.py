@@ -632,13 +632,15 @@ def test_bare_cli_import_loads_no_typing_and_no_lazy_module():
     # Under -S with only src/ on the path, no site .pth or editable-install hook
     # preloads anything. typing, __future__ and contextlib are not needed at all;
     # json and csv only for JSON output and measurement files. The package loads
-    # its modules on first use, and times runs without the harness.
+    # its modules on first use (dir() still lists its names), and times runs
+    # without the harness.
     code = textwrap.dedent("""\
         import sys
         def report(*names):
             print(sorted(set(names) & set(sys.modules)), file=sys.stderr)
         import attoclock
-        print([m for m in sys.modules if m.startswith("attoclock.")], file=sys.stderr)
+        print([m for m in sys.modules if m.startswith("attoclock.")],
+              set(attoclock.__all__) <= set(dir(attoclock)), file=sys.stderr)
         from attoclock.cli import main
         report("typing", "__future__", "contextlib", "dataclasses", "inspect", "json",
                "csv")
@@ -664,7 +666,7 @@ def test_bare_cli_import_loads_no_typing_and_no_lazy_module():
                           text=True, env=env)
     assert proc.returncode == 0 and proc.stdout.startswith("atom,source,")
     assert proc.stderr.splitlines() == [
-        "[]", "[]", "[]", "['attoclock.harness']", "14 True True",
+        "[] True", "[]", "[]", "['attoclock.harness']", "14 True True",
         "module 'attoclock' has no attribute 'no_such_name'"]
 
 
