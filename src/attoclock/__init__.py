@@ -23,7 +23,7 @@ def __getattr__(name: str) -> object:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
     module = import_module(f".{_EXPORTS[name]}", __name__)
-    return globals().setdefault(name, getattr(module, name))   # found once
+    return globals().setdefault(name, getattr(module, name))   # later reads skip this
 
 
 def __dir__() -> list[str]:
