@@ -12,9 +12,9 @@ from collections.abc import Sequence
 
 from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import RegimeError, solve_geometry
-from .clocks import evaluate
-from .tables import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, GEOMETRY_COLUMNS,
-                     TIMES_COLUMNS, render, table)
+from .clocks import ESTIMATORS, evaluate
+from .tables import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, FIGURE_COLUMNS,
+                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, render, table)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -117,7 +117,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
-    from .harness import RESIDUAL_COLUMNS, compare, load_measurements
+    from .harness import compare, load_measurements
     atom = _resolve_atom(args)
     records = load_measurements(args.data)
     if not records:
@@ -199,17 +199,15 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         _add_output_flags(p_times)
         p_times.set_defaults(func=cmd_point, stage=evaluate, columns=TIMES_COLUMNS)
     if "sweep" in built:
-        from .harness import FIGURES
         p_sweep = sub.add_parser("sweep", help="evaluate over a field-strength grid")
         _add_atom_flags(p_sweep)
         p_sweep.add_argument("--grid", required=True, metavar="MIN:MAX:STEP|F1,F2,...")
-        p_sweep.add_argument("--figure", choices=FIGURES, default=None,
+        p_sweep.add_argument("--figure", choices=FIGURE_COLUMNS, default=None,
                              help="emit one figure table instead of the full dump")
         p_sweep.add_argument("--wavelength", type=float, metavar="NM")
         _add_output_flags(p_sweep)
         p_sweep.set_defaults(func=cmd_sweep)
     if "compare" in built:
-        from .harness import ESTIMATORS
         p_cmp = sub.add_parser("compare", help="score a model against measured points")
         _add_atom_flags(p_cmp)
         p_cmp.add_argument("--estimator", choices=ESTIMATORS, required=True)

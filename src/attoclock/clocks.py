@@ -17,11 +17,13 @@ from .barrier import Geometry, solve_geometry
 # alone. None marks what it lacks: above barrier suppression the real-only times
 # and energy uncertainties; at or below it the complex crossing time tau_d_re +
 # i tau_d_im (the approach time is its conjugate). The drive's gamma_k is an
-# output column of harness.COLUMNS, not a field.
+# output column of tables.COLUMNS, not a field.
 Point = collections.namedtuple(
     "Point", Geometry._fields + ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c",
                                  "tau_t", "tau_a", "de_plus", "de_minus", "tau_d_re",
                                  "tau_d_im"))
+# The Point fields ``compare --estimator`` scores against measured times.
+ESTIMATORS = ("tau_d", "tau_sym", "tau_unsy", "tau_t")
 
 
 def evaluate(atom: AtomModel, f: float) -> Point:
@@ -34,12 +36,13 @@ def compute_clocks(atom: AtomModel, geometry: Geometry) -> Point:
     ip - delta_z is taken as 4 z_eff F / (ip + delta_z), which weak fields do not
     cancel away; above barrier suppression the crossing time is
     1 / (2 (ip - i |delta_z|)), taken through sqrt(4 z_eff F) where 4 z_eff F
-    overflows. 4 z_eff F or the gap underflowing to 0 is an error."""
+    overflows. 4 z_eff F or the gap below the smallest normal double is an error."""
     f, regime, dz, dzi = geometry[:4]
     ip = atom.ip
     z4f = 4.0 * atom.z_eff * f
-    if z4f == 0.0:
-        raise ValueError(f"at F={f!r} au 4 z_eff F underflows to 0, so tau_sym is not finite")
+    if z4f < 2.2250738585072014e-308:      # sys.float_info.min
+        raise ValueError(f"at F={f!r} au 4 z_eff F = {z4f!r} underflows the normal range, "
+                         "so tau_sym and tau_d have no accurate finite value")
     tau_sym = ip / z4f
     # Verbatim first-order term; the weak-field limit of tau_unsy itself
     # carries the effective charge, ip / (2 z_eff F).
@@ -57,9 +60,9 @@ def compute_clocks(atom: AtomModel, geometry: Geometry) -> Point:
                                        None, None, ip / den, dzi / den))
     ip_plus = ip + dz
     gap = ip if dz == 0.0 else z4f / ip_plus
-    if gap == 0.0:
-        raise ValueError(f"at F={f!r} au the gap 4 z_eff F / (ip + delta_z) "
-                         "underflows to 0, so tau_d is not finite")
+    if gap < 2.2250738585072014e-308:
+        raise ValueError(f"at F={f!r} au the gap 4 z_eff F / (ip + delta_z) = {gap!r} "
+                         "underflows the normal range, so tau_d has no accurate finite value")
     return Point._make(geometry + (0.5 / ip_plus, 0.5 / gap, tau_sym, 1.0 / gap, tau_c,
                                    0.5 * (1.0 / ip + 1.0 / gap), tau_a, 0.5 * gap,
                                    0.5 * ip_plus, None, None))

@@ -16,18 +16,9 @@ from itertools import chain, repeat, takewhile
 
 from .atom import AtomModel
 from .barrier import RegimeError
-from .clocks import Point, evaluate
-from .tables import render, table
+from .clocks import ESTIMATORS, Point, evaluate
+from .tables import FIGURE_COLUMNS, render, table
 from .units import CONSTANTS
-
-ESTIMATORS = ("tau_d", "tau_sym", "tau_unsy", "tau_t")
-
-FIGURES = ("fig2", "fig3", "fig4")
-_FIGURE_COLUMNS = {
-    "fig2": ("f_au", "tau_unsy_as", "tau_sym_as"),
-    "fig3": ("f_au", "tau_d_as", "tau_sym_as"),
-    "fig4": ("d_b_au", "tau_d_as", "light_as"),
-}
 
 
 class MeasurementRecord(collections.namedtuple("MeasurementRecord",
@@ -52,7 +43,7 @@ class MeasurementRecord(collections.namedtuple("MeasurementRecord",
 
 # Residual statistics of a model curve against measured points: compare's
 # summary columns in printed order, then one residual row per used record in
-# RESIDUAL_COLUMNS order.
+# tables.RESIDUAL_COLUMNS order.
 ComparisonReport = collections.namedtuple(
     "ComparisonReport", "model_id estimator n_records n_used n_skipped rms_as max_abs_as "
                         "fraction_within_bars residuals")
@@ -109,30 +100,25 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
             expected = f"{','.join(_HEADER_4)}[,source] or {','.join(_HEADER_3)}[,source]"
             raise ValueError(f"bad header {','.join(header)!r}; expected {expected}")
         width, named = len(header), header[-1] == "source"
-        previous, ordered = -math.inf, True
         for row in reader:
             try:
                 if len(row) != width:
                     raise ValueError(f"expected {width} columns, got {len(row)}")
-                f = float(row[0])
-                record = MeasurementRecord(f, float(row[1]), float(row[2]), float(row[hi]),
-                                           row[-1].strip() if named else "")
+                records.append(MeasurementRecord(
+                    float(row[0]), float(row[1]), float(row[2]), float(row[hi]),
+                    row[-1].strip() if named else ""))
             except ValueError:
                 # Any blank cell fails float(), so only a failed row can be blank
                 # (no cells, or only blank ones), and a blank row is skipped.
                 if "".join(row).strip():
                     raise
-                continue
-            if f <= previous:
-                ordered = False
-            previous = f
-            records.append(record)
     except StopIteration:
         raise ValueError(f"{path}: missing header line") from None
     # csv.Error: a NUL byte (before Python 3.11) or a cell over the csv field limit
     except (csv.Error, ValueError) as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not ordered:
+    fields = [record[0] for record in records]
+    if not all(map(operator.lt, fields, fields[1:])):
         warnings.warn(f"{path}: field values are not strictly increasing; "
                       "records were re-sorted", stacklevel=2)
         records.sort(key=operator.itemgetter(0))     # stable: ties keep file order
@@ -186,9 +172,6 @@ def compare(atom: AtomModel, estimator: str,
         residuals=tuple(residuals))
 
 
-RESIDUAL_COLUMNS = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
-
-
 def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
                      precision: int = 12, fmt: str = "csv") -> str:
     """The data behind one figure, evaluated lazily over a field grid, as
@@ -196,8 +179,9 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
     atom, grid and constants-table version. The width-vs-time table (fig4)
     admits only points below barrier suppression; the time-vs-field tables
     (fig2, fig3) also admit the critical-field point."""
-    if figure not in FIGURES:
-        raise ValueError(f"unknown figure {figure!r}; choose from {FIGURES}")
+    columns = FIGURE_COLUMNS.get(figure)
+    if columns is None:
+        raise ValueError(f"unknown figure {figure!r}; choose from {tuple(FIGURE_COLUMNS)}")
     points = iter_sweep(atom, f_grid)
     if figure == "fig4":
         keep = lambda p: p.regime == "sub_atomic"
@@ -216,6 +200,5 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
     meta = {"atom": atom.name, "source": atom.source, "z_eff": f"{atom.z_eff:.12g}",
             "i_p": f"{atom.ip:.12g}", "grid": ",".join(f"{f:.12g}" for f in f_grid),
             "constants": CONSTANTS.version}
-    columns = _FIGURE_COLUMNS[figure]
     rows = table(columns, atom, takewhile(keep, chain((first,), points)))
     return render(meta, columns, rows, fmt, precision)

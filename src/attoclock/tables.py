@@ -138,6 +138,13 @@ DUMP_COLUMNS = (
     "tau_a_as", "light_as", "tau_d_re_au", "tau_d_im_au", "gamma_k",
 )
 CATALOG_COLUMNS = ("name", "source", "i_p_au", "z_eff", "f_a_au", "i_a_au")
+# Each figure's columns, by the name ``sweep --figure`` takes.
+FIGURE_COLUMNS = {
+    "fig2": ("f_au", "tau_unsy_as", "tau_sym_as"),
+    "fig3": ("f_au", "tau_d_as", "tau_sym_as"),
+    "fig4": ("d_b_au", "tau_d_as", "light_as"),
+}
+RESIDUAL_COLUMNS = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
 
 
 def table(columns: Sequence[str], atom: AtomModel, points: Iterable[Point | None],

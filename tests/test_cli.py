@@ -512,12 +512,18 @@ def test_unrecognized_argument_usage_names_every_command(capsys):
     ("geometry --atom He:clementi --field 1e-320", "x_exit_au"),
     ("geometry --atom He:clementi --field 1e-320 --format json", "x_exit_au"),
     ("times --atom He:clementi --field 1e-308", "tau_d_as"),
-    ("times --atom He:clementi --field 1e-310", "tau_d_au"),
-    ("sweep --atom He:clementi --grid 1e-320,0.05", "x_exit_au"),
-    ("sweep --atom He:clementi --grid 1e-320,0.05 --format json", "x_exit_au"),
-    ("sweep --atom He:clementi --grid 1e-320,0.05 --figure fig4", "d_b_au"),
+    # 4 z_eff F is subnormal: its few bits would misprint tau_sym and tau_d
+    ("times --atom He:clementi --field 1e-310", "F=1e-310"),
+    ("times --ip 1e-15 --z-eff 0.3 --field 3e-321", "F=3e-321"),    # exited 0
+    ("sweep --atom He:clementi --grid 1e-320,0.05", "F=1e-320"),
+    ("sweep --atom He:clementi --grid 1e-320,0.05 --format json", "F=1e-320"),
+    ("sweep --atom He:clementi --grid 1e-320,0.05 --figure fig4", "F=1e-320"),
     ("sweep --atom He:clementi --grid 1e-310,0.05 --figure fig3 --format json",
-     "tau_d_as"),
+     "F=1e-310"),
+    # 4 z_eff F and the gap are normal; x_exit = (ip + delta_z) / (2F) overflows
+    ("sweep --ip 1 --z-eff 100 --grid 1e-309,0.001", "x_exit_au"),
+    ("sweep --ip 1 --z-eff 100 --grid 1e-309,0.001 --format json", "x_exit_au"),
+    ("sweep --ip 1 --z-eff 100 --grid 1e-309,0.001 --figure fig4", "d_b_au"),
     # the gap 4 z_eff F / (ip + delta_z) underflows to 0
     ("times --ip 1e150 --z-eff 1e-5 --field 1e-300", "F=1e-300"),
     ("sweep --ip 1e150 --z-eff 1e-5 --grid 1e-300,1e-200", "F=1e-300"),
@@ -633,9 +639,10 @@ def test_bare_cli_import_loads_no_typing_and_no_lazy_module():
     # preloads anything. typing, __future__ and contextlib are not needed at all;
     # json and csv only for JSON output and measurement files. The package loads
     # its modules on first use (dir() still lists its names), and times runs
-    # without the harness.
+    # without the harness. So do help and usage runs, which build every subparser
+    # with its --figure and --estimator choices.
     code = textwrap.dedent("""\
-        import sys
+        import io, sys
         def report(*names):
             print(sorted(set(names) & set(sys.modules)), file=sys.stderr)
         import attoclock
@@ -646,6 +653,13 @@ def test_bare_cli_import_loads_no_typing_and_no_lazy_module():
                "csv")
         main(["times", "--atom", "He:clementi", "--field", "0.05"])
         report("attoclock.harness", "csv", "json")
+        saved = sys.stdout, sys.stderr
+        sys.stdout = sys.stderr = io.StringIO()
+        codes = [main(argv) for argv in (["--help"], ["sweep", "--help"],
+                                         ["compare", "--help"], ["bogus"])]
+        sys.stdout, sys.stderr = saved
+        print(codes, file=sys.stderr)
+        report("attoclock.harness")
         main(["sweep", "--atom", "He:clementi", "--grid", "0.06", "--figure", "fig3"])
         report("attoclock.harness")
         names = {}
@@ -666,8 +680,8 @@ def test_bare_cli_import_loads_no_typing_and_no_lazy_module():
                           text=True, env=env)
     assert proc.returncode == 0 and proc.stdout.startswith("atom,source,")
     assert proc.stderr.splitlines() == [
-        "[] True", "[]", "[]", "['attoclock.harness']", "14 True True",
-        "module 'attoclock' has no attribute 'no_such_name'"]
+        "[] True", "[]", "[]", "[0, 0, 0, 2]", "[]", "['attoclock.harness']",
+        "14 True True", "module 'attoclock' has no attribute 'no_such_name'"]
 
 
 # CLI fuzz: argv built from the real subcommands and flags. Every value is

@@ -1,11 +1,12 @@
 """Time estimators: frozen derived values, exact identities, limits at the
 critical field, and the complex decomposition above it."""
 
+import math
 import sys
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -295,3 +296,106 @@ class TestHugeFields:
         f = min(lo * (MAX / lo) ** u, MAX)
         if f > atomic_field_strength(atom) * (1.0 + 1e-9):
             assert_matches_reference(atom, f)
+
+
+class TestSubnormalProducts:
+    """A subnormal 4 z_eff F or gap keeps too few bits for the times built on it."""
+
+    @pytest.mark.parametrize("ip, z_eff, f, product", [
+        # accepted, tau_sym, tau_d, tau_unsy and de_plus were 5.5e-4 off
+        (1e-13, 0.3, 3e-321, "4 z_eff F = "),
+        (1.0, 0.3, 2e-308, "the gap 4 z_eff F /"),      # 4 z_eff F is normal here
+    ])
+    def test_refused_naming_the_field(self, ip, z_eff, f, product):
+        with pytest.raises(ValueError, match=f"^at F={f!r} au {product}"):
+            evaluate(AtomModel("x", ip, z_eff), f)
+
+    def test_smallest_normal_product_accepted(self):
+        # 4 z_eff F is exactly the smallest normal double, and so is F
+        assert_matches_reference(AtomModel("x", 1e-10, 0.25), sys.float_info.min)
+
+
+# The closed forms are homogeneous in (ip, z_eff, F). With lam = 2^k, the power of
+# lam by which each float field of a Point scales under the ip law (ip, z_eff, F)
+# -> (lam ip, z_eff, lam^2 F) and under the z law (ip, z_eff, F) -> (ip, lam z_eff,
+# F / lam).
+_ENERGIES = ("delta_z", "delta_z_imag", "h_max", "de_plus", "de_minus")
+_LENGTHS = ("x_entrance", "x_peak", "x_exit", "x_classical", "barrier_width")
+IP_LAW = {name: 2 if name == "f" else 1 if name in _ENERGIES else -1
+          for name in Point._fields if name != "regime"}
+Z_LAW = {name: -1 if name == "f" else 1 if name in (*_LENGTHS, "tau_c") else 0
+         for name in IP_LAW}
+
+
+def _ldexp(x, n):
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.inf
+
+
+def _normal(x):
+    return sys.float_info.min <= abs(x) < math.inf
+
+
+@st.composite
+def scaling_cases(draw):
+    """(ip, z_eff, F, k): log-uniform ip and z_eff in e^+-8, F / F_a in e^-40..e^5."""
+    ip, z_eff = (math.exp(draw(st.floats(-8.0, 8.0))) for _ in range(2))
+    f = math.exp(draw(st.floats(-40.0, 5.0))) * (ip * ip / (4.0 * z_eff))
+    return ip, z_eff, f, draw(st.integers(-500, 500))
+
+
+class TestScalingLaws:
+    """Scaling by a power of two is exact in binary floating point, so each law
+    holds bit for bit where every input, intermediate and compared output is a
+    normal double (Higham 2002, §2). Draws are left out where either side:
+    - is refused (the atom, or a subnormal 4 z_eff F or gap: see above);
+    - overflows 4 z_eff F or, above barrier suppression, 2 (ip^2 + delta_z''^2),
+      where the kernel works from a square root instead;
+    - has a float field that is neither 0 nor a normal double.
+    Bounded, not exact: where z_eff / F leaves the normal range on either side,
+    x_peak is sqrt(z_eff) / sqrt(F) there, within 2 ulp of the law (and so are
+    the crossings, which are x_peak at barrier suppression)."""
+
+    @pytest.mark.parametrize("law", [IP_LAW, Z_LAW], ids=["ip", "z"])
+    @settings(max_examples=300, deadline=None)
+    @given(scaling_cases())
+    # The scaled 4 z_eff F is subnormal (3.5e-309). Accepted, it put tau_sym, tau_d,
+    # tau_unsy and tau_t 4 ulp and de_plus 3 ulp off the law.
+    @example((8.171433284585506, 0.0018667223293880495, 1.9709218306435958e-08, -496))
+    def test_law_holds_bit_for_bit(self, law, case):
+        ip, z_eff, f, k = case
+        if law is IP_LAW:
+            sides = [(ip, z_eff, f), (_ldexp(ip, k), z_eff, _ldexp(f, 2 * k))]
+        else:
+            sides = [(ip, z_eff, f), (ip, _ldexp(z_eff, k), _ldexp(f, -k))]
+        assume(all(map(_normal, sides[0] + sides[1])))
+        points = []
+        for a, z, field in sides:
+            try:
+                point = evaluate(AtomModel("X", a, z), field)
+            except ValueError:
+                assume(False)
+            dzi = point.delta_z_imag
+            assume(4.0 * z * field < math.inf and (point.regime != "super_atomic"
+                                                   or 2.0 * (a * a + dzi * dzi) < math.inf))
+            assume(all(v is None or v == 0.0 or _normal(v) for v in point[2:] + point[:1]))
+            points.append(point)
+        before, after = points
+        assert after.regime == before.regime
+        # x_peak's fallback, which is also both crossings at barrier suppression
+        fallback = any(not 1.5e-154 <= math.sqrt(z / field) < math.inf
+                       for _, z, field in sides)
+        bounded = (("x_peak", "x_entrance", "x_exit") if before.regime == "atomic"
+                   else ("x_peak",)) if fallback else ()
+        for name, power in law.items():
+            value, scaled = getattr(before, name), getattr(after, name)
+            if value is None:
+                assert scaled is None, name
+                continue
+            expected = _ldexp(value, power * k)
+            if name in bounded:
+                assert abs(scaled - expected) <= 2.0 * math.ulp(expected)
+            else:
+                assert scaled.hex() == expected.hex(), (name, scaled, expected)

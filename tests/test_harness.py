@@ -103,7 +103,7 @@ class TestRunSweep:
 
 class TestColumnRegistry:
     TUPLES = (tables.GEOMETRY_COLUMNS, tables.TIMES_COLUMNS, tables.DRIVE_COLUMNS,
-              DUMP_COLUMNS, *harness._FIGURE_COLUMNS.values(), tables.CATALOG_COLUMNS)
+              DUMP_COLUMNS, *tables.FIGURE_COLUMNS.values(), tables.CATALOG_COLUMNS)
 
     def test_every_tuple_name_is_registered_and_every_entry_used(self):
         used = {name for columns in self.TUPLES for name in columns}
@@ -474,7 +474,8 @@ class TestEmitFigureData:
             emit_figure_data(he_clementi, [], "fig2")
 
     def test_unknown_figure_rejected(self, he_clementi):
-        with pytest.raises(ValueError, match="fig1"):
+        with pytest.raises(ValueError, match=r"^unknown figure 'fig1'; choose from "
+                                             r"\('fig2', 'fig3', 'fig4'\)$"):
             emit_figure_data(he_clementi, GRID_9, "fig1")
 
     def test_json_is_meta_and_rows(self, he_clementi, rows9):
@@ -482,7 +483,7 @@ class TestEmitFigureData:
         meta = dict(line[2:].split("=", 1)
                     for line in emit_figure_data(he_clementi, GRID_9, "fig3").splitlines()
                     if line.startswith("# "))
-        columns = harness._FIGURE_COLUMNS["fig3"]
+        columns = tables.FIGURE_COLUMNS["fig3"]
         values = table(columns, he_clementi, rows9)
         assert figure_json(he_clementi, GRID_9, "fig3") == {
             "meta": meta, "rows": [dict(zip(columns, v)) for v in values]}
@@ -500,7 +501,7 @@ def old_figure_data(atom, grid, figure, precision, fmt):
     meta = {"atom": atom.name, "source": atom.source, "z_eff": f"{atom.z_eff:.12g}",
             "i_p": f"{atom.ip:.12g}", "grid": ",".join(f"{p.f:.12g}" for p in points),
             "constants": CONSTANTS.version}
-    columns = harness._FIGURE_COLUMNS[figure]
+    columns = tables.FIGURE_COLUMNS[figure]
     text = render(meta, columns, table(columns, atom, selected), fmt, precision)
     # the streamed table evaluates the admitted prefix and the first point left out
     return text, min(len(selected) + 1, len(points))
@@ -521,7 +522,7 @@ def grids_across_f_a(draw):
 
 class TestFigureStreaming:
     @settings(max_examples=60, deadline=None)
-    @given(grids_across_f_a(), st.sampled_from(harness.FIGURES),
+    @given(grids_across_f_a(), st.sampled_from(tuple(tables.FIGURE_COLUMNS)),
            st.integers(1, 17), st.sampled_from(("csv", "json")))
     def test_matches_whole_grid_selection(self, case, figure, precision, fmt):
         atom, grid = case

@@ -4,7 +4,7 @@ round trips and monotonicity."""
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from attoclock import units
@@ -109,12 +109,15 @@ class TestEllipticalPeakField:
 
     @given(st.floats(min_value=1e-6, max_value=10.0),
            st.floats(min_value=0.0, max_value=1.0))
+    # 1 + eps^2 rounds to 1 + 2^-52, whose square root rounds to 1: f0 is the
+    # correctly rounded f0 / sqrt(1 + eps^2) here.
+    @example(1.0, 1.2675895633725514e-08)
     def test_never_exceeds_f0(self, f0, eps):
         out = units.elliptical_peak_field(f0, eps)
         assert out <= f0
         if eps == 0.0:
             assert out == f0
-        elif 1.0 + eps * eps > 1.0:   # eps^2 resolvable at double precision
+        elif math.sqrt(1.0 + eps * eps) > 1.0:    # the divisor the function uses
             assert out < f0
 
 
