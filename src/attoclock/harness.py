@@ -54,11 +54,14 @@ def iter_sweep(atom: AtomModel, f_grid: Sequence[float]) -> Iterator[Point]:
     checked first: it must be strictly ascending and positive."""
     if len(f_grid) == 0:
         raise ValueError("field grid is empty")
-    for i, f in enumerate(f_grid):
-        if not (math.isfinite(f) and f > 0):
-            raise ValueError(f"grid value {f!r} is not a positive finite field")
-        if i and not f > f_grid[i - 1]:
-            raise ValueError("field grid must be strictly ascending with no duplicates")
+    # Ascending from a positive start to a finite end is valid; else walk it to name the fault.
+    if not (f_grid[0] > 0 and math.isfinite(f_grid[-1])
+            and all(map(operator.lt, f_grid, f_grid[1:]))):
+        for i, f in enumerate(f_grid):
+            if not (math.isfinite(f) and f > 0):
+                raise ValueError(f"grid value {f!r} is not a positive finite field")
+            if i and not f > f_grid[i - 1]:
+                raise ValueError("field grid must be strictly ascending with no duplicates")
     return map(evaluate, repeat(atom), f_grid)
 
 
@@ -179,7 +182,7 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
     atom, grid and constants-table version. The width-vs-time table (fig4)
     admits only points below barrier suppression; the time-vs-field tables
     (fig2, fig3) also admit the critical-field point."""
-    columns = FIGURE_COLUMNS.get(figure)
+    columns = FIGURE_COLUMNS.get(figure) if isinstance(figure, str) else None
     if columns is None:
         raise ValueError(f"unknown figure {figure!r}; choose from {tuple(FIGURE_COLUMNS)}")
     points = iter_sweep(atom, f_grid)
@@ -198,7 +201,7 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
     if not keep(first):
         raise RegimeError(refusal)
     meta = {"atom": atom.name, "source": atom.source, "z_eff": f"{atom.z_eff:.12g}",
-            "i_p": f"{atom.ip:.12g}", "grid": ",".join(f"{f:.12g}" for f in f_grid),
+            "i_p": f"{atom.ip:.12g}", "grid": ",".join(["%.12g"] * len(f_grid)) % tuple(f_grid),
             "constants": CONSTANTS.version}
     rows = table(columns, atom, takewhile(keep, chain((first,), points)))
     return render(meta, columns, rows, fmt, precision)

@@ -1,13 +1,17 @@
 """The output layer: every column defined once, table rows and the one renderer."""
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .atom import AtomModel
 from .barrier import atomic_field_strength
 from .clocks import Point
 from .units import CONSTANTS
+
+
+_CHUNK = 32     # CSV rows per `%`, held at once; larger chunks raised the dump's peak RSS
 
 
 def _check_finite(cells: Iterable[tuple[str, object]]) -> None:
@@ -22,9 +26,10 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
     """One table as CSV (``# key=value`` metadata lines, header, rows) or
     JSON (a list of row objects, or ``{"meta": ..., "rows": [...]}`` with
     metadata). With ``rows`` None, ``meta`` is one record: a JSON object, or a
-    CSV header of its keys and one row of its values. ``rows`` is consumed once,
-    so it may be lazy. A float cell or metadata value that is not finite is an
-    error naming its column or key."""
+    CSV header of its keys and one row of its values. ``rows`` is consumed once, so
+    it may be lazy; CSV fills each chunk of rows sharing one pattern of cell types
+    with one ``%``. A float cell or metadata value that is not finite is an error
+    naming its column or key; in CSV it wins over an error in pulling a later row."""
     if fmt == "json":
         import json
         records = [] if rows is None else [dict(zip(columns, row)) for row in rows]
@@ -40,20 +45,30 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
     lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
     spec = f"%.{precision}g"
-    templates: dict[tuple[type, ...], str] = {}   # one per pattern of cell types
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(
-                "%.0s" if kind is type(None) else spec if issubclass(kind, float) else "%s"
-                for kind in kinds)
-        line = template % tuple(row)
-        # Every non-finite float prints with an "n" (inf, nan), so only such a
-        # line has its cells tested (a text cell can hold the letter too).
-        if "n" in line:
-            _check_finite(zip(columns, row))
-        lines.append(line)
+    template = functools.cache(lambda kinds: ",".join(   # one per pattern of cell types
+        "%.0s" if kind is type(None) else spec if issubclass(kind, float) else "%s"
+        for kind in kinds))
+    rows = iter(rows)
+    while True:
+        chunk = []
+        try:
+            chunk.extend(islice(rows, _CHUNK))
+        finally:   # rows pulled before a failing pull are formatted and checked first
+            if chunk:
+                flat = tuple(chain.from_iterable(chunk))
+                kinds, n = tuple(map(type, flat)), len(chunk)
+                first = kinds[:len(chunk[0])]
+                text = ("\n".join([template(first)] * n) % flat if kinds == first * n else
+                        "\n".join([template(tuple(map(type, row))) % tuple(row)
+                                   for row in chunk]))
+                # Every non-finite float prints with an "n" (inf, nan), so only such a
+                # chunk has its cells tested (a text cell can hold the letter too).
+                if "n" in text:
+                    for row in chunk:
+                        _check_finite(zip(columns, row))
+                lines.append(text)
+        if len(chunk) < _CHUNK:
+            break
     lines.append("")
     return "\n".join(lines)
 

@@ -6,10 +6,11 @@ import math
 import re
 import tempfile
 import warnings
+from itertools import cycle, islice, zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from attoclock.atom import catalog_lookup
@@ -93,6 +94,13 @@ class TestRunSweep:
         ([-0.01], "is not a positive finite field"),
         ([0.0], "is not a positive finite field"),
         ([float("nan")], "is not a positive finite field"),
+        # one fault inside a longer grid: the message the per-value walk gives
+        ([0.04, float("nan"), 0.06], "^grid value nan is not a positive finite field$"),
+        ([0.04, float("inf"), 0.06], "^grid value inf is not a positive finite field$"),
+        ([0.04, 0.05, float("inf")], "^grid value inf is not a positive finite field$"),
+        ([0.04, 0.05, 0.05, 0.06], "^field grid must be strictly ascending with no duplicates$"),
+        ([-0.0, 0.05], r"^grid value -0\.0 is not a positive finite field$"),
+        ([0.04, 0.06, 0.05, 0.07], "^field grid must be strictly ascending with no duplicates$"),
     ])
     def test_invalid_grids_rejected(self, he_clementi, bad_grid):
         # each (grid, message) pair: the grid check's own message, not the kernel's
@@ -474,9 +482,26 @@ class TestEmitFigureData:
             emit_figure_data(he_clementi, [], "fig2")
 
     def test_unknown_figure_rejected(self, he_clementi):
-        with pytest.raises(ValueError, match=r"^unknown figure 'fig1'; choose from "
-                                             r"\('fig2', 'fig3', 'fig4'\)$"):
-            emit_figure_data(he_clementi, GRID_9, "fig1")
+        for figure in ("fig1", ["fig2"]):       # a list is not hashable: no TypeError
+            with pytest.raises(ValueError, match=rf"^unknown figure {re.escape(repr(figure))}; "
+                                                 r"choose from \('fig2', 'fig3', 'fig4'\)$"):
+                emit_figure_data(he_clementi, GRID_9, figure)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+        st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]),
+        st.integers(1, 2 ** 1023)), min_size=1, max_size=40))
+    def test_grid_line_prints_each_value_at_12_digits(self, values):
+        # every grid point evaluates as F = 0.05, so any ascending positive grid emits
+        grid = sorted({float(v): v for v in values}.values(), key=float)
+        atom = catalog_lookup("He:clementi")
+        point = harness.evaluate(atom, 0.05)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "evaluate", lambda atom, f: point)
+            text = emit_figure_data(atom, grid, "fig3")
+        (line,) = [line for line in text.splitlines() if line.startswith("# grid=")]
+        assert line == "# grid=" + ",".join(f"{f:.12g}" for f in grid)
 
     def test_json_is_meta_and_rows(self, he_clementi, rows9):
         # the CSV's metadata lines and the table of the evaluated points
@@ -546,6 +571,34 @@ class TestFigureStreaming:
         assert len(calls) == n_evaluated
 
 
+# Each kind of cell render formats its own way; text can hold the letter "n".
+CELLS = {
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "none": st.none(),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "text": st.text() | st.sampled_from(["n", "nan", "inf", "Infinity", "ñandú", "Ωn"]),
+}
+
+
+@st.composite
+def row_runs(draw):
+    """Columns and 0 to 3 render chunks of rows, in runs of one pattern of cell
+    kinds that change at arbitrary rows; a run cycles a few rows of its pattern.
+    Some cells may then be made non-finite."""
+    width = draw(st.integers(1, 4))
+    n_rows, rows = draw(st.integers(0, 3 * tables._CHUNK + 2)), []
+    while len(rows) < n_rows:
+        kinds = draw(st.lists(st.sampled_from(list(CELLS)), min_size=width, max_size=width))
+        distinct = draw(st.lists(st.tuples(*map(CELLS.get, kinds)), min_size=1, max_size=4))
+        rows += islice(cycle(distinct), draw(st.integers(1, n_rows - len(rows))))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
+        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        rows[i] = rows[i][:j] + (bad,) + rows[i][j + 1:]
+    return tuple(f"c{j}" for j in range(width)), rows
+
+
 class TestRender:
     COLUMNS = ("name", "x")
     ROWS = [("a", 0.5), ("b", None)]
@@ -575,6 +628,49 @@ class TestRender:
         with pytest.raises(ValueError, match="^x is .*finite"):
             render(None, self.COLUMNS, rows, fmt, 6)
         assert next(rows, None) is None
+
+    @pytest.mark.parametrize("n_good", [0, 1, tables._CHUNK - 2, tables._CHUNK, 600])
+    def test_bad_row_before_a_failing_pull_wins(self, n_good):
+        # as when rows were taken one at a time: the bad row's error, not the pull's
+        def rows():
+            yield from [("a", 0.5)] * n_good
+            yield ("b", float("inf"))
+            raise RuntimeError("pulled past the bad row")
+        with pytest.raises(ValueError, match="^x is inf, not a finite number$"):
+            render(None, self.COLUMNS, rows(), "csv", 6)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_good", [0, 1, tables._CHUNK, 600])
+    def test_failing_pull_after_good_rows_surfaces_unchanged(self, fmt, n_good):
+        error = RuntimeError("row source failed")
+
+        def rows():
+            yield from [("a", 0.5)] * n_good
+            raise error
+        with pytest.raises(RuntimeError) as info:
+            render(None, self.COLUMNS, rows(), fmt, 6)
+        assert info.value is error
+
+    # without the explain phase, which reruns hundreds-of-row examples for minutes
+    @settings(max_examples=150, deadline=None, phases=set(Phase) - {Phase.explain})
+    @given(row_runs(), st.integers(1, 17), st.booleans())
+    def test_chunked_csv_equals_per_row(self, case, precision, lazy):
+        columns, rows = case
+        spec = f"%.{precision}g"
+        cell = lambda v: "" if v is None else spec % v if isinstance(v, float) else str(v)
+        bad = next(((c, v) for row in rows for c, v in zip(columns, row)
+                    if isinstance(v, float) and not math.isfinite(v)), None)
+        given_rows = iter(rows) if lazy else rows
+        if bad is None:
+            expected = "".join(f"{line}\n" for line in [
+                ",".join(columns), *(",".join(map(cell, row)) for row in rows)]).split("\n")
+            lines = render(None, columns, given_rows, "csv", precision).split("\n")
+            # only the differing lines, so that a failure shrinks and prints quickly
+            assert [pair for pair in zip_longest(lines, expected) if pair[0] != pair[1]] == []
+        else:
+            with pytest.raises(ValueError) as info:
+                render(None, columns, given_rows, "csv", precision)
+            assert str(info.value) == f"{bad[0]} is {bad[1]!r}, not a finite number"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_words_in_text_cells_are_not_errors(self, fmt):
