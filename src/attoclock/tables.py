@@ -3,7 +3,7 @@
 import functools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, islice, repeat
+from itertools import chain, cycle, islice, repeat
 
 from .atom import AtomModel
 from .barrier import atomic_field_strength
@@ -26,10 +26,10 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
     """One table as CSV (``# key=value`` metadata lines, header, rows) or
     JSON (a list of row objects, or ``{"meta": ..., "rows": [...]}`` with
     metadata). With ``rows`` None, ``meta`` is one record: a JSON object, or a
-    CSV header of its keys and one row of its values. ``rows`` is consumed once, so
-    it may be lazy; CSV fills each chunk of rows sharing one pattern of cell types
-    with one ``%``. A float cell or metadata value that is not finite is an error
-    naming its column or key; in CSV it wins over an error in pulling a later row."""
+    CSV header of its keys and one row of its values. Rows hold ``len(columns)`` cells
+    and are consumed once, so may be lazy; CSV fills each chunk of rows with one ``%``
+    on a template kept per pattern of cell types. A non-finite float cell or metadata
+    value is an error naming its column or key; in CSV it wins over a later pull's error."""
     if fmt == "json":
         import json
         records = [] if rows is None else [dict(zip(columns, row)) for row in rows]
@@ -44,10 +44,12 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
         meta, columns, rows = None, meta.keys(), [meta.values()]
     lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
-    spec = f"%.{precision}g"
-    template = functools.cache(lambda kinds: ",".join(   # one per pattern of cell types
-        "%.0s" if kind is type(None) else spec if issubclass(kind, float) else "%s"
-        for kind in kinds))
+
+    @functools.cache
+    def template(kinds, n):   # one per chunk pattern of cell kinds: its n lines
+        cells = ("%.0s" if kind is type(None) else f"%.{precision}g"
+                 if issubclass(kind, float) else "%s" for kind in kinds)
+        return "\n".join([",".join(islice(cells, len(kinds) // n)) for _ in range(n)])
     rows = iter(rows)
     while True:
         chunk = []
@@ -56,16 +58,11 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
         finally:   # rows pulled before a failing pull are formatted and checked first
             if chunk:
                 flat = tuple(chain.from_iterable(chunk))
-                kinds, n = tuple(map(type, flat)), len(chunk)
-                first = kinds[:len(chunk[0])]
-                text = ("\n".join([template(first)] * n) % flat if kinds == first * n else
-                        "\n".join([template(tuple(map(type, row))) % tuple(row)
-                                   for row in chunk]))
+                text = template(tuple(map(type, flat)), len(chunk)) % flat
                 # Every non-finite float prints with an "n" (inf, nan), so only such a
                 # chunk has its cells tested (a text cell can hold the letter too).
                 if "n" in text:
-                    for row in chunk:
-                        _check_finite(zip(columns, row))
+                    _check_finite(zip(cycle(columns), flat))
                 lines.append(text)
         if len(chunk) < _CHUNK:
             break
@@ -132,7 +129,6 @@ _NAMESPACE = {
     "C": CONSTANTS.speed_of_light, "sqrt": math.sqrt,
     "atomic_field_strength": atomic_field_strength,
 }
-_ROW_FUNCTIONS: dict[tuple[str, ...], Callable[..., tuple]] = {}
 
 GEOMETRY_COLUMNS = (
     "atom", "source", "i_p_au", "z_eff", "f_au", "f_a_au", "i_a_au", "regime",
@@ -162,17 +158,16 @@ FIGURE_COLUMNS = {
 RESIDUAL_COLUMNS = ("f_au", "model_as", "measured_as", "residual_as", "within_bars")
 
 
+@functools.cache
+def _row_function(columns: tuple[str, ...]) -> Callable[..., tuple]:
+    """One function of ``(a, p, w)`` compiled from the COLUMNS entries of ``columns``."""
+    cells = "".join(f"{COLUMNS[name]}, " for name in columns)
+    return eval(f"lambda a, p, w: ({cells})", _NAMESPACE)
+
+
 def table(columns: Sequence[str], atom: AtomModel, points: Iterable[Point | None],
           omega: float | None = None) -> Iterator[tuple]:
-    """Lazily, one tuple of cells per point, in ``columns`` order, each from its
-    :data:`COLUMNS` entry. Columns that read only the atom take None points.
-
-    The entries are compiled into one row function per column tuple, the way
-    :func:`collections.namedtuple` builds its methods, and kept for reuse. Its
-    source holds only COLUMNS expressions, so an unknown name is a KeyError."""
-    columns = tuple(columns)
-    row = _ROW_FUNCTIONS.get(columns)
-    if row is None:
-        cells = "".join(f"{COLUMNS[name]}, " for name in columns)
-        row = _ROW_FUNCTIONS[columns] = eval(f"lambda a, p, w: ({cells})", _NAMESPACE)
-    return map(row, repeat(atom), points, repeat(omega))
+    """Lazily, one tuple of ``len(columns)`` cells per point, in ``columns`` order,
+    each from its :data:`COLUMNS` entry; an unknown name is a KeyError. Columns that
+    read only the atom take None points."""
+    return map(_row_function(tuple(columns)), repeat(atom), points, repeat(omega))

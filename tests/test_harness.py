@@ -10,12 +10,13 @@ from itertools import cycle, islice, zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from attoclock.atom import catalog_lookup
 from attoclock.barrier import ATOMIC_BAND, RegimeError, atomic_field_strength
 from attoclock import harness, tables
+from attoclock.clocks import evaluate
 from attoclock.harness import (MeasurementRecord, compare, emit_figure_data, iter_sweep,
                                load_measurements, run_sweep)
 from attoclock.tables import COLUMNS, DUMP_COLUMNS, render, table
@@ -107,6 +108,18 @@ class TestRunSweep:
         grid, message = bad_grid
         with pytest.raises(ValueError, match=message):
             run_sweep(he_clementi, grid)
+
+    @pytest.mark.parametrize("call", [
+        lambda atom: run_sweep(atom, ["0.05"]),
+        lambda atom: run_sweep(atom, [None]),
+        lambda atom: run_sweep(atom, [0.05, "0.06"]),
+        lambda atom: emit_figure_data(atom, ["0.05"], "fig3"),
+        lambda atom: evaluate(atom, "0.05"),
+    ])
+    def test_field_that_is_not_a_real_number_is_a_type_error(self, he_clementi, call):
+        # as Python's own arithmetic does; the CLI parses its floats first
+        with pytest.raises(TypeError):
+            call(he_clementi)
 
 
 class TestColumnRegistry:
@@ -654,6 +667,13 @@ class TestRender:
     # without the explain phase, which reruns hundreds-of-row examples for minutes
     @settings(max_examples=150, deadline=None, phases=set(Phase) - {Phase.explain})
     @given(row_runs(), st.integers(1, 17), st.booleans())
+    # the pattern changes on the last row of a chunk, then on the first of the next
+    @example((("c0", "c1"), [("a", 0.5)] * (tables._CHUNK - 1) + [(1, None)]), 6, True)
+    @example((("c0", "c1"), [("a", 0.5)] * tables._CHUNK + [(1, None)]), 6, False)
+    # a change mid-chunk, and a partial last chunk
+    @example((("c0", "c1"), [("a", 0.5)] * (tables._CHUNK + 5) + [(True, "é")] * 10), 17, True)
+    # the first bad cell of a mixed chunk, read across its rows and columns
+    @example((("c0", "c1"), [("a", 0.5), (1, None), ("b", math.inf), (math.nan, "n")]), 3, True)
     def test_chunked_csv_equals_per_row(self, case, precision, lazy):
         columns, rows = case
         spec = f"%.{precision}g"
