@@ -432,6 +432,26 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(he_clementi, "tau_d", [])
 
+    @pytest.mark.parametrize("estimator", ["tau_d", "tau_sym"])
+    def test_unsorted_and_tied_records_keep_record_order(self, he_clementi, estimator):
+        # A library caller's records, out of field order, with ties and with records
+        # above barrier suppression in between: residual rows and skip warnings
+        # follow the records as given, each row holding its own record's time.
+        fields = [0.08, 0.15, 0.05, 0.08, 0.2, 0.05, 0.03, 0.15]
+        records = [MeasurementRecord(f, float(i), 1.0, 1.0) for i, f in enumerate(fields)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = compare(he_clementi, estimator, records)
+        model = {f: getattr(evaluate(he_clementi, f), estimator) for f in set(fields)}
+        used = [r for r in records if model[r.f] is not None]
+        assert [(row[0], row[1], row[2]) for row in report.residuals] == [
+            (r.f, model[r.f] * CONSTANTS.au_time_in_attoseconds, r.t) for r in used]
+        skipped = [r.f for r in records if model[r.f] is None]
+        assert [str(w.message).split(" is ")[0] for w in caught] == [
+            f"record at F={f}" for f in skipped]
+        assert report.n_skipped == len(skipped) == (3 if estimator == "tau_d" else 0)
+        assert report.n_records == len(records)
+
     def test_model_id_labels_atom_and_estimator(self, he_clementi, tmp_path):
         path = write_measurement_csv(tmp_path / "m.csv", [(0.06, 45.0, 1.0, 1.0)])
         report = compare(he_clementi, "tau_d", load_measurements(path))
