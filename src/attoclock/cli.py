@@ -12,9 +12,10 @@ from collections.abc import Sequence
 
 from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import RegimeError, solve_geometry
-from .clocks import ESTIMATORS, evaluate
+from .clocks import ESTIMATORS, compute_clocks
 from .tables import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, FIGURE_COLUMNS,
-                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, render, table)
+                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, reads, render,
+                     rows, table)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -90,19 +91,22 @@ def _omega(args: argparse.Namespace) -> float | None:
 
 
 def cmd_point(args: argparse.Namespace) -> tuple[str, int]:
-    """geometry or times: one record of the stage and columns its subparser set."""
+    """geometry or times: one record of the columns its subparser set. geometry runs
+    the geometry stage alone, so the times' refusals do not apply to it."""
     atom = _resolve_atom(args)
     field = _resolve_field(args)
     omega = _omega(args)
-    point = args.stage(atom, field.f_peak)
     columns = args.columns if omega is None else args.columns + DRIVE_COLUMNS
-    (values,) = table(columns, atom, [point], omega)
+    segments = solve_geometry(atom, [field.f_peak], reads(columns))
+    if args.command == "times":
+        segments = compute_clocks(atom, segments, reads(columns))
+    (values,) = rows(columns, atom, segments, omega)
     return (render(dict(zip(columns, values)), (), None, args.format, args.precision),
-            EXIT_REGIME if point.regime == "super_atomic" else EXIT_OK)
+            EXIT_REGIME if not segments[0]["real"] else EXIT_OK)
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
-    from .harness import emit_figure_data, iter_sweep
+    from .harness import emit_figure_data, iter_segments
     atom = _resolve_atom(args)
     grid = parse_grid(args.grid)
     omega = _omega(args)          # a bad --wavelength exits 2 on both paths
@@ -111,8 +115,8 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
             raise ValueError("--wavelength has no column in a --figure table")
         return (emit_figure_data(atom, grid, args.figure, args.precision, args.format),
                 EXIT_OK)
-    points = iter_sweep(atom, grid)    # lazy: the dump holds only its text
-    return render(None, DUMP_COLUMNS, table(DUMP_COLUMNS, atom, points, omega),
+    segments = iter_segments(atom, grid, reads(DUMP_COLUMNS))  # lazy: the dump holds its text
+    return render(None, DUMP_COLUMNS, rows(DUMP_COLUMNS, atom, segments, omega),
                   args.format, args.precision), EXIT_OK
 
 
@@ -188,8 +192,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         _add_atom_flags(p_geo)
         _add_field_flags(p_geo)
         _add_output_flags(p_geo)
-        p_geo.set_defaults(func=cmd_point, stage=solve_geometry,
-                           columns=GEOMETRY_COLUMNS, wavelength=None)
+        p_geo.set_defaults(func=cmd_point, columns=GEOMETRY_COLUMNS, wavelength=None)
     if "times" in built:
         p_times = sub.add_parser("times", help="all time estimators at one field strength")
         _add_atom_flags(p_times)
@@ -197,7 +200,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         p_times.add_argument("--wavelength", type=float, metavar="NM",
                              help="laser wavelength for the adiabaticity parameter")
         _add_output_flags(p_times)
-        p_times.set_defaults(func=cmd_point, stage=evaluate, columns=TIMES_COLUMNS)
+        p_times.set_defaults(func=cmd_point, columns=TIMES_COLUMNS)
     if "sweep" in built:
         p_sweep = sub.add_parser("sweep", help="evaluate over a field-strength grid")
         _add_atom_flags(p_sweep)

@@ -11,13 +11,13 @@ import io
 import math
 import operator
 import warnings
-from collections.abc import Iterator, Sequence
-from itertools import chain, repeat, takewhile
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, takewhile
 
 from .atom import AtomModel
-from .barrier import RegimeError
-from .clocks import ESTIMATORS, Point, evaluate
-from .tables import FIGURE_COLUMNS, render, table
+from .barrier import RegimeError, Segment, solve_geometry
+from .clocks import ESTIMATORS, Point, compute_clocks
+from .tables import _CHUNK, FIGURE_COLUMNS, reads, render, rows
 from .units import CONSTANTS
 
 
@@ -49,8 +49,15 @@ ComparisonReport = collections.namedtuple(
                         "fraction_within_bars residuals")
 
 
-def iter_sweep(atom: AtomModel, f_grid: Sequence[float]) -> Iterator[Point]:
-    """:func:`evaluate` lazily at each field of a grid. The whole grid is
+# Fields per call of each kernel stage: larger chunks raised the sweeps' peak RSS,
+# smaller ones their time per point.
+KERNEL_CHUNK = 4 * _CHUNK
+
+
+def iter_segments(atom: AtomModel, f_grid: Sequence[float],
+                  wanted: Iterable[str] = Point._fields) -> Iterator[Segment]:
+    """The kernel's segments over a grid, lazily, with the ``wanted`` columns of
+    each: one call of each stage per chunk of KERNEL_CHUNK fields. The whole grid is
     checked first: it must be strictly ascending and positive."""
     if len(f_grid) == 0:
         raise ValueError("field grid is empty")
@@ -62,7 +69,15 @@ def iter_sweep(atom: AtomModel, f_grid: Sequence[float]) -> Iterator[Point]:
                 raise ValueError(f"grid value {f!r} is not a positive finite field")
             if i and not f > f_grid[i - 1]:
                 raise ValueError("field grid must be strictly ascending with no duplicates")
-    return map(evaluate, repeat(atom), f_grid)
+    return (segment for lo in range(0, len(f_grid), KERNEL_CHUNK) for segment in compute_clocks(
+        atom, solve_geometry(atom, f_grid[lo:lo + KERNEL_CHUNK], wanted), wanted))
+
+
+def iter_sweep(atom: AtomModel, f_grid: Sequence[float]) -> Iterator[Point]:
+    """:func:`attoclock.clocks.evaluate`'s point at each field of a grid, lazily;
+    the grid is checked as :func:`iter_segments` checks it."""
+    return chain.from_iterable(map(Point._make, zip(*map(segment.__getitem__, Point._fields)))
+                               for segment in iter_segments(atom, f_grid))
 
 
 def run_sweep(atom: AtomModel, f_grid: Sequence[float]) -> list[Point]:
@@ -142,10 +157,14 @@ def compare(atom: AtomModel, estimator: str,
         raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
     if not data:
         raise ValueError("no measurement records given")
-    value_of, to_as = operator.attrgetter(estimator), CONSTANTS.au_time_in_attoseconds
-    residuals = []
+    # The kernel evaluates each distinct field once, in ascending order, for the
+    # estimator alone; the records then read their values in record order.
+    fields = sorted({record[0] for record in data})
+    segments = iter_segments(atom, fields, (estimator,))
+    model_au = dict(zip(fields, chain.from_iterable(s[estimator] for s in segments)))
+    to_as, residuals = CONSTANTS.au_time_in_attoseconds, []
     for f, t, err_lo, err_hi, _ in data:
-        value = value_of(evaluate(atom, f))
+        value = model_au[f]
         if value is None:
             warnings.warn(
                 f"record at F={f} is above barrier suppression; "
@@ -185,23 +204,24 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
     columns = FIGURE_COLUMNS.get(figure) if isinstance(figure, str) else None
     if columns is None:
         raise ValueError(f"unknown figure {figure!r}; choose from {tuple(FIGURE_COLUMNS)}")
-    points = iter_sweep(atom, f_grid)
+    segments = iter_segments(atom, f_grid, reads(columns))
     if figure == "fig4":
-        keep = lambda p: p.regime == "sub_atomic"
+        admitted = ("sub_atomic",)
         refusal = ("no real barrier in any sweep row; the width table needs "
                    "fields below barrier suppression")
     else:
-        keep = lambda p: p.regime != "super_atomic"
+        admitted = ("sub_atomic", "atomic")
         refusal = ("all sweep rows lie above barrier suppression; the single-sided "
                    "and crossing times are complex there")
     # The grid ascends strictly and the regime is monotone in F (sub-atomic, then
-    # atomic, then super-atomic), so the admitted points are a prefix of the grid
-    # and evaluation stops at the first point left out.
-    first = next(points)
-    if not keep(first):
+    # atomic, then super-atomic), so the admitted points are the leading segments
+    # and evaluation stops with the chunk that holds the first point left out.
+    segments = takewhile(lambda segment: segment["regime"][0] in admitted, segments)
+    first = next(segments, None)
+    if first is None:
         raise RegimeError(refusal)
     meta = {"atom": atom.name, "source": atom.source, "z_eff": f"{atom.z_eff:.12g}",
             "i_p": f"{atom.ip:.12g}", "grid": ",".join(["%.12g"] * len(f_grid)) % tuple(f_grid),
             "constants": CONSTANTS.version}
-    rows = table(columns, atom, takewhile(keep, chain((first,), points)))
-    return render(meta, columns, rows, fmt, precision)
+    cells = rows(columns, atom, chain((first,), segments))
+    return render(meta, columns, cells, fmt, precision)

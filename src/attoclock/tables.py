@@ -2,8 +2,8 @@
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, cycle, islice, repeat
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, cycle, islice
 
 from .atom import AtomModel
 from .barrier import atomic_field_strength
@@ -70,63 +70,34 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
     return "\n".join(lines)
 
 
-_AS = "(None if {0} is None else {0} * K)"     # the au time {0} in as
-
-# Every output column, once: its value as an expression over the atom ``a``, the
-# evaluated point ``p`` and the drive's omega ``w``, with the names of _NAMESPACE.
-# The suffix is the unit: _au as computed, _as converted, none for text and
-# counts. None: not in this regime.
+# Every output column, once: its cells as an expression over the atom ``a``, the
+# drive's omega ``w`` and a segment's columns (``f``, ``regime``, the other
+# :class:`attoclock.clocks.Point` fields and its length ``n``), with the names of
+# _NAMESPACE. The suffix is the unit: _au as computed, _as converted (K as per au),
+# none for text and counts. None: not in this regime.
 COLUMNS = {
-    "atom": "a.name",
-    "name": "a.name",
-    "source": "a.source",
-    "i_p_au": "a.ip",
-    "z_eff": "a.z_eff",
-    "f_a_au": "atomic_field_strength(a)",
+    "atom": "[a.name] * n", "name": "[a.name] * n", "source": "[a.source] * n",
+    "i_p_au": "[a.ip] * n", "z_eff": "[a.z_eff] * n",
+    "f_a_au": "[atomic_field_strength(a)] * n",
     # F_a^2: intensity at which the barrier top reaches -ip (** 2 can round differently).
-    "i_a_au": "atomic_field_strength(a) * atomic_field_strength(a)",
-    "f_au": "p.f",
-    "regime": "p.regime",
-    "delta_z_au": "p.delta_z",
-    "delta_z_imag_au": "p.delta_z_imag",
-    "x_entrance_au": "p.x_entrance",
-    "x_peak_au": "p.x_peak",
-    "x_exit_au": "p.x_exit",
-    "x_classical_au": "p.x_classical",
-    "barrier_width_au": "p.barrier_width",
-    "d_b_au": "p.barrier_width",
-    "h_max_au": "p.h_max",
-    "tau_i_au": "p.tau_i",
-    "tau_i_as": _AS.format("p.tau_i"),
-    "tau_d_au": "p.tau_d",
-    "tau_d_as": _AS.format("p.tau_d"),
-    "tau_sym_au": "p.tau_sym",
-    "tau_sym_as": _AS.format("p.tau_sym"),
-    "tau_unsy_au": "p.tau_unsy",
-    "tau_unsy_as": _AS.format("p.tau_unsy"),
-    "tau_c_au": "p.tau_c",
-    "tau_c_as": _AS.format("p.tau_c"),
-    "tau_t_au": "p.tau_t",
-    "tau_t_as": _AS.format("p.tau_t"),
-    "tau_a_au": "p.tau_a",
-    "tau_a_as": _AS.format("p.tau_a"),
-    "de_plus_au": "p.de_plus",
-    "de_minus_au": "p.de_minus",
+    "i_a_au": "[atomic_field_strength(a) * atomic_field_strength(a)] * n",
+    "f_au": "f", "regime": "regime", "d_b_au": "barrier_width",
+    **{f"{name}_au": name for name in Point._fields[2:]},
+    **{f"{name}_as": f"[None if t is None else t * K for t in {name}]"
+       for name in ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c", "tau_t", "tau_a")},
     # Light-traversal time of the barrier; None without a real barrier.
-    "light_as": "(p.barrier_width / C * K if p.regime == 'sub_atomic' else None)",
-    "tau_d_re_au": "p.tau_d_re",
-    "tau_d_im_au": "p.tau_d_im",
+    "light_as": "[d / C * K if r == 'sub_atomic' else None "
+                "for r, d in zip(regime, barrier_width)]",
     # The approach time is the conjugate; a zero imaginary part keeps its sign.
-    "tau_i_re_au": "p.tau_d_re",
-    "tau_i_im_au": "(None if p.tau_d_im is None else -p.tau_d_im)",
-    "omega_au": "w",
+    "tau_i_re_au": "tau_d_re", "tau_i_im_au": "[None if t is None else -t for t in tau_d_im]",
     # Keldysh's adiabaticity parameter omega sqrt(2 ip) / F; None without a drive.
-    "gamma_k": "(None if w is None else w * sqrt(2.0 * a.ip) / p.f)",
+    "omega_au": "[w] * n",
+    "gamma_k": "[None if w is None else w * sqrt(2.0 * a.ip) / x for x in f]",
 }
 # Every name a COLUMNS expression reads, bound once; nothing else is in scope.
 _NAMESPACE = {
     "__builtins__": {}, "K": CONSTANTS.au_time_in_attoseconds,
-    "C": CONSTANTS.speed_of_light, "sqrt": math.sqrt,
+    "C": CONSTANTS.speed_of_light, "sqrt": math.sqrt, "zip": zip,
     "atomic_field_strength": atomic_field_strength,
 }
 
@@ -159,15 +130,28 @@ RESIDUAL_COLUMNS = ("f_au", "model_as", "measured_as", "residual_as", "within_ba
 
 
 @functools.cache
-def _row_function(columns: tuple[str, ...]) -> Callable[..., tuple]:
-    """One function of ``(a, p, w)`` compiled from the COLUMNS entries of ``columns``."""
-    cells = "".join(f"{COLUMNS[name]}, " for name in columns)
-    return eval(f"lambda a, p, w: ({cells})", _NAMESPACE)
+def _program(columns: tuple[str, ...]):
+    """The COLUMNS entries of ``columns`` as one expression: a list of the columns."""
+    return compile(f"[{', '.join(COLUMNS[name] for name in columns)}]", "COLUMNS", "eval")
 
 
-def table(columns: Sequence[str], atom: AtomModel, points: Iterable[Point | None],
+def reads(columns: Sequence[str]) -> tuple[str, ...]:
+    """The segment columns (and other names) that ``columns``' expressions read."""
+    return _program(tuple(columns)).co_names
+
+
+def rows(columns: Sequence[str], atom: AtomModel | None, segments: Iterable[Mapping],
+         omega: float | None = None) -> Iterator[tuple]:
+    """Lazily, one tuple of ``len(columns)`` cells per point of each segment, in
+    ``columns`` order, each cell from its :data:`COLUMNS` entry evaluated over the
+    segment's columns at once; an unknown name is a KeyError."""
+    program, scope = _program(tuple(columns)), {**_NAMESPACE, "a": atom, "w": omega}
+    return chain.from_iterable(zip(*eval(program, scope, segment)) for segment in segments)
+
+
+def table(columns: Sequence[str], atom: AtomModel | None, points: Iterable[Point | None],
           omega: float | None = None) -> Iterator[tuple]:
-    """Lazily, one tuple of ``len(columns)`` cells per point, in ``columns`` order,
-    each from its :data:`COLUMNS` entry; an unknown name is a KeyError. Columns that
-    read only the atom take None points."""
-    return map(_row_function(tuple(columns)), repeat(atom), points, repeat(omega))
+    """:func:`rows` of points (:class:`attoclock.clocks.Point`), each a one-point
+    segment. Columns that read only the atom take None points."""
+    return rows(columns, atom, (dict(zip(Point._fields, zip(p or ())), n=1)
+                                for p in points), omega)

@@ -3,6 +3,7 @@ algebraic root identities, regime classification."""
 
 import math
 import sys
+import types
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 import reference
 from attoclock.atom import AtomModel
-from attoclock.barrier import (ATOMIC_BAND, RegimeError, atomic_field_strength,
-                               classify_regime, solve_geometry)
+from attoclock.barrier import (ATOMIC_BAND, GEOMETRY_FIELDS, RegimeError,
+                               atomic_field_strength, classify_regime, solve_geometry)
+from attoclock.clocks import evaluate
 from attoclock.tables import table
 from helpers import rel_err, subatomic_cases
 from reference import exit_points_oracle, signed_barrier_height
@@ -24,8 +26,14 @@ def potential(x, atom, f):
     return -atom.ip - signed_barrier_height(x, atom, f)
 
 
+def geometry(atom, f):
+    """The barrier at one field: the geometry stage over a one-field chunk."""
+    (segment,) = solve_geometry(atom, [f])
+    return types.SimpleNamespace(**{name: segment[name][0] for name in GEOMETRY_FIELDS})
+
+
 def crossings(atom, f):
-    geom = solve_geometry(atom, f)
+    geom = geometry(atom, f)
     return geom.x_entrance, geom.x_exit
 
 # frozen from a 50-digit evaluation of the closed forms (He, ip=0.90357)
@@ -52,7 +60,7 @@ class TestEffectivePotential:
         assert signed_barrier_height(1.0, hydrogen, 0.1) == 0.6
 
     def test_value_at_barrier_peak(self, he_clementi):
-        x_m = solve_geometry(he_clementi, F06).x_peak
+        x_m = geometry(he_clementi, F06).x_peak
         assert rel_err(potential(x_m, he_clementi, F06),
                        CLEMENTI_F06["veff_peak"]) < 1e-12
 
@@ -79,16 +87,16 @@ class TestBarrierHeight:
         assert abs(signed_barrier_height(x_plus, he_clementi, F06)) <= 1e-12 * he_clementi.ip
 
     def test_maximum_value(self, he_clementi):
-        x_m = solve_geometry(he_clementi, F06).x_peak
+        x_m = geometry(he_clementi, F06).x_peak
         assert rel_err(abs(signed_barrier_height(x_m, he_clementi, F06)),
                        CLEMENTI_F06["h_max"]) < 1e-12
-        assert rel_err(solve_geometry(he_clementi, F06).h_max,
+        assert rel_err(geometry(he_clementi, F06).h_max,
                        CLEMENTI_F06["h_max"]) < 1e-12
 
     def test_peak_is_extremum_of_potential(self, he_clementi):
         # V is maximal at x_peak, so the signed height (-ip - V) is minimal
         # there and the absolute height is maximal between the crossings.
-        x_m = solve_geometry(he_clementi, F06).x_peak
+        x_m = geometry(he_clementi, F06).x_peak
         h_peak = signed_barrier_height(x_m, he_clementi, F06)
         n = 10_000
         for i in range(n + 1):
@@ -100,27 +108,27 @@ class TestBarrierHeight:
         n = 10_000
         grid_max = max(abs(signed_barrier_height(x_minus + (x_plus - x_minus) * i / n,
                                                  he_clementi, F06)) for i in range(n + 1))
-        geom = solve_geometry(he_clementi, F06)
+        geom = geometry(he_clementi, F06)
         assert abs(geom.h_max - grid_max) < 1e-8
 
 
 class TestBarrierPeak:
     def test_clementi_f006(self, he_clementi):
-        assert rel_err(solve_geometry(he_clementi, F06).x_peak,
+        assert rel_err(geometry(he_clementi, F06).x_peak,
                        CLEMENTI_F06["x_peak"]) < 1e-12
 
     def test_unit_case(self):
         model = AtomModel(name="U", ip=1.0, z_eff=1.0)
-        assert solve_geometry(model, 1.0).x_peak == 1.0
+        assert geometry(model, 1.0).x_peak == 1.0
 
     def test_peak_at_critical_field_is_2z_over_ip(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        assert rel_err(solve_geometry(he_clementi, fa).x_peak, X_A_CLEMENTI) < 1e-12
+        assert rel_err(geometry(he_clementi, fa).x_peak, X_A_CLEMENTI) < 1e-12
 
     @pytest.mark.parametrize("f", [1e-320, 5e-324])
     def test_tiny_field_against_decimal(self, he_clementi, f):
         # z_eff / F overflows here, but its root (about 1e160) does not
-        assert reference.close(solve_geometry(he_clementi, f).x_peak,
+        assert reference.close(geometry(he_clementi, f).x_peak,
                                reference.point(he_clementi, f)["x_peak"])
 
 
@@ -138,23 +146,23 @@ class TestAtomicFieldStrength:
 
     def test_h_max_vanishes_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        geom = solve_geometry(he_clementi, fa)
+        geom = geometry(he_clementi, fa)
         assert geom.h_max <= 1e-12
 
 
 class TestDeltaZ:
     def test_zero_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        geom = solve_geometry(he_clementi, fa)
+        geom = geometry(he_clementi, fa)
         assert (geom.delta_z, geom.delta_z_imag) == (0.0, 0.0)
 
     def test_subatomic_value(self, he_clementi):
-        geom = solve_geometry(he_clementi, F06)
+        geom = geometry(he_clementi, F06)
         assert rel_err(geom.delta_z, CLEMENTI_F06["delta_z"]) < 1e-12
         assert geom.delta_z_imag == 0.0
 
     def test_superatomic_value(self, he_clementi):
-        geom = solve_geometry(he_clementi, 0.15)
+        geom = geometry(he_clementi, 0.15)
         assert geom.delta_z == 0.0
         assert rel_err(geom.delta_z_imag, DZI_F015) < 1e-12
 
@@ -172,19 +180,19 @@ class TestExitPoints:
         assert rel_err(x_minus, X_A_CLEMENTI) < 1e-12
 
     def test_sum_is_classical_exit(self, he_clementi):
-        geom = solve_geometry(he_clementi, F06)
+        geom = geometry(he_clementi, F06)
         assert rel_err(geom.x_entrance + geom.x_exit, geom.x_classical) < 1e-12
 
     def test_superatomic_error_carries_complex_pair(self, he_clementi):
         # no real crossings: (ip -+ i delta_z'') / (2F) is left to the caller
-        geom = solve_geometry(he_clementi, 0.15)
+        geom = geometry(he_clementi, 0.15)
         assert geom.x_entrance is None and geom.x_exit is None
         assert rel_err(geom.delta_z_imag / (2 * geom.f), DZI_F015 / 0.3) < 1e-12
 
     @pytest.mark.parametrize("f", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14])
     def test_weak_field_entrance_against_decimal(self, he_clementi, f):
         # the double-precision difference form (ip - delta_z) / (2F) loses up to 1e-3 here
-        x_minus = solve_geometry(he_clementi, f).x_entrance
+        x_minus = geometry(he_clementi, f).x_entrance
         assert reference.close(x_minus, reference.point(he_clementi, f)["x_entrance"], rel=1e-15)
 
     @given(subatomic_cases())
@@ -200,43 +208,43 @@ class TestExitPoints:
 
 class TestClassicalExit:
     def test_clementi_f006(self, he_clementi):
-        assert rel_err(solve_geometry(he_clementi, F06).x_classical,
+        assert rel_err(geometry(he_clementi, F06).x_classical,
                        CLEMENTI_F06["x_classical"]) < 1e-12
 
     def test_unit_case(self):
         model = AtomModel(name="U", ip=1.0, z_eff=1.0)
-        assert solve_geometry(model, 1.0).x_classical == 1.0
+        assert geometry(model, 1.0).x_classical == 1.0
 
 
 class TestBarrierWidth:
     def test_clementi_f006(self, he_clementi):
-        assert rel_err(solve_geometry(he_clementi, F06).barrier_width,
+        assert rel_err(geometry(he_clementi, F06).barrier_width,
                        CLEMENTI_F06["d_b"]) < 1e-12
 
     def test_vanishes_at_critical_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        assert solve_geometry(he_clementi, fa).barrier_width == 0.0
+        assert geometry(he_clementi, fa).barrier_width == 0.0
 
     def test_equals_exit_point_separation(self, he_clementi):
-        geom = solve_geometry(he_clementi, F06)
+        geom = geometry(he_clementi, F06)
         assert rel_err(geom.barrier_width, geom.x_exit - geom.x_entrance) < 1e-12
 
     def test_strictly_decreasing_in_field(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        widths = [solve_geometry(he_clementi, frac * fa).barrier_width
+        widths = [geometry(he_clementi, frac * fa).barrier_width
                   for frac in [k / 200 for k in range(1, 200)]]
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
     def test_superatomic_error(self, he_clementi):
-        assert solve_geometry(he_clementi, 0.15).barrier_width is None
+        assert geometry(he_clementi, 0.15).barrier_width is None
 
 
 class TestFieldCheck:
     @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
     def test_bad_field_rejected(self, he_clementi, f):
-        # solve_geometry's own check, reached without LaserField in front of it
+        # evaluate's own check, reached without LaserField in front of it
         with pytest.raises(ValueError, match="f_peak must be finite and > 0"):
-            solve_geometry(he_clementi, f)
+            evaluate(he_clementi, f)
 
 
 class TestExitPointsOracle:
@@ -257,10 +265,10 @@ class TestExitPointsOracle:
         fa = atomic_field_strength(he_clementi)
         f = fa * (1 - 1e-6)
         x_minus, x_plus = exit_points_oracle(he_clementi, f, tol=1e-13)
-        x_m = solve_geometry(he_clementi, f).x_peak
+        x_m = geometry(he_clementi, f).x_peak
         assert x_minus < x_m < x_plus
         assert rel_err(x_plus - x_minus,
-                       solve_geometry(he_clementi, f).barrier_width) < 1e-4
+                       geometry(he_clementi, f).barrier_width) < 1e-4
 
     def test_bad_tolerance(self, he_clementi):
         with pytest.raises(ValueError):
@@ -315,7 +323,7 @@ class TestDiscriminantSign:
         assume(0.0 < f < math.inf)
         z4f = 4.0 * z_eff * f
         disc = ip * ip - z4f
-        geom = solve_geometry(atom, f)
+        geom = geometry(atom, f)
         if geom.regime == "sub_atomic":
             assert disc > 0.0 and geom.delta_z == math.sqrt(disc)
         elif geom.regime == "super_atomic" and z4f < math.inf:
@@ -331,20 +339,20 @@ class TestDiscriminantSign:
 
 class TestSolveGeometry:
     def test_subatomic_invariants(self, he_clementi):
-        geom = solve_geometry(he_clementi, F06)
+        geom = geometry(he_clementi, F06)
         assert geom.regime == "sub_atomic"
         assert 0 < geom.x_entrance <= geom.x_peak <= geom.x_exit
         assert geom.delta_z > 0 and geom.delta_z_imag == 0.0
 
     def test_atomic_invariants(self, he_clementi):
         fa = atomic_field_strength(he_clementi)
-        geom = solve_geometry(he_clementi, fa)
+        geom = geometry(he_clementi, fa)
         assert geom.regime == "atomic"
         assert geom.x_entrance == geom.x_peak == geom.x_exit
         assert geom.delta_z == 0.0 and geom.barrier_width == 0.0
 
     def test_superatomic_invariants(self, he_clementi):
-        geom = solve_geometry(he_clementi, 0.15)
+        geom = geometry(he_clementi, 0.15)
         assert geom.regime == "super_atomic"
         assert geom.x_entrance is None and geom.x_exit is None
         assert geom.barrier_width is None

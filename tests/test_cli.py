@@ -251,8 +251,9 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("figure", ["fig3", "fig4"])
     def test_figure_holds_little_more_than_its_text(self, tmp_path, figure):
-        # A figure streams the same way and evaluates no point past its last
-        # row: 6 metadata lines, the header and the 11,096 fields below F_a.
+        # A figure streams the same way and evaluates no kernel chunk past the one
+        # that holds its last row: 6 metadata lines, the header and the 11,096
+        # fields below F_a.
         lines, ratio = self.sweep_peak(tmp_path, "--figure", figure)
         assert lines == 6 + 1 + 11096
         assert ratio <= 10

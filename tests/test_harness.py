@@ -14,7 +14,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from attoclock.atom import catalog_lookup
-from attoclock.barrier import ATOMIC_BAND, RegimeError, atomic_field_strength
+from attoclock.barrier import ATOMIC_BAND, RegimeError, atomic_field_strength, classify_regime
 from attoclock import harness, tables
 from attoclock.clocks import evaluate
 from attoclock.harness import (MeasurementRecord, compare, emit_figure_data, iter_sweep,
@@ -529,9 +529,10 @@ class TestEmitFigureData:
         # every grid point evaluates as F = 0.05, so any ascending positive grid emits
         grid = sorted({float(v): v for v in values}.values(), key=float)
         atom = catalog_lookup("He:clementi")
-        point = harness.evaluate(atom, 0.05)
+        solve = harness.solve_geometry
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(harness, "evaluate", lambda atom, f: point)
+            patch.setattr(harness, "solve_geometry", lambda atom, fields, wanted:
+                          solve(atom, [0.05] * len(fields), wanted))
             text = emit_figure_data(atom, grid, "fig3")
         (line,) = [line for line in text.splitlines() if line.startswith("# grid=")]
         assert line == "# grid=" + ",".join(f"{f:.12g}" for f in grid)
@@ -561,8 +562,10 @@ def old_figure_data(atom, grid, figure, precision, fmt):
             "constants": CONSTANTS.version}
     columns = tables.FIGURE_COLUMNS[figure]
     text = render(meta, columns, table(columns, atom, selected), fmt, precision)
-    # the streamed table evaluates the admitted prefix and the first point left out
-    return text, min(len(selected) + 1, len(points))
+    # the streamed table evaluates whole kernel chunks, up to the one that holds the
+    # first point left out
+    chunks = -(-(len(selected) + 1) // harness.KERNEL_CHUNK)
+    return text, min(chunks * harness.KERNEL_CHUNK, len(points))
 
 
 @st.composite
@@ -584,24 +587,43 @@ class TestFigureStreaming:
            st.integers(1, 17), st.sampled_from(("csv", "json")))
     def test_matches_whole_grid_selection(self, case, figure, precision, fmt):
         atom, grid = case
-        calls, evaluate = [], harness.evaluate
+        calls, solve = [], harness.solve_geometry
 
-        def counted(*args):
-            calls.append(args)
-            return evaluate(*args)
+        def counted(atom, fields, *args):
+            calls.extend(fields)
+            return solve(atom, fields, *args)
 
         try:
             expected, n_evaluated = old_figure_data(atom, grid, figure, precision, fmt)
         except RegimeError:
-            expected, n_evaluated = RegimeError, 1
+            expected, n_evaluated = RegimeError, min(harness.KERNEL_CHUNK, len(grid))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(harness, "evaluate", counted)
+            patch.setattr(harness, "solve_geometry", counted)
             if expected is RegimeError:
                 with pytest.raises(RegimeError):
                     emit_figure_data(atom, grid, figure, precision, fmt)
             else:
                 assert emit_figure_data(atom, grid, figure, precision, fmt) == expected
         assert len(calls) == n_evaluated
+
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_stops_with_the_chunk_of_the_first_point_left_out(self, he_clementi, figure):
+        fa = atomic_field_strength(he_clementi)
+        grid = [fa * (0.5 + k / 1000) for k in range(1000)]      # F_a at k = 500
+        keep = ("sub_atomic",) if figure == "fig4" else ("sub_atomic", "atomic")
+        admitted = sum(classify_regime(he_clementi, f) in keep for f in grid)
+        calls, solve = [], harness.solve_geometry
+
+        def counted(atom, fields, *args):
+            calls.extend(fields)
+            return solve(atom, fields, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "solve_geometry", counted)
+            emit_figure_data(he_clementi, grid, figure)
+        chunk = harness.KERNEL_CHUNK
+        assert calls == grid[:-(-(admitted + 1) // chunk) * chunk] and len(calls) < len(grid)
 
 
 # Each kind of cell render formats its own way; text can hold the letter "n".

@@ -3,9 +3,10 @@
 Grids straddle every place where a branch of the closed forms changes: the
 critical-field band around F_a, the fields where z_eff / F overflows or leaves
 the normal range (x_peak's fallback), where 4 z_eff F or twice it overflows,
-and where 4 z_eff F or the gap 4 z_eff F / (ip + delta_z) leaves the normal
-range (the refusals). Their lengths straddle multiples of the CSV chunk, so a
-branch change can fall on any side of a chunk edge.
+where 4 z_eff F or the gap 4 z_eff F / (ip + delta_z) leaves the normal range
+(the refusals), and the largest double. Their lengths straddle multiples of the
+CSV chunk and of the kernel's chunk, so a branch change can fall on any side of
+a chunk edge.
 """
 
 import math
@@ -16,14 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_kernel
+from attoclock import tables
 from attoclock.atom import AtomModel, catalog_lookup
 from attoclock.barrier import RegimeError
-from attoclock.clocks import ESTIMATORS
-from attoclock.harness import MeasurementRecord, compare, run_sweep
+from attoclock.clocks import ESTIMATORS, Point, evaluate
+from attoclock.harness import KERNEL_CHUNK, MeasurementRecord, compare, iter_segments, run_sweep
 from attoclock.units import CONSTANTS
 
 MAX, MIN = sys.float_info.max, sys.float_info.min
-SIZES = (0, 1, 31, 32, 33, 511, 512, 513, 1023, 1024, 1025)
+SIZES = (0, 1, 31, 32, 33, KERNEL_CHUNK - 1, KERNEL_CHUNK, KERNEL_CHUNK + 1,
+         2 * KERNEL_CHUNK + 1, 1023, 1024, 1025)
 
 
 @st.composite
@@ -46,7 +49,8 @@ def edges(atom):
     return (f_a * (1.0 - 1e-12), f_a, f_a * (1.0 + 1e-12),   # the critical band
             z_eff / MAX, z_eff / 2.25e-308,      # x_peak = sqrt(z_eff / F) out of range
             MAX / (4.0 * z_eff), MAX / (8.0 * z_eff),        # 4 z_eff F, 8 z_eff F overflow
-            MIN / (4.0 * z_eff), ip * MIN / (2.0 * z_eff))   # 4 z_eff F, the gap subnormal
+            MIN / (4.0 * z_eff), ip * MIN / (2.0 * z_eff),   # 4 z_eff F, the gap subnormal
+            MAX)
 
 
 @st.composite
@@ -63,7 +67,7 @@ def grids(draw):
     lo, hi = sorted(draw(st.sampled_from(anchors)) for _ in range(2))
     n = draw(st.sampled_from(SIZES))
     step = (math.log(hi) - math.log(lo)) / max(n - 1, 1)
-    fill = [math.exp(math.log(lo) + k * step) for k in range(n)]
+    fill = [math.exp(min(math.log(lo) + k * step, math.log(hi))) for k in range(n)]
     grid = sorted({f for f in anchors + fill if 0.0 < f < math.inf})
     return atom, grid
 
@@ -90,6 +94,62 @@ class TestSweepAgainstScalarKernel:
         except ValueError as exc:
             points = str(exc)
         assert bits(points) == bits(reference_sweep(atom, grid))
+
+
+class TestProjection:
+    """Columns computed for a subset of Point fields, or for a subset of the printed
+    columns, carry the bits the scalar kernel gives each point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), st.lists(st.sampled_from(Point._fields), max_size=6), st.data())
+    def test_wanted_fields(self, case, wanted, data):
+        atom, grid = case
+        expected = reference_sweep(atom, grid)
+        read = data.draw(st.lists(st.sampled_from(Point._fields), min_size=1, max_size=6,
+                                  unique=True))
+        try:
+            columns = {name: [] for name in read}
+            for segment in iter_segments(atom, grid, wanted):
+                for name in read:
+                    columns[name] += segment[name]
+        except ValueError as exc:
+            assert str(exc) == expected
+            return
+        assert not isinstance(expected, str)
+        for name in read:
+            assert list(map(repr, columns[name])) == [repr(getattr(p, name)) for p in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), st.lists(st.sampled_from(tables.DUMP_COLUMNS + tables.TIMES_COLUMNS
+                                             + ("d_b_au", "omega_au")), min_size=1, max_size=8),
+           st.one_of(st.none(), st.floats(1e-3, 1.0)))
+    def test_printed_columns(self, case, columns, omega):
+        atom, grid = case
+        expected = reference_sweep(atom, grid)
+        try:
+            cells = list(tables.rows(columns, atom,
+                                     iter_segments(atom, grid, tables.reads(columns)), omega))
+        except ValueError as exc:
+            assert str(exc) == expected
+            return
+        points = [Point._make(p) for p in expected]
+        assert [list(map(repr, row)) for row in cells] == [
+            list(map(repr, row)) for row in tables.table(columns, atom, points, omega)]
+
+
+class TestEvaluate:
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), st.data())
+    def test_one_point_bit_identical(self, case, data):
+        # each field alone: a refusal above the grid's lowest field shows here too
+        atom, grid = case
+        for f in data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=5)):
+            try:
+                got = bits([evaluate(atom, f)])
+            except ValueError as exc:
+                got = str(exc)
+            expected = scalar_kernel.evaluate(atom, f)
+            assert got == (expected if isinstance(expected, str) else bits([expected]))
 
 
 def reference_compare(atom, estimator, fields):
