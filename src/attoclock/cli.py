@@ -60,7 +60,7 @@ MAX_GRID_POINTS = 10**6
 def parse_grid(spec: str) -> list[float]:
     """Parse ``MIN:MAX:STEP`` (inclusive endpoints, at most :data:`MAX_GRID_POINTS`
     points) or ``F1,F2,...`` (sorted, deduplicated) into a field grid, whose
-    values :func:`attoclock.harness.iter_sweep` checks."""
+    values :func:`attoclock.harness.iter_segments` checks."""
     try:
         if ":" in spec:
             parts = spec.split(":")
@@ -100,7 +100,7 @@ def cmd_point(args: argparse.Namespace) -> tuple[str, int]:
     segments = solve_geometry(atom, [field.f_peak], reads(columns))
     if args.command == "times":
         segments = compute_clocks(atom, segments, reads(columns))
-    (values,) = rows(columns, atom, segments, omega)
+    ((values,),) = rows(columns, atom, segments, omega)
     return (render(dict(zip(columns, values)), (), None, args.format, args.precision),
             EXIT_REGIME if not segments[0]["real"] else EXIT_OK)
 
@@ -130,17 +130,17 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     # The report's fields, residuals aside, are the summary's columns in printed order.
     summary = dict(zip(report._fields[:-1], report))
     if args.residuals and args.format == "json":     # one document, shaped like a figure
-        return render(summary, RESIDUAL_COLUMNS, report.residuals, "json",
+        return render(summary, RESIDUAL_COLUMNS, [report.residuals], "json",
                       args.precision), EXIT_OK
     text = render(summary, (), None, args.format, args.precision)
     if args.residuals:
-        text += render(None, RESIDUAL_COLUMNS, report.residuals, "csv", args.precision)
+        text += render(None, RESIDUAL_COLUMNS, [report.residuals], "csv", args.precision)
     return text, EXIT_OK
 
 
 def cmd_catalog(args: argparse.Namespace) -> tuple[str, int]:
-    rows = [next(table(CATALOG_COLUMNS, a, [None])) for a in builtin_catalog()]
-    return render(None, CATALOG_COLUMNS, rows, args.format, args.precision), EXIT_OK
+    block = [next(table(CATALOG_COLUMNS, a, [None])) for a in builtin_catalog()]
+    return render(None, CATALOG_COLUMNS, [block], args.format, args.precision), EXIT_OK
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:

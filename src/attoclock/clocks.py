@@ -61,15 +61,17 @@ def compute_clocks(atom: AtomModel, geometry: list[Segment],
                    wanted: Iterable[str] = CLOCK_FIELDS) -> list[Segment]:
     """Every time estimator over one chunk's geometry: its segments, with the
     ``wanted`` columns of each. 4 z_eff F or the gap below the smallest normal double
-    is an error; both rise with F, so the chunk's first field is the lowest refused."""
+    is an error; both rise with F, so the chunk's first field is the lowest refused. Its
+    gap is taken alone, by the gap recipe's operations, building no column."""
     for segment in geometry:
         segment.recipes = RECIPES
-    f, z4f, real = geometry[0]["f"][0], geometry[0]["z4f"][0], geometry[0]["real"]
+    first, ip = geometry[0], atom.ip
+    f, z4f = first["f"][0], first["z4f"][0]
     if z4f < 2.2250738585072014e-308:      # sys.float_info.min
         raise ValueError(f"at F={f!r} au 4 z_eff F = {z4f!r} underflows the normal range, "
                          "so tau_sym and tau_d have no accurate finite value")
-    if real and geometry[0]["gap"][0] < 2.2250738585072014e-308:
-        raise ValueError(f"at F={f!r} au the gap 4 z_eff F / (ip + delta_z) = "
-                         f"{geometry[0]['gap'][0]!r} underflows the normal range, so "
-                         "tau_d has no accurate finite value")
+    gap = z4f / (ip + math.sqrt(ip * ip - z4f)) if first["below"] else ip   # recipe's bits
+    if first["real"] and gap < 2.2250738585072014e-308:
+        raise ValueError(f"at F={f!r} au the gap 4 z_eff F / (ip + delta_z) = {gap!r} "
+                         "underflows the normal range, so tau_d has no accurate finite value")
     return [segment.take(wanted) for segment in geometry]

@@ -223,5 +223,5 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
     meta = {"atom": atom.name, "source": atom.source, "z_eff": f"{atom.z_eff:.12g}",
             "i_p": f"{atom.ip:.12g}", "grid": ",".join(["%.12g"] * len(f_grid)) % tuple(f_grid),
             "constants": CONSTANTS.version}
-    cells = rows(columns, atom, chain((first,), segments))
-    return render(meta, columns, cells, fmt, precision)
+    blocks = rows(columns, atom, chain((first,), segments))
+    return render(meta, columns, blocks, fmt, precision)

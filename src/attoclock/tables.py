@@ -3,7 +3,7 @@
 import functools
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import chain, cycle, islice
+from itertools import chain, cycle
 
 from .atom import AtomModel
 from .barrier import atomic_field_strength
@@ -21,51 +21,49 @@ def _check_finite(cells: Iterable[tuple[str, object]]) -> None:
             raise ValueError(f"{column} is {value!r}, not a finite number")
 
 
+@functools.cache
+def _row(kinds: tuple[type, ...], precision: int) -> str:
+    """One CSV row's template for cells of these types: empty, number or text."""
+    return ",".join("%.0s" if kind is type(None) else f"%.{precision}g"
+                    if issubclass(kind, float) else "%s" for kind in kinds)
+
+
 def render(meta: dict[str, object] | None, columns: Sequence[str],
-           rows: Iterable[Sequence[object]] | None, fmt: str, precision: int) -> str:
+           blocks: Iterable[Sequence[Sequence]] | None, fmt: str, precision: int) -> str:
     """One table as CSV (``# key=value`` metadata lines, header, rows) or
     JSON (a list of row objects, or ``{"meta": ..., "rows": [...]}`` with
-    metadata). With ``rows`` None, ``meta`` is one record: a JSON object, or a
-    CSV header of its keys and one row of its values. Rows hold ``len(columns)`` cells
-    and are consumed once, so may be lazy; CSV fills each chunk of rows with one ``%``
-    on a template kept per pattern of cell types. A non-finite float cell or metadata
-    value is an error naming its column or key; in CSV it wins over a later pull's error."""
+    metadata). With ``blocks`` None, ``meta`` is one record: a JSON object, or a
+    CSV header of its keys and one row of its values. A block is a list of rows of
+    ``len(columns)`` cells with one cell type per column, as a kernel segment's rows;
+    blocks are consumed once, so may be lazy. CSV formats each block before it pulls
+    the next, with one row template for its first row's cell types, _CHUNK rows per
+    ``%``. A non-finite float cell or metadata value is an error naming its column
+    or key; in CSV it wins over a later pull's error."""
     if fmt == "json":
         import json
-        records = [] if rows is None else [dict(zip(columns, row)) for row in rows]
-        doc = meta if rows is None else {"meta": meta, "rows": records} if meta else records
+        records = [] if blocks is None else [dict(zip(columns, r)) for b in blocks for r in b]
+        doc = meta if blocks is None else {"meta": meta, "rows": records} if meta else records
         text = json.dumps(doc, indent=2)
         # How a non-finite float prints. Searching the text is cheaper than testing
         # every cell, which is done only on a hit (a text cell can hold the word).
         if "Infinity" in text or "NaN" in text:
             _check_finite(chain.from_iterable(map(dict.items, [meta or {}, *records])))
         return text + "\n"
-    if rows is None:
-        meta, columns, rows = None, meta.keys(), [meta.values()]
+    if blocks is None:
+        meta, columns, blocks = None, meta.keys(), [[meta.values()]]
     lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
-
-    @functools.cache
-    def template(kinds, n):   # one per chunk pattern of cell kinds: its n lines
-        cells = ("%.0s" if kind is type(None) else f"%.{precision}g"
-                 if issubclass(kind, float) else "%s" for kind in kinds)
-        return "\n".join([",".join(islice(cells, len(kinds) // n)) for _ in range(n)])
-    rows = iter(rows)
-    while True:
-        chunk = []
-        try:
-            chunk.extend(islice(rows, _CHUNK))
-        finally:   # rows pulled before a failing pull are formatted and checked first
-            if chunk:
-                flat = tuple(chain.from_iterable(chunk))
-                text = template(tuple(map(type, flat)), len(chunk)) % flat
-                # Every non-finite float prints with an "n" (inf, nan), so only such a
-                # chunk has its cells tested (a text cell can hold the letter too).
-                if "n" in text:
-                    _check_finite(zip(cycle(columns), flat))
-                lines.append(text)
-        if len(chunk) < _CHUNK:
-            break
+    for block in filter(None, blocks):
+        row = _row(tuple(map(type, block[0])), precision)
+        for lo in range(0, len(block), _CHUNK):
+            chunk = block[lo:lo + _CHUNK]
+            flat = tuple(chain.from_iterable(chunk))
+            text = "\n".join([row] * len(chunk)) % flat
+            # Every non-finite float prints with an "n" (inf, nan), so only such a
+            # chunk has its cells tested (a text cell can hold the letter too).
+            if "n" in text:
+                _check_finite(zip(cycle(columns), flat))
+            lines.append(text)
     lines.append("")
     return "\n".join(lines)
 
@@ -74,14 +72,15 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
 # drive's omega ``w`` and a segment's columns (``f``, ``regime``, the other
 # :class:`attoclock.clocks.Point` fields and its length ``n``), with the names of
 # _NAMESPACE. The suffix is the unit: _au as computed, _as converted (K as per au),
-# none for text and counts. None: not in this regime.
+# none for text and counts. None: not in this regime. Each column of a segment holds
+# one cell type, as a render block's must: f_au is float for int fields too.
 COLUMNS = {
     "atom": "[a.name] * n", "name": "[a.name] * n", "source": "[a.source] * n",
-    "i_p_au": "[a.ip] * n", "z_eff": "[a.z_eff] * n",
+    "i_p_au": "[a.ip] * n", "z_eff": "[a.z_eff] * n", "omega_au": "[w] * n",
     "f_a_au": "[atomic_field_strength(a)] * n",
     # F_a^2: intensity at which the barrier top reaches -ip (** 2 can round differently).
     "i_a_au": "[atomic_field_strength(a) * atomic_field_strength(a)] * n",
-    "f_au": "f", "regime": "regime", "d_b_au": "barrier_width",
+    "f_au": "[float(x) for x in f]", "regime": "regime", "d_b_au": "barrier_width",
     **{f"{name}_au": name for name in Point._fields[2:]},
     **{f"{name}_as": f"[None if t is None else t * K for t in {name}]"
        for name in ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c", "tau_t", "tau_a")},
@@ -91,13 +90,12 @@ COLUMNS = {
     # The approach time is the conjugate; a zero imaginary part keeps its sign.
     "tau_i_re_au": "tau_d_re", "tau_i_im_au": "[None if t is None else -t for t in tau_d_im]",
     # Keldysh's adiabaticity parameter omega sqrt(2 ip) / F; None without a drive.
-    "omega_au": "[w] * n",
     "gamma_k": "[None if w is None else w * sqrt(2.0 * a.ip) / x for x in f]",
 }
 # Every name a COLUMNS expression reads, bound once; nothing else is in scope.
 _NAMESPACE = {
     "__builtins__": {}, "K": CONSTANTS.au_time_in_attoseconds,
-    "C": CONSTANTS.speed_of_light, "sqrt": math.sqrt, "zip": zip,
+    "C": CONSTANTS.speed_of_light, "sqrt": math.sqrt, "zip": zip, "float": float,
     "atomic_field_strength": atomic_field_strength,
 }
 
@@ -141,17 +139,17 @@ def reads(columns: Sequence[str]) -> tuple[str, ...]:
 
 
 def rows(columns: Sequence[str], atom: AtomModel | None, segments: Iterable[Mapping],
-         omega: float | None = None) -> Iterator[tuple]:
-    """Lazily, one tuple of ``len(columns)`` cells per point of each segment, in
-    ``columns`` order, each cell from its :data:`COLUMNS` entry evaluated over the
-    segment's columns at once; an unknown name is a KeyError."""
+         omega: float | None = None) -> Iterator[list[tuple]]:
+    """Lazily, one :func:`render` block per segment: a tuple of ``len(columns)``
+    cells per point, in ``columns`` order, each column its :data:`COLUMNS` entry
+    evaluated over the segment's columns at once; an unknown name is a KeyError."""
     program, scope = _program(tuple(columns)), {**_NAMESPACE, "a": atom, "w": omega}
-    return chain.from_iterable(zip(*eval(program, scope, segment)) for segment in segments)
+    return (list(zip(*eval(program, scope, segment))) for segment in segments)
 
 
 def table(columns: Sequence[str], atom: AtomModel | None, points: Iterable[Point | None],
           omega: float | None = None) -> Iterator[tuple]:
-    """:func:`rows` of points (:class:`attoclock.clocks.Point`), each a one-point
-    segment. Columns that read only the atom take None points."""
-    return rows(columns, atom, (dict(zip(Point._fields, zip(p or ())), n=1)
-                                for p in points), omega)
+    """The row of each point (:class:`attoclock.clocks.Point`), lazily: :func:`rows`
+    of one-point segments. Columns that read only the atom take None points."""
+    return chain.from_iterable(rows(columns, atom, (dict(zip(Point._fields, zip(p or ())), n=1)
+                                                    for p in points), omega))

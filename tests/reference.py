@@ -26,10 +26,11 @@ from attoclock.units import CONSTANTS
 
 def point(atom, f: float, omega: float | None = None) -> dict[str, Decimal | None]:
     """Every field of :class:`attoclock.clocks.Point` at field ``f`` (au), by
-    its closed form, and ``gamma`` (the gamma_k cell, None without ``omega``);
-    None where the point's regime lacks the quantity. The
-    regime is taken from the sign of the exact discriminant, so points inside
-    the critical-field band are not covered."""
+    its closed form, and the atom's ``f_a`` = ip^2 / (4 z_eff) and ``i_a`` = f_a^2,
+    the light-traversal time ``light`` = d_B / c (au), and ``gamma`` (the gamma_k
+    cell, None without ``omega``); None where the point's regime lacks the
+    quantity. The regime is taken from the sign of the exact discriminant, so
+    points inside the critical-field band are not covered."""
     with localcontext() as ctx:
         ctx.prec = 60
         ip, z, big_f = Decimal(atom.ip), Decimal(atom.z_eff), Decimal(f)
@@ -37,9 +38,10 @@ def point(atom, f: float, omega: float | None = None) -> dict[str, Decimal | Non
         ctx.prec += max(0, (ip * ip).adjusted() - (4 * z * big_f).adjusted())
         z4f = 4 * z * big_f
         disc = ip * ip - z4f
-        values = dict.fromkeys(Point._fields)
+        f_a = ip * ip / (4 * z)
+        values = dict.fromkeys(Point._fields + ("light",))
         values.update(
-            f=big_f, x_peak=(z / big_f).sqrt(), x_classical=ip / big_f,
+            f=big_f, f_a=f_a, i_a=f_a * f_a, x_peak=(z / big_f).sqrt(), x_classical=ip / big_f,
             h_max=abs(z4f.sqrt() - ip), tau_sym=ip / z4f, tau_c=ip / (2 * big_f),
             tau_a=1 / ip,
             gamma=None if omega is None else Decimal(omega) * (2 * ip).sqrt() / big_f)
@@ -48,6 +50,7 @@ def point(atom, f: float, omega: float | None = None) -> dict[str, Decimal | Non
             values.update(
                 delta_z=dz, delta_z_imag=Decimal(0), x_entrance=(ip - dz) / (2 * big_f),
                 x_exit=(ip + dz) / (2 * big_f), barrier_width=dz / big_f,
+                light=dz / big_f / Decimal(CONSTANTS.speed_of_light),
                 tau_i=1 / (2 * (ip + dz)), tau_d=1 / (2 * (ip - dz)),
                 tau_unsy=1 / (ip - dz), tau_t=(1 / ip + 1 / (ip - dz)) / 2,
                 de_plus=(ip - dz) / 2, de_minus=(ip + dz) / 2)

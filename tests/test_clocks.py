@@ -255,20 +255,28 @@ MAX = sys.float_info.max
 OMEGA_800 = wavelength_to_angular_frequency(800.0)
 
 
+# The least value that rounds to infinity: the largest double plus half its ulp.
+OVERFLOW = Decimal(MAX) + Decimal(2.0 ** 970)
+
+
 def assert_matches_reference(atom, f, omega=None):
-    """Every Point field and every times and geometry cell is finite and
-    matches the Decimal reference: to 1e-14 relative where it is a normal
-    float, to two subnormal spacings below that."""
+    """Every Point field and every times and geometry cell, and light_as, matches
+    the Decimal reference: to 1e-14 relative where it is a normal float, to two
+    subnormal spacings below that. Each is finite but i_a_au, which is infinite
+    where f_a^2 is within that tolerance of overflowing."""
     point = evaluate(atom, f)
     ref = reference.point(atom, f, omega)
     for name, value in zip(Point._fields[2:], point[2:]):
         assert reference.close(value, ref[name]), (name, value, ref[name])
-    columns = GEOMETRY_COLUMNS + TIMES_COLUMNS + DRIVE_COLUMNS
+    columns = GEOMETRY_COLUMNS + TIMES_COLUMNS + DRIVE_COLUMNS + ("light_as",)
     (cells,) = table(columns, atom, [point], omega)
     k = Decimal(CONSTANTS.au_time_in_attoseconds)
     for name, value in zip(columns, cells):
         key = {"barrier_width_au": "barrier_width", "omega_au": None,
                "gamma_k": "gamma"}.get(name, name[:-3])
+        if name == "i_a_au" and value == math.inf:
+            assert ref[key] * (1 + Decimal(1e-14)) >= OVERFLOW, (name, ref[key])
+            continue
         if isinstance(value, float) and key in ref:
             expected = ref[key]
             ulps = 2.0
@@ -276,6 +284,25 @@ def assert_matches_reference(atom, f, omega=None):
                 # an as cell is its au time times k, subnormal spacings included
                 expected, ulps = expected * k, 2.0 * 24.2 + 1.0
             assert reference.close(value, expected, ulps=ulps), (name, value, expected)
+
+
+class TestBelowBarrierSuppression:
+    """Fields below F_a, where light_as has a value, from weak fields up to where
+    delta_z's cancellation still keeps every quantity within 1e-14."""
+
+    @pytest.mark.parametrize("spec", ["He:clementi", "He:kullie"])
+    @pytest.mark.parametrize("frac", [1e-9, 1e-3, 0.05, 0.3, 0.6, 0.9])
+    def test_catalog_atoms_match_decimal(self, spec, frac):
+        atom = catalog_lookup(spec)
+        assert_matches_reference(atom, frac * atomic_field_strength(atom), OMEGA_800)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-9.0, -0.05))
+    def test_random_atoms_match_decimal(self, log_ip, log_f_a, log_frac):
+        # log-uniform ip, F_a and F / F_a; i_a = F_a^2 overflows for the largest F_a
+        ip, f_a = 10.0 ** log_ip, 10.0 ** log_f_a
+        atom = AtomModel(name="X", ip=ip, z_eff=ip * ip / (4.0 * f_a))
+        assert_matches_reference(atom, atomic_field_strength(atom) * 10.0 ** log_frac)
 
 
 class TestHugeFields:

@@ -6,14 +6,14 @@ import math
 import re
 import tempfile
 import warnings
-from itertools import cycle, islice, zip_longest
+from itertools import cycle, groupby, islice, zip_longest
 from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from attoclock.atom import catalog_lookup
+from attoclock.atom import AtomModel, catalog_lookup
 from attoclock.barrier import ATOMIC_BAND, RegimeError, atomic_field_strength, classify_regime
 from attoclock import harness, tables
 from attoclock.clocks import evaluate
@@ -459,6 +459,14 @@ class TestCompare:
 
 
 class TestEmitFigureData:
+    def test_int_fields_print_as_float_fields(self):
+        # a block's row template comes from its first row: an int field must not
+        # make the float fields after it print as text, past --precision
+        atom = AtomModel("x", 4.0, 1.0)
+        for fmt in ("csv", "json"):
+            assert emit_figure_data(atom, [1, 1.123456789], "fig3", 6, fmt) == (
+                emit_figure_data(atom, [1.0, 1.123456789], "fig3", 6, fmt))
+
     def test_fig3_columns_and_rows(self, he_clementi):
         text = emit_figure_data(he_clementi, GRID_9, "fig3")
         lines = text.splitlines()
@@ -561,7 +569,8 @@ def old_figure_data(atom, grid, figure, precision, fmt):
             "i_p": f"{atom.ip:.12g}", "grid": ",".join(f"{p.f:.12g}" for p in points),
             "constants": CONSTANTS.version}
     columns = tables.FIGURE_COLUMNS[figure]
-    text = render(meta, columns, table(columns, atom, selected), fmt, precision)
+    text = render(meta, columns, ([row] for row in table(columns, atom, selected)), fmt,
+                  precision)
     # the streamed table evaluates whole kernel chunks, up to the one that holds the
     # first point left out
     chunks = -(-(len(selected) + 1) // harness.KERNEL_CHUNK)
@@ -640,7 +649,7 @@ CELLS = {
 def row_runs(draw):
     """Columns and 0 to 3 render chunks of rows, in runs of one pattern of cell
     kinds that change at arbitrary rows; a run cycles a few rows of its pattern.
-    Some cells may then be made non-finite."""
+    Some cells may then be made non-finite, which can split a run's block."""
     width = draw(st.integers(1, 4))
     n_rows, rows = draw(st.integers(0, 3 * tables._CHUNK + 2)), []
     while len(rows) < n_rows:
@@ -654,67 +663,72 @@ def row_runs(draw):
     return tuple(f"c{j}" for j in range(width)), rows
 
 
+def blocks_of(rows):
+    """Rows in render blocks: each run of rows with the same cell types, lazily."""
+    return (list(run) for _, run in groupby(rows, key=lambda row: tuple(map(type, row))))
+
+
 class TestRender:
     COLUMNS = ("name", "x")
-    ROWS = [("a", 0.5), ("b", None)]
+    BLOCKS = [[("a", 0.5)], [("b", None)]]
 
     def test_csv_table(self):
-        assert render(None, self.COLUMNS, self.ROWS, "csv", 6) == "name,x\na,0.5\nb,\n"
-        assert render({"k": "v"}, self.COLUMNS, self.ROWS, "csv", 6) == (
+        assert render(None, self.COLUMNS, self.BLOCKS, "csv", 6) == "name,x\na,0.5\nb,\n"
+        assert render({"k": "v"}, self.COLUMNS, self.BLOCKS, "csv", 6) == (
             "# k=v\nname,x\na,0.5\nb,\n")
 
     def test_json_table(self):
         rows = [{"name": "a", "x": 0.5}, {"name": "b", "x": None}]
-        assert json.loads(render(None, self.COLUMNS, self.ROWS, "json", 6)) == rows
-        assert json.loads(render({"k": "v"}, self.COLUMNS, self.ROWS, "json", 6)) == {
+        assert json.loads(render(None, self.COLUMNS, self.BLOCKS, "json", 6)) == rows
+        assert json.loads(render({"k": "v"}, self.COLUMNS, self.BLOCKS, "json", 6)) == {
             "meta": {"k": "v"}, "rows": rows}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
     def test_non_finite_cell_names_its_column(self, fmt, bad):
         with pytest.raises(ValueError, match="^x is .*finite"):
-            render(None, self.COLUMNS, [("a", 0.5), ("b", bad)], fmt, 6)
+            render(None, self.COLUMNS, [[("a", 0.5), ("b", bad)]], fmt, 6)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_cell_in_last_lazy_row_is_refused(self, fmt, bad):
-        # the rows are consumed once, so the check cannot go back to them
-        rows = iter([("a", 0.5)] * 1000 + [("b", bad)])
+        # the blocks are consumed once, so the check cannot go back to them
+        blocks = iter([[("a", 0.5)] * 1000, [("a", 0.5)] * 40 + [("b", bad)]])
         with pytest.raises(ValueError, match="^x is .*finite"):
-            render(None, self.COLUMNS, rows, fmt, 6)
-        assert next(rows, None) is None
+            render(None, self.COLUMNS, blocks, fmt, 6)
+        assert next(blocks, None) is None
 
     @pytest.mark.parametrize("n_good", [0, 1, tables._CHUNK - 2, tables._CHUNK, 600])
     def test_bad_row_before_a_failing_pull_wins(self, n_good):
         # as when rows were taken one at a time: the bad row's error, not the pull's
-        def rows():
-            yield from [("a", 0.5)] * n_good
-            yield ("b", float("inf"))
+        def blocks():
+            yield [("a", 0.5)] * n_good + [("b", float("inf"))]
             raise RuntimeError("pulled past the bad row")
         with pytest.raises(ValueError, match="^x is inf, not a finite number$"):
-            render(None, self.COLUMNS, rows(), "csv", 6)
+            render(None, self.COLUMNS, blocks(), "csv", 6)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n_good", [0, 1, tables._CHUNK, 600])
     def test_failing_pull_after_good_rows_surfaces_unchanged(self, fmt, n_good):
         error = RuntimeError("row source failed")
 
-        def rows():
-            yield from [("a", 0.5)] * n_good
+        def blocks():
+            yield [("a", 0.5)] * n_good
             raise error
         with pytest.raises(RuntimeError) as info:
-            render(None, self.COLUMNS, rows(), fmt, 6)
+            render(None, self.COLUMNS, blocks(), fmt, 6)
         assert info.value is error
 
     # without the explain phase, which reruns hundreds-of-row examples for minutes
     @settings(max_examples=150, deadline=None, phases=set(Phase) - {Phase.explain})
     @given(row_runs(), st.integers(1, 17), st.booleans())
-    # the pattern changes on the last row of a chunk, then on the first of the next
+    # a block one row short of a chunk, then a block of one row
     @example((("c0", "c1"), [("a", 0.5)] * (tables._CHUNK - 1) + [(1, None)]), 6, True)
+    # a block of exactly one chunk, then one of one row
     @example((("c0", "c1"), [("a", 0.5)] * tables._CHUNK + [(1, None)]), 6, False)
-    # a change mid-chunk, and a partial last chunk
+    # a block with a partial last chunk, then a shorter block
     @example((("c0", "c1"), [("a", 0.5)] * (tables._CHUNK + 5) + [(True, "é")] * 10), 17, True)
-    # the first bad cell of a mixed chunk, read across its rows and columns
+    # the first bad cell across blocks of one row each, read across rows and columns
     @example((("c0", "c1"), [("a", 0.5), (1, None), ("b", math.inf), (math.nan, "n")]), 3, True)
     def test_chunked_csv_equals_per_row(self, case, precision, lazy):
         columns, rows = case
@@ -722,22 +736,22 @@ class TestRender:
         cell = lambda v: "" if v is None else spec % v if isinstance(v, float) else str(v)
         bad = next(((c, v) for row in rows for c, v in zip(columns, row)
                     if isinstance(v, float) and not math.isfinite(v)), None)
-        given_rows = iter(rows) if lazy else rows
+        blocks = blocks_of(rows) if lazy else list(blocks_of(rows))
         if bad is None:
             expected = "".join(f"{line}\n" for line in [
                 ",".join(columns), *(",".join(map(cell, row)) for row in rows)]).split("\n")
-            lines = render(None, columns, given_rows, "csv", precision).split("\n")
+            lines = render(None, columns, blocks, "csv", precision).split("\n")
             # only the differing lines, so that a failure shrinks and prints quickly
             assert [pair for pair in zip_longest(lines, expected) if pair[0] != pair[1]] == []
         else:
             with pytest.raises(ValueError) as info:
-                render(None, columns, given_rows, "csv", precision)
+                render(None, columns, blocks, "csv", precision)
             assert str(info.value) == f"{bad[0]} is {bad[1]!r}, not a finite number"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_words_in_text_cells_are_not_errors(self, fmt):
         rows = [(word, 1.0) for word in ("nano", "inf", "Infinity", "NaN")]
-        text = render({"atom": "nan"}, self.COLUMNS, rows, fmt, 6)
+        text = render({"atom": "nan"}, self.COLUMNS, [rows], fmt, 6)
         assert "Infinity" in text and "nano" in text
 
 

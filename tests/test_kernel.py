@@ -12,6 +12,7 @@ a chunk edge.
 import math
 import sys
 import warnings
+from itertools import chain
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 import scalar_kernel
 from attoclock import tables
 from attoclock.atom import AtomModel, catalog_lookup
-from attoclock.barrier import RegimeError
-from attoclock.clocks import ESTIMATORS, Point, evaluate
+from attoclock.barrier import RegimeError, solve_geometry
+from attoclock.clocks import ESTIMATORS, Point, compute_clocks, evaluate
 from attoclock.harness import KERNEL_CHUNK, MeasurementRecord, compare, iter_segments, run_sweep
 from attoclock.units import CONSTANTS
 
@@ -127,14 +128,50 @@ class TestProjection:
         atom, grid = case
         expected = reference_sweep(atom, grid)
         try:
-            cells = list(tables.rows(columns, atom,
-                                     iter_segments(atom, grid, tables.reads(columns)), omega))
+            cells = list(chain.from_iterable(tables.rows(
+                columns, atom, iter_segments(atom, grid, tables.reads(columns)), omega)))
         except ValueError as exc:
             assert str(exc) == expected
             return
         points = [Point._make(p) for p in expected]
         assert [list(map(repr, row)) for row in cells] == [
             list(map(repr, row)) for row in tables.table(columns, atom, points, omega)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids())
+    def test_tau_sym_alone_builds_no_gap(self, case):
+        # the refusal reads the gap of the chunk's first field alone, as a scalar
+        atom, grid = case
+        chunk = grid[:KERNEL_CHUNK]
+        try:
+            segments = compute_clocks(atom, solve_geometry(atom, chunk, ("tau_sym",)),
+                                      ("tau_sym",))
+        except ValueError as exc:
+            assert str(exc) == reference_sweep(atom, chunk)
+            return
+        assert not isinstance(reference_sweep(atom, chunk), str)
+        for segment in segments:
+            assert "gap" not in segment and "ip_plus" not in segment, sorted(segment)
+
+
+class TestBlocks:
+    """tables.render formats each segment's rows with the cell types of its first
+    row, so every column of a segment must hold one cell type."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids(), st.one_of(st.none(), st.floats(1e-3, 1.0)))
+    def test_one_cell_type_per_column_of_each_segment(self, case, omega):
+        atom, grid = case
+        columns = tuple(tables.COLUMNS)
+        try:
+            blocks = list(tables.rows(columns, atom, iter_segments(atom, grid), omega))
+        except ValueError as exc:
+            assert str(exc) == reference_sweep(atom, grid)
+            return
+        assert sum(map(len, blocks)) == len(grid)
+        for block in blocks:
+            for name, cells in zip(columns, zip(*block)):
+                assert len(set(map(type, cells))) == 1, (name, set(map(type, cells)))
 
 
 class TestEvaluate:
