@@ -17,7 +17,7 @@ from itertools import chain, takewhile
 from .atom import AtomModel
 from .barrier import RegimeError, Segment, solve_geometry
 from .clocks import ESTIMATORS, Point, compute_clocks
-from .tables import _CHUNK, FIGURE_COLUMNS, reads, render, rows
+from .tables import FIGURE_COLUMNS, reads, render, rows
 from .units import CONSTANTS
 
 
@@ -51,7 +51,7 @@ ComparisonReport = collections.namedtuple(
 
 # Fields per call of each kernel stage: larger chunks raised the sweeps' peak RSS,
 # smaller ones their time per point.
-KERNEL_CHUNK = 4 * _CHUNK
+KERNEL_CHUNK = 128
 
 
 def iter_segments(atom: AtomModel, f_grid: Sequence[float],
@@ -144,7 +144,7 @@ def load_measurements(path: str) -> list[MeasurementRecord]:
 
 
 def compare(atom: AtomModel, estimator: str,
-            data: Sequence[MeasurementRecord]) -> ComparisonReport:
+            data: Iterable[MeasurementRecord]) -> ComparisonReport:
     """Score one estimator of the atom's model against measured points.
 
     The model is evaluated exactly at each record's field strength, never
@@ -155,7 +155,7 @@ def compare(atom: AtomModel, estimator: str,
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
-    if not data:
+    if not (data := tuple(data)):      # read once: data may be an iterator
         raise ValueError("no measurement records given")
     # The kernel evaluates each distinct field once, in ascending order, for the
     # estimator alone; the records then read their values in record order.
@@ -206,17 +206,15 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
         raise ValueError(f"unknown figure {figure!r}; choose from {tuple(FIGURE_COLUMNS)}")
     segments = iter_segments(atom, f_grid, reads(columns))
     if figure == "fig4":
-        admitted = ("sub_atomic",)
-        refusal = ("no real barrier in any sweep row; the width table needs "
-                   "fields below barrier suppression")
+        flag, refusal = "below", ("no real barrier in any sweep row; the width table "
+                                  "needs fields below barrier suppression")
     else:
-        admitted = ("sub_atomic", "atomic")
-        refusal = ("all sweep rows lie above barrier suppression; the single-sided "
-                   "and crossing times are complex there")
-    # The grid ascends strictly and the regime is monotone in F (sub-atomic, then
-    # atomic, then super-atomic), so the admitted points are the leading segments
-    # and evaluation stops with the chunk that holds the first point left out.
-    segments = takewhile(lambda segment: segment["regime"][0] in admitted, segments)
+        flag, refusal = "real", ("all sweep rows lie above barrier suppression; the "
+                                 "single-sided and crossing times are complex there")
+    # The grid ascends strictly, so the segments that hold the flag (below F_a; at or
+    # below it) are the leading ones, and evaluation stops with the chunk that holds
+    # the first point left out.
+    segments = takewhile(operator.itemgetter(flag), segments)
     first = next(segments, None)
     if first is None:
         raise RegimeError(refusal)

@@ -38,7 +38,10 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
     blocks are consumed once, so may be lazy. CSV formats each block before it pulls
     the next, with one row template for its first row's cell types, _CHUNK rows per
     ``%``. A non-finite float cell or metadata value is an error naming its column
-    or key; in CSV it wins over a later pull's error."""
+    or key; in CSV it wins over a later pull's error. ``fmt`` is csv or json and
+    ``precision`` an int from 1 to 17; anything else is a ValueError."""
+    if fmt not in ("csv", "json") or type(precision) is not int or not 1 <= precision <= 17:
+        raise ValueError(f"need fmt csv or json and precision 1..17, got {fmt!r}, {precision!r}")
     if fmt == "json":
         import json
         records = [] if blocks is None else [dict(zip(columns, r)) for b in blocks for r in b]
@@ -84,9 +87,8 @@ COLUMNS = {
     **{f"{name}_au": name for name in Point._fields[2:]},
     **{f"{name}_as": f"[None if t is None else t * K for t in {name}]"
        for name in ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c", "tau_t", "tau_a")},
-    # Light-traversal time of the barrier; None without a real barrier.
-    "light_as": "[d / C * K if r == 'sub_atomic' else None "
-                "for r, d in zip(regime, barrier_width)]",
+    # Light-traversal time of the barrier, None without one; a segment is in one regime.
+    "light_as": "[d / C * K for d in barrier_width] if regime[0] == 'sub_atomic' else [None] * n",
     # The approach time is the conjugate; a zero imaginary part keeps its sign.
     "tau_i_re_au": "tau_d_re", "tau_i_im_au": "[None if t is None else -t for t in tau_d_im]",
     # Keldysh's adiabaticity parameter omega sqrt(2 ip) / F; None without a drive.
@@ -95,7 +97,7 @@ COLUMNS = {
 # Every name a COLUMNS expression reads, bound once; nothing else is in scope.
 _NAMESPACE = {
     "__builtins__": {}, "K": CONSTANTS.au_time_in_attoseconds,
-    "C": CONSTANTS.speed_of_light, "sqrt": math.sqrt, "zip": zip, "float": float,
+    "C": CONSTANTS.speed_of_light, "sqrt": math.sqrt, "float": float,
     "atomic_field_strength": atomic_field_strength,
 }
 

@@ -52,6 +52,16 @@ def write_measurement_csv(path, rows, header="field_au,time_as,err_lo_as,err_hi_
     return str(path)
 
 
+# render's fmt is csv or json and its precision an int from 1 to 17.
+BAD_FORMATS = [("xml", 12), ("CSV", 12), (None, 12), ("csv", 0), ("csv", 18),
+               ("json", 40), ("csv", -1), ("csv", True), ("json", 6.0)]
+
+
+def bad_format(fmt, precision):
+    """The one-line refusal of a bad ``fmt`` or ``precision``, as a pattern."""
+    return re.escape(f"need fmt csv or json and precision 1..17, got {fmt!r}, {precision!r}")
+
+
 class TestRunSweep:
     def test_nine_rows_sorted_subatomic(self, rows9):
         assert len(rows9) == 9
@@ -452,6 +462,17 @@ class TestCompare:
         assert report.n_skipped == len(skipped) == (3 if estimator == "tau_d" else 0)
         assert report.n_records == len(records)
 
+    @pytest.mark.parametrize("estimator", ["tau_d", "tau_sym"])
+    def test_generator_gives_the_list_report(self, he_clementi, estimator):
+        # the records are read once, so an iterator serves as a list does
+        records = [MeasurementRecord(f, 50.0, 1.0, 1.0) for f in (0.05, 0.15, 0.08, 0.05)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = compare(he_clementi, estimator, records)
+            assert compare(he_clementi, estimator, iter(records)) == expected
+        with pytest.raises(ValueError, match="^no measurement records given$"):
+            compare(he_clementi, estimator, iter(()))
+
     def test_model_id_labels_atom_and_estimator(self, he_clementi, tmp_path):
         path = write_measurement_csv(tmp_path / "m.csv", [(0.06, 45.0, 1.0, 1.0)])
         report = compare(he_clementi, "tau_d", load_measurements(path))
@@ -518,6 +539,11 @@ class TestEmitFigureData:
         with pytest.raises(RegimeError):
             emit_figure_data(he_clementi, [0.15], "fig4")
 
+    @pytest.mark.parametrize("fmt, precision", BAD_FORMATS)
+    def test_bad_format_or_precision_rejected(self, he_clementi, fmt, precision):
+        with pytest.raises(ValueError, match=bad_format(fmt, precision)):
+            emit_figure_data(he_clementi, GRID_9, "fig3", precision, fmt)
+
     def test_empty_rows_rejected(self, he_clementi):
         with pytest.raises(ValueError, match="field grid is empty"):
             emit_figure_data(he_clementi, [], "fig2")
@@ -577,6 +603,22 @@ def old_figure_data(atom, grid, figure, precision, fmt):
     return text, min(chunks * harness.KERNEL_CHUNK, len(points))
 
 
+def band_edges(atom):
+    """The fields one ulp outside and at each edge of the critical band
+    |F - F_a| <= ATOMIC_BAND F_a: (below, lowest inside, highest inside, above)."""
+    fa = atomic_field_strength(atom)
+    edges = []
+    for away in (-math.inf, math.inf):
+        f = fa + math.copysign(ATOMIC_BAND * fa, away)
+        while abs(f - fa) <= ATOMIC_BAND * fa:
+            f = math.nextafter(f, away)
+        while not abs(f - fa) <= ATOMIC_BAND * fa:
+            f = math.nextafter(f, fa)
+        edges.append((math.nextafter(f, away), f))
+    (lo_out, lo_in), (hi_out, hi_in) = edges
+    return lo_out, lo_in, hi_in, hi_out
+
+
 @st.composite
 def grids_across_f_a(draw):
     """A He model and a strictly ascending grid: fields below F_a (maybe
@@ -615,6 +657,21 @@ class TestFigureStreaming:
                 assert emit_figure_data(atom, grid, figure, precision, fmt) == expected
         assert len(calls) == n_evaluated
 
+
+    @pytest.mark.parametrize("spec", ["He:clementi", "He:kullie"])
+    @pytest.mark.parametrize("figure", list(tables.FIGURE_COLUMNS))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_band_edges(self, spec, figure, fmt):
+        # fig4 drops the fields at either edge of the critical band, fig2 and fig3 keep them
+        atom = catalog_lookup(spec)
+        lo_out, lo_in, hi_in, hi_out = band_edges(atom)
+        assert [classify_regime(atom, f) for f in (lo_out, lo_in, hi_in, hi_out)] == [
+            "sub_atomic", "atomic", "atomic", "super_atomic"]
+        grid = [0.5 * lo_out, lo_out, lo_in, atomic_field_strength(atom), hi_in, hi_out]
+        text = emit_figure_data(atom, grid, figure, 17, fmt)
+        assert text == old_figure_data(atom, grid, figure, 17, fmt)[0]
+        if fmt == "json":
+            assert len(json.loads(text)["rows"]) == (2 if figure == "fig4" else 5)
 
     @pytest.mark.parametrize("figure", ["fig3", "fig4"])
     def test_stops_with_the_chunk_of_the_first_point_left_out(self, he_clementi, figure):
@@ -682,6 +739,12 @@ class TestRender:
         assert json.loads(render(None, self.COLUMNS, self.BLOCKS, "json", 6)) == rows
         assert json.loads(render({"k": "v"}, self.COLUMNS, self.BLOCKS, "json", 6)) == {
             "meta": {"k": "v"}, "rows": rows}
+
+    @pytest.mark.parametrize("fmt, precision", BAD_FORMATS)
+    @pytest.mark.parametrize("blocks", [BLOCKS, None])
+    def test_bad_format_or_precision_rejected(self, fmt, precision, blocks):
+        with pytest.raises(ValueError, match=f"^{bad_format(fmt, precision)}$"):
+            render({"k": "v"}, self.COLUMNS, blocks, fmt, precision)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])

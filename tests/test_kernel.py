@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import scalar_kernel
 from attoclock import tables
 from attoclock.atom import AtomModel, catalog_lookup
-from attoclock.barrier import RegimeError, solve_geometry
+from attoclock.barrier import GEOMETRY_FIELDS, RegimeError, solve_geometry
 from attoclock.clocks import ESTIMATORS, Point, compute_clocks, evaluate
 from attoclock.harness import KERNEL_CHUNK, MeasurementRecord, compare, iter_segments, run_sweep
 from attoclock.units import CONSTANTS
@@ -95,6 +95,20 @@ class TestSweepAgainstScalarKernel:
         except ValueError as exc:
             points = str(exc)
         assert bits(points) == bits(reference_sweep(atom, grid))
+
+
+class TestBranchFlags:
+    def test_x_peak_fallback_at_both_ends_of_a_chunk(self):
+        # F_a is about 4.456e307: z_eff / F overflows at the first field, and its root
+        # is below 1.5e-154 at the last, both below F_a. One flag for either fallback
+        # would be True at both ends of the chunk, so it would cover the middle too.
+        atom = AtomModel("X", 1.335e154, 1.0)
+        fields = [5e-309, 1.0, 4.45e307]
+        segments = solve_geometry(atom, fields)
+        assert [(s["n"], s["regime"][0], s["xfall"]) for s in segments] == [
+            (1, "sub_atomic", True), (1, "sub_atomic", False), (1, "sub_atomic", True)]
+        got = [[repr(s[name][0]) for name in GEOMETRY_FIELDS] for s in segments]
+        assert got == [list(map(repr, scalar_kernel.solve_geometry(atom, f))) for f in fields]
 
 
 class TestProjection:
