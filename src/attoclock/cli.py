@@ -100,7 +100,7 @@ def cmd_point(args: argparse.Namespace) -> tuple[str, int]:
     segments = solve_geometry(atom, [field.f_peak], reads(columns))
     if args.command == "times":
         segments = compute_clocks(atom, segments, reads(columns))
-    ((values,),) = rows(columns, atom, segments, omega)
+    ((values,),) = (zip(*block) for block in rows(columns, atom, segments, omega))
     return (render(dict(zip(columns, values)), (), None, args.format, args.precision),
             EXIT_REGIME if not segments[0]["real"] else EXIT_OK)
 
@@ -128,18 +128,17 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError(f"{args.data}: no measurement records")
     report = compare(atom, args.estimator, records)
     # The report's fields, residuals aside, are the summary's columns in printed order.
-    summary = dict(zip(report._fields[:-1], report))
+    summary, block = dict(zip(report._fields[:-1], report)), tuple(zip(*report.residuals))
     if args.residuals and args.format == "json":     # one document, shaped like a figure
-        return render(summary, RESIDUAL_COLUMNS, [report.residuals], "json",
-                      args.precision), EXIT_OK
+        return render(summary, RESIDUAL_COLUMNS, [block], "json", args.precision), EXIT_OK
     text = render(summary, (), None, args.format, args.precision)
     if args.residuals:
-        text += render(None, RESIDUAL_COLUMNS, [report.residuals], "csv", args.precision)
+        text += render(None, RESIDUAL_COLUMNS, [block], "csv", args.precision)
     return text, EXIT_OK
 
 
 def cmd_catalog(args: argparse.Namespace) -> tuple[str, int]:
-    block = [next(table(CATALOG_COLUMNS, a, [None])) for a in builtin_catalog()]
+    block = tuple(zip(*(next(table(CATALOG_COLUMNS, a, [None])) for a in builtin_catalog())))
     return render(None, CATALOG_COLUMNS, [block], args.format, args.precision), EXIT_OK
 
 

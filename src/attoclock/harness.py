@@ -17,7 +17,7 @@ from itertools import chain, takewhile
 from .atom import AtomModel
 from .barrier import RegimeError, Segment, solve_geometry
 from .clocks import ESTIMATORS, Point, compute_clocks
-from .tables import FIGURE_COLUMNS, reads, render, rows
+from .tables import FIGURE_COLUMNS, check_format, reads, render, rows
 from .units import CONSTANTS
 
 
@@ -199,11 +199,12 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
     """The data behind one figure, evaluated lazily over a field grid, as
     :func:`render` text. Columns are fixed per figure; the metadata records the
     atom, grid and constants-table version. The width-vs-time table (fig4)
-    admits only points below barrier suppression; the time-vs-field tables
-    (fig2, fig3) also admit the critical-field point."""
+    admits only points below barrier suppression; the time-vs-field tables (fig2,
+    fig3) also admit the critical-field point. Arguments are checked before the grid."""
     columns = FIGURE_COLUMNS.get(figure) if isinstance(figure, str) else None
     if columns is None:
         raise ValueError(f"unknown figure {figure!r}; choose from {tuple(FIGURE_COLUMNS)}")
+    check_format(fmt, precision)
     segments = iter_segments(atom, f_grid, reads(columns))
     if figure == "fig4":
         flag, refusal = "below", ("no real barrier in any sweep row; the width table "
@@ -221,5 +222,4 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
     meta = {"atom": atom.name, "source": atom.source, "z_eff": f"{atom.z_eff:.12g}",
             "i_p": f"{atom.ip:.12g}", "grid": ",".join(["%.12g"] * len(f_grid)) % tuple(f_grid),
             "constants": CONSTANTS.version}
-    blocks = rows(columns, atom, chain((first,), segments))
-    return render(meta, columns, blocks, fmt, precision)
+    return render(meta, columns, rows(columns, atom, chain((first,), segments)), fmt, precision)

@@ -2,8 +2,9 @@
 
 import functools
 import math
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import chain, cycle
+from itertools import chain, cycle, repeat
 
 from .atom import AtomModel
 from .barrier import atomic_field_strength
@@ -21,30 +22,28 @@ def _check_finite(cells: Iterable[tuple[str, object]]) -> None:
             raise ValueError(f"{column} is {value!r}, not a finite number")
 
 
-@functools.cache
-def _row(kinds: tuple[type, ...], precision: int) -> str:
-    """One CSV row's template for cells of these types: empty, number or text."""
-    return ",".join("%.0s" if kind is type(None) else f"%.{precision}g"
-                    if issubclass(kind, float) else "%s" for kind in kinds)
+def check_format(fmt: str, precision: int) -> None:
+    """Refuse a fmt other than csv or json, or a precision not an int in 1..17."""
+    if fmt not in ("csv", "json") or type(precision) is not int or not 1 <= precision <= 17:
+        raise ValueError(f"need fmt csv or json and precision 1..17, got {fmt!r}, {precision!r}")
 
 
 def render(meta: dict[str, object] | None, columns: Sequence[str],
            blocks: Iterable[Sequence[Sequence]] | None, fmt: str, precision: int) -> str:
-    """One table as CSV (``# key=value`` metadata lines, header, rows) or
-    JSON (a list of row objects, or ``{"meta": ..., "rows": [...]}`` with
-    metadata). With ``blocks`` None, ``meta`` is one record: a JSON object, or a
-    CSV header of its keys and one row of its values. A block is a list of rows of
-    ``len(columns)`` cells with one cell type per column, as a kernel segment's rows;
-    blocks are consumed once, so may be lazy. CSV formats each block before it pulls
-    the next, with one row template for its first row's cell types, _CHUNK rows per
-    ``%``. A non-finite float cell or metadata value is an error naming its column
-    or key; in CSV it wins over a later pull's error. ``fmt`` is csv or json and
-    ``precision`` an int from 1 to 17; anything else is a ValueError."""
-    if fmt not in ("csv", "json") or type(precision) is not int or not 1 <= precision <= 17:
-        raise ValueError(f"need fmt csv or json and precision 1..17, got {fmt!r}, {precision!r}")
+    """One table as CSV (``# key=value`` metadata lines, header, rows) or JSON (a
+    list of row objects, or ``{"meta": ..., "rows": [...]}`` with metadata). With
+    ``blocks`` None, ``meta`` is one record: a JSON object, or a CSV header of its keys
+    and one row of its values. A block is a list of cells per column, in ``columns``
+    order, each column of one cell type, as a kernel segment's columns; blocks are
+    consumed once, so may be lazy. CSV formats a block before it pulls the next: a
+    column that is one finite object on every row is formatted once, into the block's
+    row template, which the other columns fill _CHUNK rows per ``%``. A non-finite
+    float cell or metadata value is an error naming its column or key, the first in row
+    order; in CSV it wins over a later pull's error. See :func:`check_format`."""
+    check_format(fmt, precision)
     if fmt == "json":
         import json
-        records = [] if blocks is None else [dict(zip(columns, r)) for b in blocks for r in b]
+        records = [] if blocks is None else [dict(zip(columns, r)) for b in blocks for r in zip(*b)]
         doc = meta if blocks is None else {"meta": meta, "rows": records} if meta else records
         text = json.dumps(doc, indent=2)
         # How a non-finite float prints. Searching the text is cheaper than testing
@@ -53,19 +52,30 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
             _check_finite(chain.from_iterable(map(dict.items, [meta or {}, *records])))
         return text + "\n"
     if blocks is None:
-        meta, columns, blocks = None, meta.keys(), [[meta.values()]]
-    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
-    lines.append(",".join(columns))
-    for block in filter(None, blocks):
-        row = _row(tuple(map(type, block[0])), precision)
-        for lo in range(0, len(block), _CHUNK):
-            chunk = block[lo:lo + _CHUNK]
-            flat = tuple(chain.from_iterable(chunk))
-            text = "\n".join([row] * len(chunk)) % flat
-            # Every non-finite float prints with an "n" (inf, nan), so only such a
-            # chunk has its cells tested (a text cell can hold the letter too).
-            if "n" in text:
-                _check_finite(zip(cycle(columns), flat))
+        meta, columns, blocks = None, meta.keys(), [[[value] for value in meta.values()]]
+    lines = [*(f"# {key}={value}" for key, value in (meta or {}).items()), ",".join(columns)]
+    number = f"%.{precision}g"
+    for block in (b for b in blocks if b and len(b[0])):
+        cells, varying = [], []
+        for name, column in zip(columns, block):
+            first = column[0]
+            cell = "%.0s" if first is None else number if isinstance(first, float) else "%s"
+            # One object on every row (by identity, as 0.0 == -0.0) and finite.
+            if (first is column[-1] and all(map(operator.is_, column, repeat(first)))
+                    and (cell is not number or math.isfinite(first))):
+                cell = (cell % (first,)).replace("%", "%%")
+            else:
+                varying.append((name, column))
+            cells.append(cell)
+        row, n, k = ",".join(cells), len(block[0]), len(varying)
+        flat = [None] * (n * k)
+        for j, (_, column) in enumerate(varying):
+            flat[j::k] = column
+        for lo in range(0, n, _CHUNK):
+            chunk = tuple(flat[lo * k:(lo + _CHUNK) * k])
+            text = "\n".join([row] * min(_CHUNK, n - lo)) % chunk
+            if "n" in text:     # inf and nan print with one; only then are cells tested
+                _check_finite(zip(cycle([name for name, _ in varying]), chunk))
             lines.append(text)
     lines.append("")
     return "\n".join(lines)
@@ -75,8 +85,8 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
 # drive's omega ``w`` and a segment's columns (``f``, ``regime``, the other
 # :class:`attoclock.clocks.Point` fields and its length ``n``), with the names of
 # _NAMESPACE. The suffix is the unit: _au as computed, _as converted (K as per au),
-# none for text and counts. None: not in this regime. Each column of a segment holds
-# one cell type, as a render block's must: f_au is float for int fields too.
+# none for text and counts. None: not in this regime; a segment is in one. Each column
+# of a segment holds one cell type, as a render block's must: f_au is float for ints too.
 COLUMNS = {
     "atom": "[a.name] * n", "name": "[a.name] * n", "source": "[a.source] * n",
     "i_p_au": "[a.ip] * n", "z_eff": "[a.z_eff] * n", "omega_au": "[w] * n",
@@ -85,12 +95,14 @@ COLUMNS = {
     "i_a_au": "[atomic_field_strength(a) * atomic_field_strength(a)] * n",
     "f_au": "[float(x) for x in f]", "regime": "regime", "d_b_au": "barrier_width",
     **{f"{name}_au": name for name in Point._fields[2:]},
-    **{f"{name}_as": f"[None if t is None else t * K for t in {name}]"
-       for name in ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c", "tau_t", "tau_a")},
+    **{f"{name}_as": f"[None] * n if {name}[0] is None else [t * K for t in {name}]"
+       for name in ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c", "tau_t")},
+    "tau_a_as": "[tau_a[0] * K] * n",     # one object repeated: render formats it once
     # Light-traversal time of the barrier, None without one; a segment is in one regime.
     "light_as": "[d / C * K for d in barrier_width] if regime[0] == 'sub_atomic' else [None] * n",
     # The approach time is the conjugate; a zero imaginary part keeps its sign.
-    "tau_i_re_au": "tau_d_re", "tau_i_im_au": "[None if t is None else -t for t in tau_d_im]",
+    "tau_i_re_au": "tau_d_re",
+    "tau_i_im_au": "[None] * n if tau_d_im[0] is None else [-t for t in tau_d_im]",
     # Keldysh's adiabaticity parameter omega sqrt(2 ip) / F; None without a drive.
     "gamma_k": "[None if w is None else w * sqrt(2.0 * a.ip) / x for x in f]",
 }
@@ -141,17 +153,16 @@ def reads(columns: Sequence[str]) -> tuple[str, ...]:
 
 
 def rows(columns: Sequence[str], atom: AtomModel | None, segments: Iterable[Mapping],
-         omega: float | None = None) -> Iterator[list[tuple]]:
-    """Lazily, one :func:`render` block per segment: a tuple of ``len(columns)``
-    cells per point, in ``columns`` order, each column its :data:`COLUMNS` entry
-    evaluated over the segment's columns at once; an unknown name is a KeyError."""
+         omega: float | None = None) -> Iterator[list[list]]:
+    """Lazily, one :func:`render` block per segment: a list of the ``columns``, each its
+    :data:`COLUMNS` entry evaluated over the whole segment; an unknown name is a KeyError."""
     program, scope = _program(tuple(columns)), {**_NAMESPACE, "a": atom, "w": omega}
-    return (list(zip(*eval(program, scope, segment))) for segment in segments)
+    return (eval(program, scope, segment) for segment in segments)
 
 
 def table(columns: Sequence[str], atom: AtomModel | None, points: Iterable[Point | None],
           omega: float | None = None) -> Iterator[tuple]:
-    """The row of each point (:class:`attoclock.clocks.Point`), lazily: :func:`rows`
-    of one-point segments. Columns that read only the atom take None points."""
-    return chain.from_iterable(rows(columns, atom, (dict(zip(Point._fields, zip(p or ())), n=1)
-                                                    for p in points), omega))
+    """Each point's row (:class:`attoclock.clocks.Point`), a tuple, lazily: the :func:`rows`
+    blocks of one-point segments, transposed. Columns of the atom alone take None points."""
+    return chain.from_iterable(zip(*block) for block in rows(
+        columns, atom, (dict(zip(Point._fields, zip(p or ())), n=1) for p in points), omega))

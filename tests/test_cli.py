@@ -556,6 +556,22 @@ def test_huge_field_exits_3(capsys, argv):
     assert "super_atomic" in out and not NON_FINITE.search(out)
 
 
+# F_a = 2.5e202 here, above about 1.34e154, so geometry's i_a_au cell, F_a^2, overflows;
+# times and the sweep dump print no i_a_au and stay finite.
+@pytest.mark.parametrize("argv, exit_code", [
+    ("geometry --ip 1e100 --z-eff 1e-3 --field 1e150", 2),
+    ("geometry --ip 1e100 --z-eff 1e-3 --field 1e150 --format json", 2),
+    ("times --ip 1e100 --z-eff 1e-3 --field 1e150", 0),
+    ("sweep --ip 1e100 --z-eff 1e-3 --grid 1e150,1e151", 0),
+])
+def test_atom_whose_f_a_squared_overflows(capsys, argv, exit_code):
+    code, out, err = run_cli(capsys, *argv.split())
+    if exit_code:
+        assert (code, out, err) == (2, "", "error: i_a_au is inf, not a finite number\n")
+    else:
+        assert code == 0 and err == "" and not NON_FINITE.search(out)
+
+
 @pytest.mark.parametrize("argv, exit_code", [
     ("geometry --ip 1 --z-eff 1e-25 --field 1e-300", 0),          # 4 z_eff F is 0
     ("geometry --ip 1e10 --z-eff 1e-20 --field 1e-298", 0),       # the gap is 0

@@ -544,6 +544,16 @@ class TestEmitFigureData:
         with pytest.raises(ValueError, match=bad_format(fmt, precision)):
             emit_figure_data(he_clementi, GRID_9, "fig3", precision, fmt)
 
+    @pytest.mark.parametrize("fmt, precision", BAD_FORMATS)
+    @pytest.mark.parametrize("grid", [GRID_9, [0.15]])     # [0.15]: no row of fig4's
+    def test_bad_format_or_precision_refused_before_the_kernel(self, he_clementi, fmt,
+                                                              precision, grid):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "solve_geometry", None)      # any evaluation fails
+            for figure in ("fig3", "fig4"):
+                with pytest.raises(ValueError, match=f"^{bad_format(fmt, precision)}$"):
+                    emit_figure_data(he_clementi, grid, figure, precision, fmt)
+
     def test_empty_rows_rejected(self, he_clementi):
         with pytest.raises(ValueError, match="field grid is empty"):
             emit_figure_data(he_clementi, [], "fig2")
@@ -595,8 +605,8 @@ def old_figure_data(atom, grid, figure, precision, fmt):
             "i_p": f"{atom.ip:.12g}", "grid": ",".join(f"{p.f:.12g}" for p in points),
             "constants": CONSTANTS.version}
     columns = tables.FIGURE_COLUMNS[figure]
-    text = render(meta, columns, ([row] for row in table(columns, atom, selected)), fmt,
-                  precision)
+    text = render(meta, columns, (columns_of([row]) for row in table(columns, atom, selected)),
+                  fmt, precision)
     # the streamed table evaluates whole kernel chunks, up to the one that holds the
     # first point left out
     chunks = -(-(len(selected) + 1) // harness.KERNEL_CHUNK)
@@ -692,42 +702,76 @@ class TestFigureStreaming:
         assert calls == grid[:-(-(admitted + 1) // chunk) * chunk] and len(calls) < len(grid)
 
 
-# Each kind of cell render formats its own way; text can hold the letter "n".
+def columns_of(rows):
+    """A render block: the columns of these rows, one list each."""
+    return [list(column) for column in zip(*rows)]
+
+
+# Each kind of cell render formats its own way; text can hold the letter "n" and "%".
 CELLS = {
-    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "float": st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e308]),
     "none": st.none(),
-    "int": st.integers(),
+    "int": st.integers() | st.sampled_from([0, 1]),     # 0 and 1 as within_bars holds them
     "bool": st.booleans(),
-    "text": st.text() | st.sampled_from(["n", "nan", "inf", "Infinity", "ñandú", "Ωn"]),
+    "text": st.text() | st.sampled_from(["n", "nan", "inf", "Infinity", "ñandú", "Ωn",
+                                         "%", "100%", "%s", "%%", "%(n)s"]),
 }
+# A new object equal to a cell, where its type makes one.
+EQUAL_COPY = {"float": lambda v: float(repr(v)), "int": lambda v: int(str(v)),
+              "text": lambda v: (v + ".")[:-1]}
 
 
 @st.composite
-def row_runs(draw):
-    """Columns and 0 to 3 render chunks of rows, in runs of one pattern of cell
-    kinds that change at arbitrary rows; a run cycles a few rows of its pattern.
-    Some cells may then be made non-finite, which can split a run's block."""
+def column_blocks(draw):
+    """Columns and render blocks of 0 to 3 render chunks of rows in all, each column
+    of a block of one cell kind: cells drawn apart, one object repeated (``[v] * n``,
+    as a kernel segment's constant columns), equal objects that are not one (copies,
+    or 0.0 and -0.0 in turn), or a few values cycled. Some cells or whole columns may
+    then be made non-finite floats."""
     width = draw(st.integers(1, 4))
-    n_rows, rows = draw(st.integers(0, 3 * tables._CHUNK + 2)), []
-    while len(rows) < n_rows:
-        kinds = draw(st.lists(st.sampled_from(list(CELLS)), min_size=width, max_size=width))
-        distinct = draw(st.lists(st.tuples(*map(CELLS.get, kinds)), min_size=1, max_size=4))
-        rows += islice(cycle(distinct), draw(st.integers(1, n_rows - len(rows))))
-    for _ in range(draw(st.integers(0, 2)) if rows else 0):
-        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
-        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-        rows[i] = rows[i][:j] + (bad,) + rows[i][j + 1:]
-    return tuple(f"c{j}" for j in range(width)), rows
+    n_rows, blocks, total = draw(st.integers(0, 3 * tables._CHUNK + 2)), [], 0
+    while total < n_rows:
+        n = draw(st.integers(1, n_rows - total))
+        block = []
+        for kind in draw(st.lists(st.sampled_from(list(CELLS)), min_size=width,
+                                  max_size=width)):
+            shape = draw(st.sampled_from(["drawn", "repeated", "equal", "cycled"]))
+            value = draw(CELLS[kind])
+            if shape == "repeated":
+                column = [value] * n
+            elif shape == "equal" and kind == "float" and value == 0:
+                column = list(islice(cycle([0.0, -0.0]), n))
+            elif shape == "equal":
+                column = [EQUAL_COPY.get(kind, lambda v: v)(value) for _ in range(n)]
+            elif shape == "cycled":
+                distinct = draw(st.lists(CELLS[kind], min_size=1, max_size=3))
+                column = list(islice(cycle(distinct), n))
+            else:
+                column = draw(st.lists(CELLS[kind], min_size=n, max_size=n))
+            block.append(column)
+        blocks.append(block)
+        total += n
+    for _ in range(draw(st.integers(0, 2)) if blocks else 0):
+        block = draw(st.sampled_from(blocks))
+        j, bad = draw(st.integers(0, width - 1)), draw(st.sampled_from(
+            [math.inf, -math.inf, math.nan]))
+        if draw(st.booleans()) or not isinstance(block[j][0], float):
+            block[j] = [bad] * len(block[j])    # a column keeps one cell type
+        else:
+            block[j] = block[j][:]
+            block[j][draw(st.integers(0, len(block[j]) - 1))] = bad
+    return tuple(f"c{j}" for j in range(width)), blocks
 
 
 def blocks_of(rows):
-    """Rows in render blocks: each run of rows with the same cell types, lazily."""
-    return (list(run) for _, run in groupby(rows, key=lambda row: tuple(map(type, row))))
+    """Rows in render blocks: each run of rows with the same cell types, as columns."""
+    return [columns_of(run) for _, run in groupby(rows, key=lambda row: tuple(map(type, row)))]
 
 
 class TestRender:
     COLUMNS = ("name", "x")
-    BLOCKS = [[("a", 0.5)], [("b", None)]]
+    BLOCKS = [[["a"], [0.5]], [["b"], [None]]]
 
     def test_csv_table(self):
         assert render(None, self.COLUMNS, self.BLOCKS, "csv", 6) == "name,x\na,0.5\nb,\n"
@@ -750,13 +794,14 @@ class TestRender:
     @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
     def test_non_finite_cell_names_its_column(self, fmt, bad):
         with pytest.raises(ValueError, match="^x is .*finite"):
-            render(None, self.COLUMNS, [[("a", 0.5), ("b", bad)]], fmt, 6)
+            render(None, self.COLUMNS, [[["a", "b"], [0.5, bad]]], fmt, 6)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_cell_in_last_lazy_row_is_refused(self, fmt, bad):
         # the blocks are consumed once, so the check cannot go back to them
-        blocks = iter([[("a", 0.5)] * 1000, [("a", 0.5)] * 40 + [("b", bad)]])
+        blocks = iter([columns_of([("a", 0.5)] * 1000),
+                       columns_of([("a", 0.5)] * 40 + [("b", bad)])])
         with pytest.raises(ValueError, match="^x is .*finite"):
             render(None, self.COLUMNS, blocks, fmt, 6)
         assert next(blocks, None) is None
@@ -765,7 +810,7 @@ class TestRender:
     def test_bad_row_before_a_failing_pull_wins(self, n_good):
         # as when rows were taken one at a time: the bad row's error, not the pull's
         def blocks():
-            yield [("a", 0.5)] * n_good + [("b", float("inf"))]
+            yield columns_of([("a", 0.5)] * n_good + [("b", float("inf"))])
             raise RuntimeError("pulled past the bad row")
         with pytest.raises(ValueError, match="^x is inf, not a finite number$"):
             render(None, self.COLUMNS, blocks(), "csv", 6)
@@ -776,7 +821,7 @@ class TestRender:
         error = RuntimeError("row source failed")
 
         def blocks():
-            yield [("a", 0.5)] * n_good
+            yield columns_of([("a", 0.5)] * n_good)
             raise error
         with pytest.raises(RuntimeError) as info:
             render(None, self.COLUMNS, blocks(), fmt, 6)
@@ -784,22 +829,30 @@ class TestRender:
 
     # without the explain phase, which reruns hundreds-of-row examples for minutes
     @settings(max_examples=150, deadline=None, phases=set(Phase) - {Phase.explain})
-    @given(row_runs(), st.integers(1, 17), st.booleans())
+    @given(column_blocks(), st.integers(1, 17), st.booleans())
     # a block one row short of a chunk, then a block of one row
-    @example((("c0", "c1"), [("a", 0.5)] * (tables._CHUNK - 1) + [(1, None)]), 6, True)
+    @example((("c0", "c1"), blocks_of([("a", 0.5)] * (tables._CHUNK - 1) + [(1, None)])), 6,
+             True)
     # a block of exactly one chunk, then one of one row
-    @example((("c0", "c1"), [("a", 0.5)] * tables._CHUNK + [(1, None)]), 6, False)
+    @example((("c0", "c1"), blocks_of([("a", 0.5)] * tables._CHUNK + [(1, None)])), 6, False)
     # a block with a partial last chunk, then a shorter block
-    @example((("c0", "c1"), [("a", 0.5)] * (tables._CHUNK + 5) + [(True, "é")] * 10), 17, True)
+    @example((("c0", "c1"), blocks_of([("a", 0.5)] * (tables._CHUNK + 5) + [(True, "é")] * 10)),
+             17, True)
     # the first bad cell across blocks of one row each, read across rows and columns
-    @example((("c0", "c1"), [("a", 0.5), (1, None), ("b", math.inf), (math.nan, "n")]), 3, True)
+    @example((("c0", "c1"), blocks_of([("a", 0.5), (1, None), ("b", math.inf),
+                                       (math.nan, "n")])), 3, True)
+    # equal cells that are two objects, and one object holding "%"
+    @example((("c0", "c1"), [[[0.0, -0.0, 0.0], ["%%d"] * 3]]), 6, False)
+    # the first bad cell in row order, in a column of one non-finite object
+    @example((("c0", "c1"), [[[1.0, math.nan], [math.inf] * 2]]), 6, True)
     def test_chunked_csv_equals_per_row(self, case, precision, lazy):
-        columns, rows = case
+        columns, blocks = case
+        rows = [row for block in blocks for row in zip(*block)]
         spec = f"%.{precision}g"
         cell = lambda v: "" if v is None else spec % v if isinstance(v, float) else str(v)
         bad = next(((c, v) for row in rows for c, v in zip(columns, row)
                     if isinstance(v, float) and not math.isfinite(v)), None)
-        blocks = blocks_of(rows) if lazy else list(blocks_of(rows))
+        blocks = iter(blocks) if lazy else blocks
         if bad is None:
             expected = "".join(f"{line}\n" for line in [
                 ",".join(columns), *(",".join(map(cell, row)) for row in rows)]).split("\n")
@@ -814,7 +867,7 @@ class TestRender:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_words_in_text_cells_are_not_errors(self, fmt):
         rows = [(word, 1.0) for word in ("nano", "inf", "Infinity", "NaN")]
-        text = render({"atom": "nan"}, self.COLUMNS, [rows], fmt, 6)
+        text = render({"atom": "nan"}, self.COLUMNS, [columns_of(rows)], fmt, 6)
         assert "Infinity" in text and "nano" in text
 
 

@@ -10,9 +10,10 @@ a chunk edge.
 """
 
 import math
+import operator
 import sys
 import warnings
-from itertools import chain
+from itertools import chain, repeat
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import scalar_kernel
 from attoclock import tables
 from attoclock.atom import AtomModel, catalog_lookup
-from attoclock.barrier import GEOMETRY_FIELDS, RegimeError, solve_geometry
+from attoclock.barrier import GEOMETRY_FIELDS, RegimeError, atomic_field_strength, solve_geometry
 from attoclock.clocks import ESTIMATORS, Point, compute_clocks, evaluate
 from attoclock.harness import KERNEL_CHUNK, MeasurementRecord, compare, iter_segments, run_sweep
 from attoclock.units import CONSTANTS
@@ -142,7 +143,7 @@ class TestProjection:
         atom, grid = case
         expected = reference_sweep(atom, grid)
         try:
-            cells = list(chain.from_iterable(tables.rows(
+            cells = list(chain.from_iterable(zip(*block) for block in tables.rows(
                 columns, atom, iter_segments(atom, grid, tables.reads(columns)), omega)))
         except ValueError as exc:
             assert str(exc) == expected
@@ -169,8 +170,8 @@ class TestProjection:
 
 
 class TestBlocks:
-    """tables.render formats each segment's rows with the cell types of its first
-    row, so every column of a segment must hold one cell type."""
+    """tables.render formats each column of a segment's block by the type of its
+    first cell, so every column of a segment must hold one cell type."""
 
     @settings(max_examples=60, deadline=None)
     @given(grids(), st.one_of(st.none(), st.floats(1e-3, 1.0)))
@@ -182,10 +183,28 @@ class TestBlocks:
         except ValueError as exc:
             assert str(exc) == reference_sweep(atom, grid)
             return
-        assert sum(map(len, blocks)) == len(grid)
+        assert sum(len(block[0]) for block in blocks) == len(grid)
         for block in blocks:
-            for name, cells in zip(columns, zip(*block)):
+            assert list(map(len, block)) == [len(block[0])] * len(columns)
+            for name, cells in zip(columns, block):
                 assert len(set(map(type, cells))) == 1, (name, set(map(type, cells)))
+
+    def test_dump_columns_of_one_object(self):
+        # render formats such a column once per block: 5 of 21 below F_a, 11 above
+        atom, one = catalog_lookup("He:clementi"), operator.is_
+        grid = [atomic_field_strength(atom) * (0.3 + k / 100) for k in range(200)]
+        constant = {}
+        for segment in iter_segments(atom, grid):
+            (block,) = tables.rows(tables.DUMP_COLUMNS, atom, [segment], 0.057)
+            assert all(map(len, block))
+            constant.setdefault(segment["regime"][0], set()).add(tuple(
+                name for name, cells in zip(tables.DUMP_COLUMNS, block)
+                if all(map(one, cells, repeat(cells[0]))) and len(cells) > 1))
+        assert constant == {"sub_atomic": {(
+            "regime", "delta_z_imag_au", "tau_a_as", "tau_d_re_au", "tau_d_im_au")},
+            "atomic": {()}, "super_atomic": {(
+                "regime", "delta_z_au", "x_entrance_au", "x_exit_au", "barrier_width_au",
+                "tau_i_as", "tau_d_as", "tau_unsy_as", "tau_t_as", "tau_a_as", "light_as")}}
 
 
 class TestEvaluate:
