@@ -5,7 +5,9 @@ code, ``error:`` lines and warnings.
 the CLI's ``error:`` lines on stderr and the message text of each warning;
 ``tests/golden/<name>.out`` holds the exact stdout. argparse's usage text is
 not pinned: it differs across Python versions. ``{golden}`` in an argv or a
-message stands for the golden directory (the measurement fixture lives there).
+message stands for the golden directory (the measurement fixtures live there:
+``measurements.csv``, and ``measurements_shuffled.csv``, 300 records in random
+order, 6 above F_a, whose times are He:clementi's tau_sym scaled by 0.85..1.15).
 
 Regenerate after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -78,6 +80,10 @@ def _cases() -> dict[str, list[str]]:
                "{golden}/measurements.csv"]
     cases["compare_tau_d_summary_csv"] = summary
     cases["compare_tau_d_summary_json"] = [*summary, "--format", "json"]
+    # More records than one ingest chunk, shuffled, 6 of 300 above F_a, with sources.
+    cases["compare_tau_d_shuffled_csv"] = [
+        "compare", "--atom", "He:clementi", "--estimator", "tau_d", "--residuals",
+        "--precision", "17", "{golden}/measurements_shuffled.csv"]
     cases["catalog_csv"] = ["catalog"]
     cases["catalog_json"] = ["catalog", "--format", "json"]
     # The drive path's refusals: a bad wavelength, and a gamma_k that overflows.

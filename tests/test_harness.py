@@ -1,6 +1,7 @@
 """Sweeps, CSV ingestion, comparison statistics, figure emission and the
 table renderer."""
 
+import csv
 import json
 import math
 import re
@@ -8,6 +9,7 @@ import tempfile
 import warnings
 from itertools import cycle, groupby, islice, zip_longest
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -320,20 +322,26 @@ BAD_CELLS = (("0", "-0", "-0.06", "nan", "inf", "1e999", "oops", "", "0x1p-3"),
              ("nan", "inf", "-inf", "-1e999", "oops", " "),
              ("-1", "-5e-324", "nan", "inf", "1e999", "oops", ""))
 PADS = ("", " ", "\t", "  ")
+# The csv field limit while files with extras are read: LONG_CELL, a number, is over it.
+FIELD_LIMIT = 40
+LONG_CELL = "0." + "0" * 60 + "6"
 
 
 @st.composite
-def measurement_files(draw):
+def measurement_files(draw, max_rows=8, extras=False):
     """A measurement CSV in one of the four header forms: records with padded
     cells and repeated, unordered fields, blank and whitespace-only rows, rows
-    of blank cells, and now and then a bad cell or a row of the wrong width."""
+    of blank cells, and now and then a bad cell or a row of the wrong width.
+    With extras, a cell may also be quoted around a line break, so that a row
+    spans two or three lines, or be LONG_CELL, a csv.Error under FIELD_LIMIT."""
     form = draw(st.sampled_from(HEADER_FORMS))
     width, named = form.count(",") + 1, form.endswith(",source")
     pad = lambda cell: draw(st.sampled_from(PADS)) + cell + draw(st.sampled_from(PADS))
     lines = [draw(st.sampled_from(("", "\ufeff"))) + form]
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(("record",) * 6 + ("blank", "spaces", "blank cells",
-                                                        "bad cell", "bad width")))
+    kinds = ("record",) * 6 + ("blank", "spaces", "blank cells", "bad cell", "bad width")
+    kinds += ("quoted break", "quoted break", "long cell") if extras else ()
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(kinds))
         if kind == "blank":
             lines.append("")
             continue
@@ -352,7 +360,13 @@ def measurement_files(draw):
             cells[i] = draw(st.sampled_from(BAD_CELLS[min(i, 2)]))
         elif kind == "bad width":
             cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
-        lines.append(",".join(map(pad, cells)))
+        cells = list(map(pad, cells))
+        if kind in ("quoted break", "long cell"):
+            i = draw(st.integers(0, len(cells) - 1))
+            brk = draw(st.sampled_from(("\n", "\r\n", "\n\n")))
+            # float() strips the break from a number as it strips the pads
+            cells[i] = '"' + cells[i] + brk + '"' if kind == "quoted break" else LONG_CELL
+        lines.append(",".join(cells))
     end = draw(st.sampled_from(("\n", "\r\n")))
     return end.join(lines) + draw(st.sampled_from(("", end)))
 
@@ -369,14 +383,61 @@ def ingest(load, path):
     return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
+def both_ingests(text):
+    """:func:`ingest` of ``text`` by load_measurements, then by the oracle."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(Path(directory) / "m.csv")
+        Path(path).write_text(text, encoding="utf-8", newline="")
+        return ingest(load_measurements, path), ingest(load_measurements_oracle, path)
+
+
+HEAD = "field_au,time_as,err_as,source\n"
+
+
 class TestIngestAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(measurement_files())
     def test_same_records_warning_and_refusal(self, text):
-        with tempfile.TemporaryDirectory() as directory:
-            path = str(Path(directory) / "m.csv")
-            Path(path).write_text(text, encoding="utf-8", newline="")
-            assert ingest(load_measurements, path) == ingest(load_measurements_oracle, path)
+        ours, oracle = both_ingests(text)
+        assert ours == oracle
+
+    # Many chunks: a fault in any chunk, a row spanning lines (so its line is not
+    # its index + 2), and a csv.Error before or after a bad cell, in one chunk or two.
+    @settings(max_examples=300, deadline=None)
+    @given(measurement_files(max_rows=40, extras=True), st.sampled_from((1, 2, 3, 7, 128)))
+    @example(HEAD + f"0.06,45,1,a\n0.07,45,1,{LONG_CELL}\n0.08,oops,1,c\n", 1)
+    @example(HEAD + f"0.06,45,1,a\n0.07,45,1,{LONG_CELL}\n0.08,oops,1,c\n", 128)
+    @example(HEAD + f"0.06,45,1,a\n0.08,oops,1,c\n0.07,45,1,{LONG_CELL}\n", 2)
+    @example(HEAD + f"0.06,45,1,a\n0.08,oops,1,c\n0.07,45,1,{LONG_CELL}\n", 128)
+    @example(HEAD + '0.06,45,1,"lab\n2"\n0.05,45,1,b\n\n', 1)
+    def test_across_chunks_line_breaks_and_csv_errors(self, text, chunk):
+        limit = csv.field_size_limit(FIELD_LIMIT)
+        try:
+            with mock.patch.object(harness, "INGEST_CHUNK", chunk):
+                ours, oracle = both_ingests(text)
+        finally:
+            csv.field_size_limit(limit)
+        assert ours == oracle
+
+    @pytest.mark.parametrize("form", HEADER_FORMS)
+    def test_each_refused_cell_amid_clean_rows(self, form):
+        # Each column's check alone: every refused cell of every column, in a chunk
+        # that holds no other fault.
+        width, named = form.count(",") + 1, form.endswith(",source")
+        good = ["0.05", "45", "1", "2"][:width - named] + ["lab"] * named
+        for i in range(width - named):
+            for cell in BAD_CELLS[min(i, 2)]:
+                row = [*good[:i], cell, *good[i + 1:]]
+                ours, oracle = both_ingests("\n".join([form, *map(",".join, (good, row, good))]))
+                assert ours == oracle and ": line 3: " in ours[0], (i, cell)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 128])
+    def test_line_of_a_fault_after_a_row_over_two_lines(self, chunk):
+        text = HEAD + '0.06,45,1,"lab\n2"\n' + "0.05,45,1,b\n" * 300 + "0.08,oops,1,c\n"
+        with mock.patch.object(harness, "INGEST_CHUNK", chunk):
+            (ours, _), (oracle, _) = both_ingests(text)
+        assert ours == oracle
+        assert ours.endswith(": line 304: could not convert string to float: 'oops'")
 
 
 class TestCompare:

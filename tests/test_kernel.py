@@ -240,7 +240,74 @@ def reference_compare(atom, estimator, fields):
     return used or RegimeError
 
 
+def reference_compare_records(atom, estimator, records):
+    """compare over ``records`` one record at a time, in record order, from the scalar
+    kernel: each residual row's cells as reprs, or the error compare raises, and the
+    texts of the skip warnings given before it. The kernel refuses the lowest field
+    it refuses, before any record is read."""
+    grid = sorted({record.f for record in records})
+    points = reference_sweep(atom, grid)
+    if isinstance(points, str):
+        return points, []
+    point, rows, skipped = dict(zip(grid, points)), [], []
+    for f, t, err_lo, err_hi, _ in records:
+        value = getattr(point[f], estimator)
+        if value is None:
+            skipped.append(f"record at F={f} is above barrier suppression; "
+                           f"{estimator} has no real value there; point skipped")
+            continue
+        model = value * CONSTANTS.au_time_in_attoseconds
+        if not math.isfinite(model):
+            return f"record at F={f!r}: {estimator} is {model!r} as, not a finite number", skipped
+        residual = model - t
+        within = 1 if abs(residual) <= max(err_lo, err_hi) else 0
+        rows.append(tuple(map(repr, (f, model, t, residual, within))))
+    return rows or RegimeError, skipped
+
+
+def compare_outcome(atom, estimator, records):
+    """compare's residual rows as reprs, or its error; and its warnings' texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = compare(atom, estimator, records)
+            got = [tuple(map(repr, row)) for row in report.residuals]
+        except RegimeError:
+            got = RegimeError
+        except ValueError as exc:
+            got = str(exc)
+    return got, [str(w.message) for w in caught]
+
+
 class TestCompareAgainstScalarKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(grids(), st.data())
+    def test_shuffled_records_in_record_order(self, case, data):
+        # Library records in any order, with ties: the rows, the skip warnings and
+        # the first fault follow the records as given, whatever order the kernel ran in.
+        atom, grid = case
+        picks = data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=80))
+        fields = data.draw(st.permutations([grid[i] for i in picks]))
+        cells = st.tuples(st.sampled_from((0.0, -3.5, 45.0, 1e300)),
+                          st.sampled_from(((0.0, 0.0), (1.0, 50.0), (50.0, 1.0), (1e308, 0.0))))
+        records = [MeasurementRecord(f, t, *bars)
+                   for f, (t, bars) in zip(fields, data.draw(st.lists(
+                       cells, min_size=len(fields), max_size=len(fields))))]
+        for estimator in ESTIMATORS:
+            assert (compare_outcome(atom, estimator, records)
+                    == reference_compare_records(atom, estimator, records)), estimator
+
+    def test_first_fault_in_record_order_after_its_skips(self):
+        # 1.2e-308 comes first among the records whose tau_d overflows as, though
+        # 1e-308 is the lowest field; only the skip before it is warned of.
+        atom = catalog_lookup("He:clementi")
+        records = [MeasurementRecord(f, 1.0, 1.0, 1.0) for f in (0.15, 1.2e-308, 0.2, 1e-308)]
+        got = compare_outcome(atom, "tau_d", records)
+        assert got == reference_compare_records(atom, "tau_d", records)
+        assert got == ("record at F=1.2e-308: tau_d is inf as, not a finite number",
+                       ["record at F=0.15 is above barrier suppression; tau_d has no real "
+                        "value there; point skipped"])
+
     @settings(max_examples=40, deadline=None)
     @given(grids(), st.data())
     def test_tied_fields_bit_identical(self, case, data):
