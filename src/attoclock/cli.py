@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage/config/parse error, 3 field-regime error
 """
 
 import argparse
+import gc
 import math
 import sys
 import warnings
@@ -14,8 +15,7 @@ from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import RegimeError, solve_geometry
 from .clocks import ESTIMATORS, compute_clocks
 from .tables import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, FIGURE_COLUMNS,
-                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, reads, render,
-                     rows, table)
+                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, reads, render, rows)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -128,7 +128,7 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
         raise ValueError(f"{args.data}: no measurement records")
     report = compare(atom, args.estimator, records)
     # The report's fields, residuals aside, are the summary's columns in printed order.
-    summary, block = dict(zip(report._fields[:-1], report)), tuple(zip(*report.residuals))
+    summary, block = dict(zip(report._fields[:-1], report)), report.residuals
     if args.residuals and args.format == "json":     # one document, shaped like a figure
         return render(summary, RESIDUAL_COLUMNS, [block], "json", args.precision), EXIT_OK
     text = render(summary, (), None, args.format, args.precision)
@@ -138,8 +138,8 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_catalog(args: argparse.Namespace) -> tuple[str, int]:
-    block = tuple(zip(*(next(table(CATALOG_COLUMNS, a, [None])) for a in builtin_catalog())))
-    return render(None, CATALOG_COLUMNS, [block], args.format, args.precision), EXIT_OK
+    blocks = (block for a in builtin_catalog() for block in rows(CATALOG_COLUMNS, a, [{"n": 1}]))
+    return render(None, CATALOG_COLUMNS, blocks, args.format, args.precision), EXIT_OK
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -232,8 +232,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:   # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     # A warning prints as one line, like an error: no source file, line or code.
-    saved = warnings.formatwarning
+    saved, collecting = warnings.formatwarning, gc.isenabled()
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    # The data path builds no reference cycles, so the collector would only walk it.
+    gc.disable()
     try:
         text, code = args.func(args)     # evaluate, then render
         if args.out is None:
@@ -250,3 +252,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     finally:
         warnings.formatwarning = saved
+        if collecting:
+            gc.enable()

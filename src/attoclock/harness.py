@@ -42,8 +42,8 @@ class MeasurementRecord(collections.namedtuple("MeasurementRecord",
 
 
 # Residual statistics of a model curve against measured points: compare's
-# summary columns in printed order, then one residual row per used record in
-# tables.RESIDUAL_COLUMNS order.
+# summary columns in printed order, then the residual columns in
+# tables.RESIDUAL_COLUMNS order, each a list with one cell per used record.
 ComparisonReport = collections.namedtuple(
     "ComparisonReport", "model_id estimator n_records n_used n_skipped rms_as max_abs_as "
                         "fraction_within_bars residuals")
@@ -211,7 +211,7 @@ def compare(atom: AtomModel, estimator: str,
         model_id=f"{atom.label()}/{estimator}", estimator=estimator, n_records=len(data),
         n_used=n, n_skipped=len(data) - n, rms_as=math.sqrt(sum_squares / n),
         max_abs_as=max(map(abs, res)), fraction_within_bars=sum(within) / n,
-        residuals=tuple(zip(compress(fields, used), model, compress(times, used), res, within)))
+        residuals=([*compress(fields, used)], model, [*compress(times, used)], res, within))
 
 
 def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,

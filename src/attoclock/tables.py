@@ -158,11 +158,3 @@ def rows(columns: Sequence[str], atom: AtomModel | None, segments: Iterable[Mapp
     :data:`COLUMNS` entry evaluated over the whole segment; an unknown name is a KeyError."""
     program, scope = _program(tuple(columns)), {**_NAMESPACE, "a": atom, "w": omega}
     return (eval(program, scope, segment) for segment in segments)
-
-
-def table(columns: Sequence[str], atom: AtomModel | None, points: Iterable[Point | None],
-          omega: float | None = None) -> Iterator[tuple]:
-    """Each point's row (:class:`attoclock.clocks.Point`), a tuple, lazily: the :func:`rows`
-    blocks of one-point segments, transposed. Columns of the atom alone take None points."""
-    return chain.from_iterable(zip(*block) for block in rows(
-        columns, atom, (dict(zip(Point._fields, zip(p or ())), n=1) for p in points), omega))

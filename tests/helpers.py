@@ -1,10 +1,23 @@
 """Shared strategies and small helpers for the test suite."""
 
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
+
 from hypothesis import strategies as st
 
 from attoclock.atom import AtomModel
 from attoclock.barrier import atomic_field_strength
-from attoclock.tables import table
+from attoclock.clocks import Point
+from attoclock.tables import rows
+
+
+def table(columns: Sequence[str], atom: AtomModel | None, points: Iterable[Point | None],
+          omega: float | None = None) -> Iterator[tuple]:
+    """Each point's row (:class:`attoclock.clocks.Point`), a tuple, lazily: the
+    :func:`attoclock.tables.rows` blocks of one-point segments, transposed. Columns of
+    the atom alone take None points."""
+    return chain.from_iterable(zip(*block) for block in rows(
+        columns, atom, (dict(zip(Point._fields, zip(p or ())), n=1) for p in points), omega))
 
 
 def rel_err(value: float, reference: float) -> float:

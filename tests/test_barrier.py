@@ -14,8 +14,7 @@ from attoclock.atom import AtomModel
 from attoclock.barrier import (ATOMIC_BAND, GEOMETRY_FIELDS, RegimeError,
                                atomic_field_strength, classify_regime, solve_geometry)
 from attoclock.clocks import evaluate
-from attoclock.tables import table
-from helpers import rel_err, subatomic_cases
+from helpers import rel_err, subatomic_cases, table
 from reference import exit_points_oracle, signed_barrier_height
 
 F06 = 0.06

@@ -14,10 +14,10 @@ from attoclock.atom import AtomModel, catalog_lookup
 from attoclock.barrier import atomic_field_strength
 from attoclock.clocks import Point, evaluate
 from attoclock.harness import iter_sweep
-from attoclock.tables import DRIVE_COLUMNS, GEOMETRY_COLUMNS, TIMES_COLUMNS, table
+from attoclock.tables import DRIVE_COLUMNS, GEOMETRY_COLUMNS, TIMES_COLUMNS
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
-from helpers import complex_parts, rel_err, subatomic_cases
+from helpers import complex_parts, rel_err, subatomic_cases, table
 
 F06 = 0.06
 

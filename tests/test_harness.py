@@ -21,10 +21,10 @@ from attoclock import harness, tables
 from attoclock.clocks import evaluate
 from attoclock.harness import (MeasurementRecord, compare, emit_figure_data, iter_sweep,
                                load_measurements, run_sweep)
-from attoclock.tables import COLUMNS, DUMP_COLUMNS, render, table
+from attoclock.tables import COLUMNS, DUMP_COLUMNS, render
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
-from helpers import rel_err
+from helpers import rel_err, table
 from reference import fit_width_relation, load_measurements_oracle
 
 GRID_9 = [0.03 + 0.01 * k for k in range(9)]   # 0.03 .. 0.11
@@ -457,7 +457,7 @@ class TestCompare:
         assert abs(report.rms_as - 1.0) < 1e-9
         assert report.fraction_within_bars == 1.0
         # residual is model - measurement, so the offset shows up negative
-        assert all(abs(r + 1.0) < 1e-9 for _, _, _, r, _ in report.residuals)
+        assert all(abs(r + 1.0) < 1e-9 for _, _, _, r, _ in zip(*report.residuals))
 
     def test_offset_beyond_bars(self, he_clementi, rows9, tmp_path):
         data = [(r.f, tau_d_as(r) + 5.0, 2.0, 2.0) for r in rows9]
@@ -479,14 +479,14 @@ class TestCompare:
             report = compare(he_clementi, "tau_d", load_measurements(path))
         assert report.n_skipped == 1
         assert report.n_records == 2
-        assert len(report.residuals) == 1
+        assert len([*zip(*report.residuals)]) == 1
 
     def test_symmetric_estimator_covers_superatomic_records(self, he_clementi, tmp_path):
         geom_f = 0.15
         data = [(geom_f, 20.0, 2.0, 2.0)]
         path = write_measurement_csv(tmp_path / "sym.csv", data)
         report = compare(he_clementi, "tau_sym", load_measurements(path))
-        assert report.n_skipped == 0 and len(report.residuals) == 1
+        assert report.n_skipped == 0 and len([*zip(*report.residuals)]) == 1
 
     def test_all_records_superatomic_raises_regime_error(self, he_clementi, tmp_path):
         path = write_measurement_csv(tmp_path / "sup.csv", [(0.15, 10.0, 1.0, 1.0)])
@@ -515,7 +515,7 @@ class TestCompare:
             report = compare(he_clementi, estimator, records)
         model = {f: getattr(evaluate(he_clementi, f), estimator) for f in set(fields)}
         used = [r for r in records if model[r.f] is not None]
-        assert [(row[0], row[1], row[2]) for row in report.residuals] == [
+        assert [(row[0], row[1], row[2]) for row in zip(*report.residuals)] == [
             (r.f, model[r.f] * CONSTANTS.au_time_in_attoseconds, r.t) for r in used]
         skipped = [r.f for r in records if model[r.f] is None]
         assert [str(w.message).split(" is ")[0] for w in caught] == [

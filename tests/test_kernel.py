@@ -25,6 +25,7 @@ from attoclock.barrier import GEOMETRY_FIELDS, RegimeError, atomic_field_strengt
 from attoclock.clocks import ESTIMATORS, Point, compute_clocks, evaluate
 from attoclock.harness import KERNEL_CHUNK, MeasurementRecord, compare, iter_segments, run_sweep
 from attoclock.units import CONSTANTS
+from helpers import table
 
 MAX, MIN = sys.float_info.max, sys.float_info.min
 SIZES = (0, 1, 31, 32, 33, KERNEL_CHUNK - 1, KERNEL_CHUNK, KERNEL_CHUNK + 1,
@@ -150,7 +151,7 @@ class TestProjection:
             return
         points = [Point._make(p) for p in expected]
         assert [list(map(repr, row)) for row in cells] == [
-            list(map(repr, row)) for row in tables.table(columns, atom, points, omega)]
+            list(map(repr, row)) for row in table(columns, atom, points, omega)]
 
     @settings(max_examples=60, deadline=None)
     @given(grids())
@@ -271,7 +272,7 @@ def compare_outcome(atom, estimator, records):
         warnings.simplefilter("always")
         try:
             report = compare(atom, estimator, records)
-            got = [tuple(map(repr, row)) for row in report.residuals]
+            got = [tuple(map(repr, row)) for row in zip(*report.residuals)]
         except RegimeError:
             got = RegimeError
         except ValueError as exc:
@@ -320,7 +321,7 @@ class TestCompareAgainstScalarKernel:
                 warnings.simplefilter("ignore")
                 try:
                     report = compare(atom, estimator, records)
-                    got = [(row[0], repr(row[1])) for row in report.residuals]
+                    got = [(row[0], repr(row[1])) for row in zip(*report.residuals)]
                 except RegimeError:
                     got = RegimeError
                 except ValueError as exc:
