@@ -9,13 +9,14 @@ import gc
 import math
 import sys
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from itertools import chain
 
 from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import RegimeError, solve_geometry
 from .clocks import ESTIMATORS, compute_clocks
 from .tables import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, FIGURE_COLUMNS,
-                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, reads, render, rows)
+                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, pieces, reads, render, rows)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -105,19 +106,17 @@ def cmd_point(args: argparse.Namespace) -> tuple[str, int]:
             EXIT_REGIME if not segments[0]["real"] else EXIT_OK)
 
 
-def cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
-    from .harness import emit_figure_data, iter_segments
+def cmd_sweep(args: argparse.Namespace) -> tuple[Iterator[str], int]:
+    from .harness import figure_pieces, iter_segments
     atom = _resolve_atom(args)
     grid = parse_grid(args.grid)
     omega = _omega(args)          # a bad --wavelength exits 2 on both paths
     if args.figure:
         if omega is not None:
             raise ValueError("--wavelength has no column in a --figure table")
-        return (emit_figure_data(atom, grid, args.figure, args.precision, args.format),
-                EXIT_OK)
-    segments = iter_segments(atom, grid, reads(DUMP_COLUMNS))  # lazy: the dump holds its text
-    return render(None, DUMP_COLUMNS, rows(DUMP_COLUMNS, atom, segments, omega),
-                  args.format, args.precision), EXIT_OK
+        return figure_pieces(atom, grid, args.figure, args.precision, args.format), EXIT_OK
+    blocks = rows(DUMP_COLUMNS, atom, iter_segments(atom, grid, reads(DUMP_COLUMNS)), omega)
+    return pieces(None, DUMP_COLUMNS, blocks, args.format, args.precision), EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
@@ -237,12 +236,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The data path builds no reference cycles, so the collector would only walk it.
     gc.disable()
     try:
-        text, code = args.func(args)     # evaluate, then render
+        out, code = args.func(args)     # one text, or a sweep's pieces: refused in the first
+        out = [out] if isinstance(out, str) else chain([next(out)], out)   # before any write
         if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            sys.stdout.writelines(out)
+        else:     # in 64 KiB writes: a figure's pieces are small
+            with open(args.out, "w", encoding="utf-8", buffering=1 << 16) as fh:
+                fh.writelines(out)
         return code
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from itertools import chain, compress, islice, repeat, takewhile
 from .atom import AtomModel
 from .barrier import RegimeError, Segment, solve_geometry
 from .clocks import ESTIMATORS, Point, compute_clocks
-from .tables import FIGURE_COLUMNS, check_format, reads, render, rows
+from .tables import FIGURE_COLUMNS, check_format, pieces, reads, rows
 from .units import CONSTANTS
 
 
@@ -63,7 +63,7 @@ def iter_segments(atom: AtomModel, f_grid: Sequence[float],
         raise ValueError("field grid is empty")
     # Ascending from a positive start to a finite end is valid; else walk it to name the fault.
     if not (f_grid[0] > 0 and math.isfinite(f_grid[-1])
-            and all(map(operator.lt, f_grid, f_grid[1:]))):
+            and all(map(operator.lt, f_grid, islice(f_grid, 1, None)))):
         for i, f in enumerate(f_grid):
             if not (math.isfinite(f) and f > 0):
                 raise ValueError(f"grid value {f!r} is not a positive finite field")
@@ -73,16 +73,10 @@ def iter_segments(atom: AtomModel, f_grid: Sequence[float],
         atom, solve_geometry(atom, f_grid[lo:lo + KERNEL_CHUNK], wanted), wanted))
 
 
-def iter_sweep(atom: AtomModel, f_grid: Sequence[float]) -> Iterator[Point]:
-    """:func:`attoclock.clocks.evaluate`'s point at each field of a grid, lazily;
-    the grid is checked as :func:`iter_segments` checks it."""
-    return chain.from_iterable(map(Point._make, zip(*map(segment.__getitem__, Point._fields)))
-                               for segment in iter_segments(atom, f_grid))
-
-
 def run_sweep(atom: AtomModel, f_grid: Sequence[float]) -> list[Point]:
-    """Every point of :func:`iter_sweep`, as a list."""
-    return list(iter_sweep(atom, f_grid))
+    """The kernel's point at each field of a grid, checked by :func:`iter_segments`."""
+    return [*chain.from_iterable(map(Point._make, zip(*map(segment.__getitem__, Point._fields)))
+                                 for segment in iter_segments(atom, f_grid))]
 
 
 _HEADER_4 = ["field_au", "time_as", "err_lo_as", "err_hi_as"]
@@ -217,10 +211,16 @@ def compare(atom: AtomModel, estimator: str,
 def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
                      precision: int = 12, fmt: str = "csv") -> str:
     """The data behind one figure, evaluated lazily over a field grid, as
-    :func:`render` text. Columns are fixed per figure; the metadata records the
-    atom, grid and constants-table version. The width-vs-time table (fig4)
-    admits only points below barrier suppression; the time-vs-field tables (fig2,
-    fig3) also admit the critical-field point. Arguments are checked before the grid."""
+    :func:`attoclock.tables.render` text. Columns are fixed per figure; the metadata
+    records the atom, grid and constants-table version. The width-vs-time table (fig4)
+    admits only points below barrier suppression; the time-vs-field tables (fig2, fig3)
+    also admit the critical-field point. Arguments are checked before the grid."""
+    return "".join(figure_pieces(atom, f_grid, figure, precision, fmt))
+
+
+def figure_pieces(atom: AtomModel, f_grid: Sequence[float], figure: str,
+                  precision: int = 12, fmt: str = "csv") -> Iterator[str]:
+    """:func:`emit_figure_data`'s pieces; checked, and evaluated to its first segment."""
     columns = FIGURE_COLUMNS.get(figure) if isinstance(figure, str) else None
     if columns is None:
         raise ValueError(f"unknown figure {figure!r}; choose from {tuple(FIGURE_COLUMNS)}")
@@ -242,4 +242,4 @@ def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
     meta = {"atom": atom.name, "source": atom.source, "z_eff": f"{atom.z_eff:.12g}",
             "i_p": f"{atom.ip:.12g}", "grid": ",".join(["%.12g"] * len(f_grid)) % tuple(f_grid),
             "constants": CONSTANTS.version}
-    return render(meta, columns, rows(columns, atom, chain((first,), segments)), fmt, precision)
+    return pieces(meta, columns, rows(columns, atom, chain((first,), segments)), fmt, precision)

@@ -30,16 +30,23 @@ def check_format(fmt: str, precision: int) -> None:
 
 def render(meta: dict[str, object] | None, columns: Sequence[str],
            blocks: Iterable[Sequence[Sequence]] | None, fmt: str, precision: int) -> str:
-    """One table as CSV (``# key=value`` metadata lines, header, rows) or JSON (a
-    list of row objects, or ``{"meta": ..., "rows": [...]}`` with metadata). With
-    ``blocks`` None, ``meta`` is one record: a JSON object, or a CSV header of its keys
-    and one row of its values. A block is a list of cells per column, in ``columns``
-    order, each column of one cell type, as a kernel segment's columns; blocks are
-    consumed once, so may be lazy. CSV formats a block before it pulls the next: a
-    column that is one finite object on every row is formatted once, into the block's
-    row template, which the other columns fill _CHUNK rows per ``%``. A non-finite
-    float cell or metadata value is an error naming its column or key, the first in row
-    order; in CSV it wins over a later pull's error. See :func:`check_format`."""
+    """:func:`pieces`' text, joined."""
+    return "".join(pieces(meta, columns, blocks, fmt, precision))
+
+
+def pieces(meta: dict[str, object] | None, columns: Sequence[str],
+           blocks: Iterable[Sequence[Sequence]] | None, fmt: str, precision: int) -> Iterator[str]:
+    """One table's text, lazily: CSV (``# key=value`` metadata lines, header, rows) as one
+    piece per block with rows, the first led by the metadata and header (or those alone), or
+    JSON (a list of row objects, or ``{"meta": ..., "rows": [...]}`` with metadata) as one
+    piece. With ``blocks`` None, ``meta`` is one record: a JSON object, or a CSV header of
+    its keys and one row of its values. A block is a list of cells per column, in
+    ``columns`` order, each column of one cell type, as a kernel segment's columns; blocks
+    are consumed once, so may be lazy. CSV formats a block before it pulls the next: a
+    column that is one finite object on every row is formatted once, into the block's row
+    template, which the other columns fill _CHUNK rows per ``%``. A non-finite float cell
+    or metadata value is an error naming its column or key, the first in row order; in CSV
+    it wins over a later pull's error. See :func:`check_format`."""
     check_format(fmt, precision)
     if fmt == "json":
         import json
@@ -50,7 +57,8 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
         # every cell, which is done only on a hit (a text cell can hold the word).
         if "Infinity" in text or "NaN" in text:
             _check_finite(chain.from_iterable(map(dict.items, [meta or {}, *records])))
-        return text + "\n"
+        yield text + "\n"
+        return
     if blocks is None:
         meta, columns, blocks = None, meta.keys(), [[[value] for value in meta.values()]]
     lines = [*(f"# {key}={value}" for key, value in (meta or {}).items()), ",".join(columns)]
@@ -77,8 +85,9 @@ def render(meta: dict[str, object] | None, columns: Sequence[str],
             if "n" in text:     # inf and nan print with one; only then are cells tested
                 _check_finite(zip(cycle([name for name, _ in varying]), chunk))
             lines.append(text)
-    lines.append("")
-    return "\n".join(lines)
+        yield "\n".join([*lines, ""])
+        lines = []
+    yield from ["\n".join([*lines, ""])] if lines else []     # no rows: the header alone
 
 
 # Every output column, once: its cells as an expression over the atom ``a``, the
@@ -104,7 +113,8 @@ COLUMNS = {
     "tau_i_re_au": "tau_d_re",
     "tau_i_im_au": "[None] * n if tau_d_im[0] is None else [-t for t in tau_d_im]",
     # Keldysh's adiabaticity parameter omega sqrt(2 ip) / F; None without a drive.
-    "gamma_k": "[None if w is None else w * sqrt(2.0 * a.ip) / x for x in f]",
+    "gamma_k": "[None] * n if w is None else "   # f rebound: an inner loop sees no locals
+               "[c / x for c, f in [(w * sqrt(2.0 * a.ip), f)] for x in f]",
 }
 # Every name a COLUMNS expression reads, bound once; nothing else is in scope.
 _NAMESPACE = {

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from attoclock.atom import AtomModel
 from attoclock.barrier import atomic_field_strength
 from attoclock.clocks import Point
+from attoclock.harness import iter_segments
 from attoclock.tables import rows
 
 
@@ -18,6 +19,13 @@ def table(columns: Sequence[str], atom: AtomModel | None, points: Iterable[Point
     the atom alone take None points."""
     return chain.from_iterable(zip(*block) for block in rows(
         columns, atom, (dict(zip(Point._fields, zip(p or ())), n=1) for p in points), omega))
+
+
+def iter_sweep(atom: AtomModel, f_grid: Sequence[float]) -> Iterator[Point]:
+    """:func:`attoclock.clocks.evaluate`'s point at each field of a grid, lazily: the
+    segments of :func:`attoclock.harness.iter_segments`, which checks the grid, as rows."""
+    return chain.from_iterable(map(Point._make, zip(*map(segment.__getitem__, Point._fields)))
+                               for segment in iter_segments(atom, f_grid))
 
 
 def rel_err(value: float, reference: float) -> float:

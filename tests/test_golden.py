@@ -121,6 +121,18 @@ def test_replay_is_byte_identical(name):
     assert out == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(_manifest()))
+def test_replay_to_out_writes_the_same_bytes(name, tmp_path):
+    case, path = _manifest()[name], tmp_path / "out.txt"
+    code, out, errors, messages = run([*case["argv"], "--out", str(path)])
+    assert (code, out, errors, messages) == (case["exit"], b"", case["errors"], case["warnings"])
+    expected = (GOLDEN / f"{name}.out").read_bytes()
+    if path.exists():
+        assert path.read_bytes() == expected
+    else:       # refused: main opens --out only once the first piece is made
+        assert code != 0 and not expected
+
+
 @pytest.mark.parametrize("name", sorted(n for n in _manifest() if "_json" in n))
 def test_json_golden_is_one_document(name):
     json.loads((GOLDEN / f"{name}.out").read_text(encoding="utf-8"))

@@ -19,12 +19,12 @@ from attoclock.atom import AtomModel, catalog_lookup
 from attoclock.barrier import ATOMIC_BAND, RegimeError, atomic_field_strength, classify_regime
 from attoclock import harness, tables
 from attoclock.clocks import evaluate
-from attoclock.harness import (MeasurementRecord, compare, emit_figure_data, iter_sweep,
+from attoclock.harness import (MeasurementRecord, compare, emit_figure_data,
                                load_measurements, run_sweep)
 from attoclock.tables import COLUMNS, DUMP_COLUMNS, render
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
-from helpers import rel_err, table
+from helpers import iter_sweep, rel_err, table
 from reference import fit_width_relation, load_measurements_oracle
 
 GRID_9 = [0.03 + 0.01 * k for k in range(9)]   # 0.03 .. 0.11
