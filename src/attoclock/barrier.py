@@ -9,7 +9,6 @@ barrier in closed form over ascending chunks of fields.
 import functools
 import math
 from bisect import bisect_left
-from collections.abc import Iterable
 
 from .atom import AtomModel
 
@@ -44,17 +43,12 @@ def classify_regime(atom: AtomModel, f: float) -> str:
 
 class Segment(dict):
     """A run of a chunk's fields on which every closed form takes one branch: its
-    columns by name, each computed from its recipe when first read, its length n
-    and its branch flags (see GEOMETRY)."""
+    columns by name, each computed from its recipe when first read and then kept,
+    its length n and its branch flags (see GEOMETRY)."""
 
     def __missing__(self, name: str) -> list:
         self[name] = column = eval(_compiled(self.recipes[name]), self.scope, self)
         return column
-
-    def take(self, wanted: Iterable[str]) -> "Segment":
-        for name in self.recipes.keys() & set(wanted):    # computed now, not when read
-            self[name]
-        return self
 
 
 _compiled = functools.cache(lambda source: compile(source, source, "eval"))
@@ -95,11 +89,11 @@ def _branches(atom: AtomModel, f: float) -> tuple:
             above and 2.0 * (ip2 + dzi * dzi) == math.inf)
 
 
-def solve_geometry(atom: AtomModel, fields: list[float],
-                   wanted: Iterable[str] = GEOMETRY_FIELDS) -> list[Segment]:
+def solve_geometry(atom: AtomModel, fields: list[float]) -> list[Segment]:
     """The barrier over one non-empty, non-decreasing chunk of positive finite fields
     (au), the first of the kernel's two stages: the chunk split with ``bisect`` where
-    a branch of the closed forms changes, with the ``wanted`` columns of each."""
+    a branch of the closed forms changes, each segment holding its f, n, regime and
+    branch flags."""
     ip, z_eff, rz = atom.ip, atom.z_eff, math.sqrt(atom.z_eff)
     scope = {"__builtins__": {}, "sqrt": math.sqrt, "abs": abs, "zip": zip, "map": map,
              "list": list, "ip": ip, "ip2": ip * ip, "z_eff": z_eff, "c4": 4.0 * z_eff,
@@ -114,6 +108,6 @@ def solve_geometry(atom: AtomModel, fields: list[float],
                           below=regime == "sub_atomic", real=regime != "super_atomic",
                           xfall=big or small, huge=huge, over=over)
         segment.scope, segment.recipes = scope, GEOMETRY
-        segments.append(segment.take(wanted))
+        segments.append(segment)
         lo = hi
     return segments

@@ -16,7 +16,7 @@ from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import RegimeError, solve_geometry
 from .clocks import ESTIMATORS, compute_clocks
 from .tables import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, FIGURE_COLUMNS,
-                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, pieces, reads, render, rows)
+                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, pieces, render, rows)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -98,9 +98,9 @@ def cmd_point(args: argparse.Namespace) -> tuple[str, int]:
     field = _resolve_field(args)
     omega = _omega(args)
     columns = args.columns if omega is None else args.columns + DRIVE_COLUMNS
-    segments = solve_geometry(atom, [field.f_peak], reads(columns))
+    segments = solve_geometry(atom, [field.f_peak])
     if args.command == "times":
-        segments = compute_clocks(atom, segments, reads(columns))
+        segments = compute_clocks(atom, segments)
     ((values,),) = (zip(*block) for block in rows(columns, atom, segments, omega))
     return (render(dict(zip(columns, values)), (), None, args.format, args.precision),
             EXIT_REGIME if not segments[0]["real"] else EXIT_OK)
@@ -115,7 +115,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Iterator[str], int]:
         if omega is not None:
             raise ValueError("--wavelength has no column in a --figure table")
         return figure_pieces(atom, grid, args.figure, args.precision, args.format), EXIT_OK
-    blocks = rows(DUMP_COLUMNS, atom, iter_segments(atom, grid, reads(DUMP_COLUMNS)), omega)
+    blocks = rows(DUMP_COLUMNS, atom, iter_segments(atom, grid), omega)
     return pieces(None, DUMP_COLUMNS, blocks, args.format, args.precision), EXIT_OK
 
 

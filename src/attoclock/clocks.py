@@ -9,19 +9,18 @@ while their sum stays real.
 
 import collections
 import math
-from collections.abc import Iterable
 
 from .atom import AtomModel
 from .barrier import GEOMETRY, GEOMETRY_FIELDS, Segment, solve_geometry
 
-CLOCK_FIELDS = ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c", "tau_t", "tau_a",
-                "de_plus", "de_minus", "tau_d_re", "tau_d_im")
 # One point, in au: the geometry, then the times, all functions of (atom, F)
 # alone. None marks what it lacks: above barrier suppression the real-only times
 # and energy uncertainties; at or below it the complex crossing time tau_d_re +
 # i tau_d_im (the approach time is its conjugate). The drive's gamma_k is an
 # output column of tables.COLUMNS, not a field.
-Point = collections.namedtuple("Point", GEOMETRY_FIELDS + CLOCK_FIELDS)
+Point = collections.namedtuple("Point", GEOMETRY_FIELDS + (
+    "tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c", "tau_t", "tau_a", "de_plus",
+    "de_minus", "tau_d_re", "tau_d_im"))
 # The Point fields ``compare --estimator`` scores against measured times.
 ESTIMATORS = ("tau_d", "tau_sym", "tau_unsy", "tau_t")
 
@@ -57,12 +56,11 @@ def evaluate(atom: AtomModel, f: float) -> Point:
     return Point._make(segment[name][0] for name in Point._fields)
 
 
-def compute_clocks(atom: AtomModel, geometry: list[Segment],
-                   wanted: Iterable[str] = CLOCK_FIELDS) -> list[Segment]:
-    """Every time estimator over one chunk's geometry: its segments, with the
-    ``wanted`` columns of each. 4 z_eff F or the gap below the smallest normal double
-    is an error; both rise with F, so the chunk's first field is the lowest refused. Its
-    gap is taken alone, by the gap recipe's operations, building no column."""
+def compute_clocks(atom: AtomModel, geometry: list[Segment]) -> list[Segment]:
+    """Every time estimator over one chunk's geometry: its segments, each time computed
+    when first read. 4 z_eff F or the gap below the smallest normal double is an error;
+    both rise with F, so the chunk's first field is the lowest refused. Its gap is taken
+    alone, by the gap recipe's operations, building no column."""
     for segment in geometry:
         segment.recipes = RECIPES
     first, ip = geometry[0], atom.ip
@@ -74,4 +72,4 @@ def compute_clocks(atom: AtomModel, geometry: list[Segment],
     if first["real"] and gap < 2.2250738585072014e-308:
         raise ValueError(f"at F={f!r} au the gap 4 z_eff F / (ip + delta_z) = {gap!r} "
                          "underflows the normal range, so tau_d has no accurate finite value")
-    return [segment.take(wanted) for segment in geometry]
+    return geometry

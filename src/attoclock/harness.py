@@ -17,7 +17,7 @@ from itertools import chain, compress, islice, repeat, takewhile
 from .atom import AtomModel
 from .barrier import RegimeError, Segment, solve_geometry
 from .clocks import ESTIMATORS, Point, compute_clocks
-from .tables import FIGURE_COLUMNS, check_format, pieces, reads, rows
+from .tables import FIGURE_COLUMNS, check_format, pieces, rows
 from .units import CONSTANTS
 
 
@@ -54,10 +54,9 @@ ComparisonReport = collections.namedtuple(
 KERNEL_CHUNK = 128
 
 
-def iter_segments(atom: AtomModel, f_grid: Sequence[float],
-                  wanted: Iterable[str] = Point._fields) -> Iterator[Segment]:
-    """The kernel's segments over a grid, lazily, with the ``wanted`` columns of
-    each: one call of each stage per chunk of KERNEL_CHUNK fields. The whole grid is
+def iter_segments(atom: AtomModel, f_grid: Sequence[float]) -> Iterator[Segment]:
+    """The kernel's segments over a grid, lazily: one call of each stage per chunk of
+    KERNEL_CHUNK fields, each column computed when first read. The whole grid is
     checked first: it must be strictly ascending and positive."""
     if len(f_grid) == 0:
         raise ValueError("field grid is empty")
@@ -70,7 +69,7 @@ def iter_segments(atom: AtomModel, f_grid: Sequence[float],
             if i and not f > f_grid[i - 1]:
                 raise ValueError("field grid must be strictly ascending with no duplicates")
     return (segment for lo in range(0, len(f_grid), KERNEL_CHUNK) for segment in compute_clocks(
-        atom, solve_geometry(atom, f_grid[lo:lo + KERNEL_CHUNK], wanted), wanted))
+        atom, solve_geometry(atom, f_grid[lo:lo + KERNEL_CHUNK])))
 
 
 def run_sweep(atom: AtomModel, f_grid: Sequence[float]) -> list[Point]:
@@ -174,7 +173,7 @@ def compare(atom: AtomModel, estimator: str,
     # the records' fields if they ascend strictly, else their sorted set, looked up.
     fields, times, err_lo, err_hi, _ = zip(*data)
     grid = fields if all(map(operator.lt, fields, fields[1:])) else sorted(set(fields))
-    model_au = [*chain.from_iterable(s[estimator] for s in iter_segments(atom, grid, (estimator,)))]
+    model_au = [*chain.from_iterable(s[estimator] for s in iter_segments(atom, grid))]
     if grid is not fields:
         model_au = list(map(dict(zip(grid, model_au)).__getitem__, fields))
     # None: above F_a. Skips are warned of up to the first non-finite model time, if any.
@@ -225,7 +224,7 @@ def figure_pieces(atom: AtomModel, f_grid: Sequence[float], figure: str,
     if columns is None:
         raise ValueError(f"unknown figure {figure!r}; choose from {tuple(FIGURE_COLUMNS)}")
     check_format(fmt, precision)
-    segments = iter_segments(atom, f_grid, reads(columns))
+    segments = iter_segments(atom, f_grid)
     if figure == "fig4":
         flag, refusal = "below", ("no real barrier in any sweep row; the width table "
                                   "needs fields below barrier suppression")

@@ -157,11 +157,6 @@ def _program(columns: tuple[str, ...]):
     return compile(f"[{', '.join(COLUMNS[name] for name in columns)}]", "COLUMNS", "eval")
 
 
-def reads(columns: Sequence[str]) -> tuple[str, ...]:
-    """The segment columns (and other names) that ``columns``' expressions read."""
-    return _program(tuple(columns)).co_names
-
-
 def rows(columns: Sequence[str], atom: AtomModel | None, segments: Iterable[Mapping],
          omega: float | None = None) -> Iterator[list[list]]:
     """Lazily, one :func:`render` block per segment: a list of the ``columns``, each its

@@ -636,8 +636,8 @@ class TestEmitFigureData:
         atom = catalog_lookup("He:clementi")
         solve = harness.solve_geometry
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(harness, "solve_geometry", lambda atom, fields, wanted:
-                          solve(atom, [0.05] * len(fields), wanted))
+            patch.setattr(harness, "solve_geometry", lambda atom, fields:
+                          solve(atom, [0.05] * len(fields)))
             text = emit_figure_data(atom, grid, "fig3")
         (line,) = [line for line in text.splitlines() if line.startswith("# grid=")]
         assert line == "# grid=" + ",".join(f"{f:.12g}" for f in grid)
