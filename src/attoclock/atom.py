@@ -6,8 +6,7 @@ import sys
 
 from .units import elliptical_peak_field, intensity_to_field
 
-# Default He ionization potential in au (24.587 eV over the Hartree energy).
-# Overridable in every constructor and with the CLI's --ip.
+# The catalog's He ionization potential in au (24.587 eV over the Hartree energy).
 HE_IP_AU = 0.90357
 
 

@@ -16,7 +16,7 @@ from .atom import AtomModel, LaserField, builtin_catalog, catalog_lookup
 from .barrier import RegimeError, solve_geometry
 from .clocks import ESTIMATORS, compute_clocks
 from .tables import (CATALOG_COLUMNS, DRIVE_COLUMNS, DUMP_COLUMNS, FIGURE_COLUMNS,
-                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, pieces, render, rows)
+                     GEOMETRY_COLUMNS, RESIDUAL_COLUMNS, TIMES_COLUMNS, pieces, rows)
 from .units import wavelength_to_angular_frequency
 
 EXIT_OK = 0
@@ -91,7 +91,7 @@ def _omega(args: argparse.Namespace) -> float | None:
     return wavelength_to_angular_frequency(args.wavelength)
 
 
-def cmd_point(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_point(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     """geometry or times: one record of the columns its subparser set. geometry runs
     the geometry stage alone, so the times' refusals do not apply to it."""
     atom = _resolve_atom(args)
@@ -102,7 +102,7 @@ def cmd_point(args: argparse.Namespace) -> tuple[str, int]:
     if args.command == "times":
         segments = compute_clocks(atom, segments)
     ((values,),) = (zip(*block) for block in rows(columns, atom, segments, omega))
-    return (render(dict(zip(columns, values)), (), None, args.format, args.precision),
+    return (pieces(dict(zip(columns, values)), (), None, args.format, args.precision),
             EXIT_REGIME if not segments[0]["real"] else EXIT_OK)
 
 
@@ -119,7 +119,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     return pieces(None, DUMP_COLUMNS, blocks, args.format, args.precision), EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_compare(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     from .harness import compare, load_measurements
     atom = _resolve_atom(args)
     records = load_measurements(args.data)
@@ -129,16 +129,16 @@ def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
     # The report's fields, residuals aside, are the summary's columns in printed order.
     summary, block = dict(zip(report._fields[:-1], report)), report.residuals
     if args.residuals and args.format == "json":     # one document, shaped like a figure
-        return render(summary, RESIDUAL_COLUMNS, [block], "json", args.precision), EXIT_OK
-    text = render(summary, (), None, args.format, args.precision)
-    if args.residuals:
-        text += render(None, RESIDUAL_COLUMNS, [block], "csv", args.precision)
-    return text, EXIT_OK
+        return pieces(summary, RESIDUAL_COLUMNS, [block], "json", args.precision), EXIT_OK
+    out = pieces(summary, (), None, args.format, args.precision)
+    if args.residuals:    # finite: were a residual_as not, rms_as would refuse first
+        out = chain(out, pieces(None, RESIDUAL_COLUMNS, [block], "csv", args.precision))
+    return out, EXIT_OK
 
 
-def cmd_catalog(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_catalog(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     blocks = (block for a in builtin_catalog() for block in rows(CATALOG_COLUMNS, a, [{"n": 1}]))
-    return render(None, CATALOG_COLUMNS, blocks, args.format, args.precision), EXIT_OK
+    return pieces(None, CATALOG_COLUMNS, blocks, args.format, args.precision), EXIT_OK
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -236,8 +236,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The data path builds no reference cycles, so the collector would only walk it.
     gc.disable()
     try:
-        out, code = args.func(args)     # one text, or a sweep's pieces: refused in the first
-        out = [out] if isinstance(out, str) else chain([next(out)], out)   # before any write
+        out, code = args.func(args)     # pieces: a refusal comes with the first,
+        out = chain([next(out)], out)   # so before any write
         if args.out is None:
             sys.stdout.writelines(out)
         else:     # in 64 KiB writes: a figure's pieces are small

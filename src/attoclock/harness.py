@@ -209,8 +209,8 @@ def compare(atom: AtomModel, estimator: str,
 
 def emit_figure_data(atom: AtomModel, f_grid: Sequence[float], figure: str,
                      precision: int = 12, fmt: str = "csv") -> str:
-    """The data behind one figure, evaluated lazily over a field grid, as
-    :func:`attoclock.tables.render` text. Columns are fixed per figure; the metadata
+    """The data behind one figure, evaluated lazily over a field grid, as the text of
+    :func:`attoclock.tables.pieces`, joined. Columns are fixed per figure; the metadata
     records the atom, grid and constants-table version. The width-vs-time table (fig4)
     admits only points below barrier suppression; the time-vs-field tables (fig2, fig3)
     also admit the critical-field point. Arguments are checked before the grid."""

@@ -28,12 +28,6 @@ def check_format(fmt: str, precision: int) -> None:
         raise ValueError(f"need fmt csv or json and precision 1..17, got {fmt!r}, {precision!r}")
 
 
-def render(meta: dict[str, object] | None, columns: Sequence[str],
-           blocks: Iterable[Sequence[Sequence]] | None, fmt: str, precision: int) -> str:
-    """:func:`pieces`' text, joined."""
-    return "".join(pieces(meta, columns, blocks, fmt, precision))
-
-
 def pieces(meta: dict[str, object] | None, columns: Sequence[str],
            blocks: Iterable[Sequence[Sequence]] | None, fmt: str, precision: int) -> Iterator[str]:
     """One table's text, lazily: CSV (``# key=value`` metadata lines, header, rows) as one
@@ -95,7 +89,7 @@ def pieces(meta: dict[str, object] | None, columns: Sequence[str],
 # :class:`attoclock.clocks.Point` fields and its length ``n``), with the names of
 # _NAMESPACE. The suffix is the unit: _au as computed, _as converted (K as per au),
 # none for text and counts. None: not in this regime; a segment is in one. Each column
-# of a segment holds one cell type, as a render block's must: f_au is float for ints too.
+# of a segment holds one cell type, as a pieces block's must: f_au is float for ints too.
 COLUMNS = {
     "atom": "[a.name] * n", "name": "[a.name] * n", "source": "[a.source] * n",
     "i_p_au": "[a.ip] * n", "z_eff": "[a.z_eff] * n", "omega_au": "[w] * n",
@@ -106,7 +100,7 @@ COLUMNS = {
     **{f"{name}_au": name for name in Point._fields[2:]},
     **{f"{name}_as": f"[None] * n if {name}[0] is None else [t * K for t in {name}]"
        for name in ("tau_i", "tau_d", "tau_sym", "tau_unsy", "tau_c", "tau_t")},
-    "tau_a_as": "[tau_a[0] * K] * n",     # one object repeated: render formats it once
+    "tau_a_as": "[tau_a[0] * K] * n",     # one object repeated: pieces formats it once
     # Light-traversal time of the barrier, None without one; a segment is in one regime.
     "light_as": "[d / C * K for d in barrier_width] if regime[0] == 'sub_atomic' else [None] * n",
     # The approach time is the conjugate; a zero imaginary part keeps its sign.
@@ -159,7 +153,7 @@ def _program(columns: tuple[str, ...]):
 
 def rows(columns: Sequence[str], atom: AtomModel | None, segments: Iterable[Mapping],
          omega: float | None = None) -> Iterator[list[list]]:
-    """Lazily, one :func:`render` block per segment: a list of the ``columns``, each its
+    """Lazily, one :func:`pieces` block per segment: a list of the ``columns``, each its
     :data:`COLUMNS` entry evaluated over the whole segment; an unknown name is a KeyError."""
     program, scope = _program(tuple(columns)), {**_NAMESPACE, "a": atom, "w": omega}
     return (eval(program, scope, segment) for segment in segments)

@@ -9,7 +9,7 @@ from attoclock.atom import AtomModel
 from attoclock.barrier import atomic_field_strength
 from attoclock.clocks import Point
 from attoclock.harness import iter_segments
-from attoclock.tables import rows
+from attoclock.tables import pieces, rows
 
 
 def table(columns: Sequence[str], atom: AtomModel | None, points: Iterable[Point | None],
@@ -19,6 +19,12 @@ def table(columns: Sequence[str], atom: AtomModel | None, points: Iterable[Point
     the atom alone take None points."""
     return chain.from_iterable(zip(*block) for block in rows(
         columns, atom, (dict(zip(Point._fields, zip(p or ())), n=1) for p in points), omega))
+
+
+def render(meta: dict[str, object] | None, columns: Sequence[str],
+           blocks: Iterable[Sequence[Sequence]] | None, fmt: str, precision: int) -> str:
+    """:func:`attoclock.tables.pieces`' text, joined, as a command's output is."""
+    return "".join(pieces(meta, columns, blocks, fmt, precision))
 
 
 def iter_sweep(atom: AtomModel, f_grid: Sequence[float]) -> Iterator[Point]:

@@ -29,6 +29,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_existing_out_survives(capsys, tmp_path, argv, refused):
+    """A refused argv, rerun with --out over an existing file, leaves it byte for byte."""
+    out_path = tmp_path / "out.txt"
+    out_path.write_bytes(b"earlier output\r\n")
+    assert run_cli(capsys, *argv, "--out", str(out_path)) == refused
+    assert out_path.read_bytes() == b"earlier output\r\n"
+
+
 def parse_record(out):
     header, row = out.strip().splitlines()[:2]
     return dict(zip(header.split(","), row.split(",")))
@@ -418,20 +426,24 @@ class TestCompareCommand:
     def test_non_finite_result_exits_2(self, capsys, tmp_path, record, estimator, named):
         path = tmp_path / "m.csv"
         path.write_text(f"field_au,time_as,err_as\n{record}\n", encoding="utf-8")
-        code, out, err = run_cli(capsys, "compare", "--atom", "He:clementi",
-                                 "--estimator", estimator, "--residuals", str(path))
+        argv = ["compare", "--atom", "He:clementi", "--estimator", estimator, "--residuals",
+                str(path)]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert all(word in err for word in named) and "finite" in err
+        assert_existing_out_survives(capsys, tmp_path, argv, (code, out, err))
 
     def test_non_finite_summary_exits_2_in_json(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("field_au,time_as,err_as\n0.05,1e154,8.0\n0.06,1e154,8.0\n",
                         encoding="utf-8")
-        code, out, err = run_cli(capsys, "compare", "--atom", "He:clementi", "--estimator",
-                                 "tau_d", "--residuals", "--format", "json", str(path))
+        argv = ["compare", "--atom", "He:clementi", "--estimator", "tau_d", "--residuals",
+                "--format", "json", str(path)]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "rms_as" in err
+        assert_existing_out_survives(capsys, tmp_path, argv, (code, out, err))
 
     def test_all_superatomic_exits_3(self, capsys, tmp_path):
         path = tmp_path / "sup.csv"
@@ -543,10 +555,33 @@ def test_non_finite_output_exits_2(capsys, tmp_path, argv, named):
     code, out, err = run_cli(capsys, *argv.split(), "--out", str(out_path))
     assert code == 2 and out == "" and not out_path.exists()
     assert err.count("\n") == 1 and named in err and "finite" in err
-    # an existing --out file survives the refusal byte for byte
-    out_path.write_bytes(b"earlier output\r\n")
-    assert run_cli(capsys, *argv.split(), "--out", str(out_path)) == (code, out, err)
-    assert out_path.read_bytes() == b"earlier output\r\n"
+    assert_existing_out_survives(capsys, tmp_path, argv.split(), (code, out, err))
+
+
+# One argv per output shape; {data} is a measurement file with two records below F_a.
+SHAPES = {
+    "geometry": "geometry --atom He:clementi --field 0.06",
+    "times": "times --atom He:clementi --field 0.06",
+    "times-wavelength": "times --atom He:clementi --field 0.2 --wavelength 800",  # exit 3
+    "dump": "sweep --atom He:clementi --grid 0.05:0.2:0.01 --wavelength 800",
+    "figure": "sweep --atom He:clementi --grid 0.05:0.2:0.01 --figure fig3",
+    "compare": "compare --atom He:clementi --estimator tau_d {data}",
+    "compare-residuals": "compare --atom He:clementi --estimator tau_d --residuals {data}",
+    "catalog": "catalog",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", SHAPES.values(), ids=SHAPES)
+def test_every_command_returns_its_pieces(capsys, tmp_path, argv, fmt):
+    data = tmp_path / "m.csv"
+    data.write_text("field_au,time_as,err_as\n0.05,40.0,8.0\n0.06,45.0,8.0\n",
+                    encoding="utf-8")
+    argv = [*argv.format(data=data).split(), "--format", fmt]
+    args = build_parser(argv).parse_args(argv)
+    out, code = args.func(args)
+    assert iter(out) is out and not isinstance(out, str)
+    assert run_cli(capsys, *argv) == (code, "".join(out), "")
 
 
 @st.composite

@@ -72,7 +72,7 @@ def test_collector_is_paused_while_the_command_runs(monkeypatch):
 
     def command(args):
         seen.append(gc.isenabled())
-        return "", cli.EXIT_OK
+        return iter([""]), cli.EXIT_OK
 
     monkeypatch.setattr(cli, "cmd_catalog", command)
     assert cli.main(["catalog"]) == 0

@@ -21,10 +21,10 @@ from attoclock import harness, tables
 from attoclock.clocks import evaluate
 from attoclock.harness import (MeasurementRecord, compare, emit_figure_data,
                                load_measurements, run_sweep)
-from attoclock.tables import COLUMNS, DUMP_COLUMNS, render
+from attoclock.tables import COLUMNS, DUMP_COLUMNS
 from attoclock.units import (CONSTANTS, au_time_to_attoseconds,
                              wavelength_to_angular_frequency)
-from helpers import iter_sweep, rel_err, table
+from helpers import iter_sweep, rel_err, render, table
 from reference import fit_width_relation, load_measurements_oracle
 
 GRID_9 = [0.03 + 0.01 * k for k in range(9)]   # 0.03 .. 0.11

@@ -213,7 +213,7 @@ class TestProjection:
 
 
 class TestBlocks:
-    """tables.render formats each column of a segment's block by the type of its
+    """tables.pieces formats each column of a segment's block by the type of its
     first cell, so every column of a segment must hold one cell type."""
 
     @settings(max_examples=60, deadline=None)
@@ -233,7 +233,7 @@ class TestBlocks:
                 assert len(set(map(type, cells))) == 1, (name, set(map(type, cells)))
 
     def test_dump_columns_of_one_object(self):
-        # render formats such a column once per block: 5 of 21 below F_a, 11 above
+        # pieces formats such a column once per block: 5 of 21 below F_a, 11 above
         atom, one = catalog_lookup("He:clementi"), operator.is_
         grid = [atomic_field_strength(atom) * (0.3 + k / 100) for k in range(200)]
         constant = {}
